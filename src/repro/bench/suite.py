@@ -148,16 +148,6 @@ _STAGGERED_PARAMS = {
 
 
 @register_benchmark(
-    "micro.solve_staggered.compiled",
-    kind="micro",
-    params={**_STAGGERED_PARAMS, "backend": "compiled"},
-    description="compiled staggered kernel on the 9216-rank exascale poisson+burst mix",
-)
-def _bench_staggered_compiled() -> tuple[Callable[[], None], float]:
-    return _make_staggered("compiled")
-
-
-@register_benchmark(
     "micro.solve_staggered.vectorized",
     kind="micro",
     params={**_STAGGERED_PARAMS, "backend": "vectorized"},
@@ -437,7 +427,7 @@ def _bench_serve_sustained() -> tuple[Callable[[], None], float]:
     def run() -> None:
         # A fresh service every round: each measurement pays the full
         # dedup + memo-build + coalesced-solve cost, no warm cache.
-        service = SolveService(workers=1)
+        service = SolveService()
         for request in stream:
             service.submit(request)
         service.flush()

@@ -7,7 +7,7 @@ Examples::
     python -m repro run e3 --backend reference --seed 7
     python -m repro run e6 --format json
     python -m repro run e9 --workload "app=bg,ranks=1152,arrival=burst" --trace traces/
-    python -m repro run e1 --serve --serve-workers 2
+    python -m repro run e1 --serve
     python -m repro serve --cells 16 --passes 8 --compare-inline
     python -m repro machines
     python -m repro approaches
@@ -32,16 +32,10 @@ from collections.abc import Callable, Sequence
 from . import experiments
 from .analyze.cli import add_analyze_parser, run_analyze
 from .bench.cli import add_bench_parser, run_bench
-from .engine import (
-    SOLVE_SHARDS_ENV,
-    backend_names,
-    machine_names,
-    resolve_machine,
-    set_default_backend,
-)
+from .engine import backend_names, machine_names, resolve_machine, set_default_backend
 from .io_models import approach_names, resolve_approach
 from .scenario import FULL_SCALE_RANKS, ScenarioConfig
-from .serve import SERVE_ENV, SERVE_WORKERS_ENV, SolveService
+from .serve import SERVE_ENV, SolveService
 from .serve.cli import add_serve_parser, run_serve
 from .table import Table
 from .workloads import arrival_process_names, resolve_arrival_process
@@ -203,13 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, help="process-pool width for multi-scale sweeps (e1)"
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="OST-axis thread shards inside each solve (bit-identical; composes with --jobs)",
-    )
-    run.add_argument(
         "--replications",
         type=int,
         default=None,
@@ -222,13 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="route the experiment through the memoized solve service "
         "(e1/e4; bit-identical to the inline path)",
-    )
-    run.add_argument(
-        "--serve-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="solve-service worker shards (bit-identical at any value)",
     )
     run.add_argument("--format", choices=("text", "csv", "json"), default="text")
     run.add_argument(
@@ -271,14 +251,10 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         env["REPRO_ENGINE"] = args.backend
     if args.jobs is not None:
         env["REPRO_JOBS"] = str(args.jobs)
-    if args.shards is not None:
-        env[SOLVE_SHARDS_ENV] = str(args.shards)
     if args.replications is not None:
         env["REPRO_REPLICATIONS"] = str(args.replications)
     if args.serve:
         env[SERVE_ENV] = "1"
-    if args.serve_workers is not None:
-        env[SERVE_WORKERS_ENV] = str(args.serve_workers)
     if args.workload is not None:
         env["REPRO_WORKLOAD"] = args.workload
     if args.trace is not None:
@@ -335,15 +311,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     scenario = _scenario_from_args(args)
     if scenario.backend is not None:
         set_default_backend(scenario.backend)
-    if scenario.solve_shards > 1:
-        # The engine reads the environment at solve time, and REPRO_JOBS
-        # worker processes inherit it — one assignment covers both.
-        os.environ[SOLVE_SHARDS_ENV] = str(scenario.solve_shards)
 
     service: SolveService | None = None
     if scenario.serve:
         if args.experiment in _SERVE_EXPERIMENTS:
-            service = SolveService(workers=scenario.serve_workers, backend=scenario.backend)
+            service = SolveService(backend=scenario.backend)
         else:
             print(
                 f"note: {args.experiment} has no solve-service path yet; running inline",

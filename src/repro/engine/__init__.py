@@ -3,16 +3,13 @@
 This package is the bottom layer of the simulator.  It owns the frozen
 :class:`~repro.engine.machines.Machine` descriptions and their registry,
 the :class:`~repro.engine.interference.Interference` model, the write
-request containers, and three interchangeable processor-sharing solvers:
+request containers, and two interchangeable processor-sharing solvers:
 
 * ``vectorized`` — numpy batch solver, the default.
-* ``compiled`` — numba-jitted staggered kernel (``repro[fast]``) with a
-  bit-identical pure-python fallback when numba is absent.
 * ``reference`` — the seed implementation, kept as ground truth.
 
 Everything above (``repro.io_models``, ``repro.experiments``, the CLI)
-talks to this package only through the names re-exported here;
-``repro.cluster`` remains as a deprecated alias of the same names.
+talks to this package only through the names re-exported here.
 """
 
 from .api import (
@@ -25,7 +22,6 @@ from .api import (
     use_backend,
 )
 from .batching import solve_many
-from .compiled import numba_available, solve_compiled
 from .interference import NO_INTERFERENCE, Interference
 from .machines import (
     EXASCALE,
@@ -38,9 +34,6 @@ from .machines import (
     resolve_machine,
 )
 from .requests import LaneOrder, RequestBatch, WriteRequest, merge_batches, split_by_segment
-from .sharding import SOLVE_SHARDS_ENV, active_shards, solve_sharded
-
-register_backend("compiled", solve_compiled, replace_existing=True)
 
 __all__ = [
     "Machine",
@@ -66,9 +59,4 @@ __all__ = [
     "default_backend",
     "set_default_backend",
     "use_backend",
-    "solve_compiled",
-    "numba_available",
-    "SOLVE_SHARDS_ENV",
-    "active_shards",
-    "solve_sharded",
 ]

@@ -1,18 +1,11 @@
 """Backend registry and the public solver entry points.
 
-Three backends ship by default: ``vectorized`` (numpy, the default),
-``compiled`` (numba-jitted staggered kernel with a pure-python fallback,
-see :mod:`repro.engine.compiled`; registered by the package
-``__init__``) and ``reference`` (the seed implementation, kept as ground
-truth).  The active default is ``vectorized`` unless the
-``REPRO_ENGINE`` environment variable or :func:`set_default_backend`
-says otherwise; individual calls and tests can pin a backend with the
-``backend=`` argument or the :func:`use_backend` context manager.
-
-Independently of the backend, :func:`solve` can partition the OST lanes
-of one batch across a thread pool (``REPRO_SOLVE_SHARDS=N`` or the
-``shards=`` argument; see :mod:`repro.engine.sharding`) — bit-identical
-to the serial solve because OST lanes are independent in every backend.
+Two backends ship by default: ``vectorized`` (numpy, the default) and
+``reference`` (the seed implementation, kept as ground truth).  The
+active default is ``vectorized`` unless the ``REPRO_ENGINE`` environment
+variable or :func:`set_default_backend` says otherwise; individual calls
+and tests can pin a backend with the ``backend=`` argument or the
+:func:`use_backend` context manager.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ from ..util import FloatArray
 from .machines import Machine
 from .reference import solve_reference
 from .requests import RequestBatch, WriteRequest
-from .sharding import active_shards, solve_sharded
 from .vectorized import solve_vectorized
 
 __all__ = [
@@ -101,20 +93,13 @@ def solve(
     background: FloatArray | None = None,
     large_writes: bool,
     backend: str | None = None,
-    shards: int | None = None,
 ) -> FloatArray:
     """Completion time of every request in ``batch``, in batch order.
 
     This is the hot-path entry point: the I/O models hand over a
     struct-of-arrays batch and get a numpy array back, no dicts involved.
-    ``shards`` (default: ``REPRO_SOLVE_SHARDS``, 1) partitions the OST
-    lanes across a thread pool, bit-identically to the serial solve.
     """
-    solver = _resolve_backend(backend)
-    count = active_shards() if shards is None else int(shards)
-    if count > 1:
-        return solve_sharded(solver, machine, batch, background, large_writes, count)
-    return solver(machine, batch, background, large_writes)
+    return _resolve_backend(backend)(machine, batch, background, large_writes)
 
 
 def simulate_writes(

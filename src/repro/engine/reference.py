@@ -1,10 +1,10 @@
 """The seed implementation of the processor-sharing OST solver.
 
-This is the original per-OST event loop from ``repro.cluster``, kept
-verbatim as the ``reference`` backend: it is the ground truth the
-vectorized backend is cross-validated against (``tests/test_engine.py``)
-and the baseline the perf-guard test measures speedups from.  Cost is
-O(requests-per-OST²) with per-byte Python dict churn — correct, slow.
+This is the seed's original per-OST event loop, kept verbatim as the
+``reference`` backend: it is the ground truth the vectorized backend is
+cross-validated against (``tests/test_engine.py``) and the baseline the
+perf-guard test measures speedups from.  Cost is O(requests-per-OST²)
+with per-byte Python dict churn — correct, slow.
 """
 
 from __future__ import annotations

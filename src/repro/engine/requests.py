@@ -40,13 +40,12 @@ class WriteRequest:
 class LaneOrder:
     """A batch's requests regrouped into contiguous per-OST lanes.
 
-    The staggered solvers (vectorized scalar loops, the compiled kernel)
-    and the OST-axis sharding all consume the same view: requests sorted
-    by ``(ost % ost_count, arrival)`` — the exact ``np.lexsort`` order
-    the per-OST loops have always used — with the sorted columns
-    materialised as contiguous arrays so a kernel streams them without
-    gather indirection.  Lane ``k`` occupies ``[starts[k], ends[k])`` of
-    every sorted array and serves OST ``ost[k]``.
+    The vectorized backend's staggered lane loops consume this view:
+    requests sorted by ``(ost % ost_count, arrival)`` — the exact
+    ``np.lexsort`` order the per-OST loops have always used — with the
+    sorted columns materialised as contiguous arrays.  Lane ``k``
+    occupies ``[starts[k], ends[k])`` of every sorted array and serves
+    OST ``ost[k]``.
     """
 
     #: Batch positions in lane order (``out[order[i]]`` scatters back).
@@ -73,6 +72,10 @@ class RequestBatch:
     Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length;
     ``tag`` defaults to the position in the batch (``0..n-1``), which is
     also the order of the completion-time array the solvers return.
+    Arrivals must be finite and sizes finite and non-negative; anything
+    else raises a :class:`ValueError` naming the field and the first bad
+    index, because the backends would otherwise disagree (or never
+    finish) on it.
     """
 
     __slots__ = ("arrival", "ost", "nbytes", "tag", "_lane_orders")
@@ -96,6 +99,9 @@ class RequestBatch:
         arrival = np.atleast_1d(np.asarray(arrival, dtype=np.float64))
         ost = np.atleast_1d(np.asarray(ost, dtype=np.int64))
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
+        # Checked before broadcasting, so a scalar input costs O(1).
+        _require("arrival", arrival, np.isfinite(arrival), "finite")
+        _require("nbytes", nbytes, np.isfinite(nbytes) & (nbytes >= 0.0), "finite and >= 0")
         n = max(arrival.size, ost.size, nbytes.size)
         self.arrival = np.broadcast_to(arrival, (n,))
         self.ost = np.broadcast_to(ost, (n,))
@@ -178,6 +184,13 @@ class RequestBatch:
 
     def __repr__(self) -> str:
         return f"RequestBatch({len(self)} requests)"
+
+
+def _require(field: str, values: FloatArray, ok: npt.NDArray[np.bool_], rule: str) -> None:
+    """Reject ``values`` unless ``ok`` holds everywhere, naming the first bad index."""
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise ValueError(f"RequestBatch {field}[{index}] must be {rule}, got {values[index]}")
 
 
 def merge_batches(batches: Sequence[RequestBatch]) -> tuple[RequestBatch, IntArray]:

@@ -150,7 +150,8 @@ def _solve_simultaneous(
     # Fold t0 into the first segment so the cumsum accumulates in the
     # exact order the scalar lane loops do (t0 + dt0) + dt1 + ...; the
     # simultaneous path is then bit-identical to per-lane event solving,
-    # which the OST-sharding bit-identity guarantee relies on.
+    # which solve_many's stacked solves rely on when cells with different
+    # flush times share one batch.
     dt[:, 0] += float(t0)
     finish = np.cumsum(dt, axis=1)
 
@@ -176,7 +177,9 @@ def _solve_staggered(
     lane_bg = bg_per_ost[lanes.ost].tolist()
     out = np.empty(n, dtype=np.float64)
     solve_one = _solve_one_ost_fifo if equal_sizes else _solve_one_ost
-    for lane, (start, end) in enumerate(zip(lanes.starts.tolist(), lanes.ends.tolist(), strict=True)):
+    for lane, (start, end) in enumerate(
+        zip(lanes.starts.tolist(), lanes.ends.tolist(), strict=True)
+    ):
         solve_one(
             bw,
             slope,

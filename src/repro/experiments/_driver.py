@@ -18,7 +18,7 @@ from ..engine import (
 from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approaches
 from ..serve import SolveService
 from ..stats.replication import cell_rng, replication_rng, run_replications, serve_prepared
-from ..util import seed_key
+from ..util import env_int, seed_key
 
 __all__ = [
     "run_iterations",
@@ -201,7 +201,7 @@ def _run_cell(
 
 def _resolve_jobs(n_jobs: int | None) -> int:
     if n_jobs is None:
-        n_jobs = int(os.environ.get("REPRO_JOBS", "1"))
+        n_jobs = env_int(os.environ, "REPRO_JOBS", default=1)
     return max(1, n_jobs)
 
 
@@ -221,7 +221,7 @@ def _run_sweep_serve(
     Every cell's iterations are *prepared* first — consuming each cell's
     rng stream in exactly the order the inline path would — and
     submitted to the service; a single flush then dedups, serves cache
-    hits, and coalesces all remaining cells across the worker shards.
+    hits, and coalesces all remaining cells into stacked solves.
     Because the service is bit-identical to per-request solving and the
     rng streams are pure functions of ``(seed, ranks, approach[, r])``,
     the sweep's output matches the inline path byte for byte.
@@ -284,10 +284,10 @@ def run_sweep(
     single bit of the output.
 
     With ``service`` set, the sweep routes through the memoized solve
-    service instead of the ``n_jobs`` pool (the service's own worker
-    shards parallelise the solving): every cell is prepared up front and
-    one flush solves them all, deduplicated and coalesced — bit-identical
-    again, and repeated cells across sweeps cost one cache lookup.
+    service instead of the ``n_jobs`` pool: every cell is prepared up
+    front and one flush solves them all, deduplicated and coalesced —
+    bit-identical again, and repeated cells across sweeps cost one cache
+    lookup.
     """
     resolved = resolve_approaches(approaches)
     backend = default_backend()

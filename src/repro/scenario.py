@@ -15,20 +15,13 @@ Environment variables recognised by :meth:`ScenarioConfig.from_env`:
 ``REPRO_MACHINE``         registered machine name (default ``kraken``)
 ``REPRO_LADDER``          comma-separated rank ladder override
 ``REPRO_DATA_PER_RANK_MB``  payload per rank in MiB (default 45)
-``REPRO_SEED``            base seed (default 0)
-``REPRO_ENGINE``          engine backend (``vectorized``/``compiled``/
-                          ``reference``)
+``REPRO_SEED``            base seed, >= 0 (default 0)
+``REPRO_ENGINE``          engine backend (``vectorized``/``reference``)
 ``REPRO_JOBS``            process-pool width for sweeps (default 1)
-``REPRO_SOLVE_SHARDS``    OST-axis thread shards inside each solve
-                          (default 1; bit-identical to serial, composes
-                          with ``REPRO_JOBS``)
 ``REPRO_REPLICATIONS``    independently-seeded replications per experiment
                           cell; > 1 adds CI columns (default 1)
 ``REPRO_SERVE``           route supporting experiments through the memoized
                           solve service (``1``/``true``; bit-identical)
-``REPRO_SERVE_WORKERS``   solve-service worker shards (default 1; request →
-                          shard assignment is a pure function of the
-                          request hash, so any value is bit-identical)
 ``REPRO_WORKLOAD``        background workload spec for E9
                           (``app=bg,ranks=1152,data_mb=45,arrival=burst,...``)
 ``REPRO_TRACE``           directory E9 records request traces into (JSONL)
@@ -44,10 +37,11 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
-from .engine import Interference, Machine, active_shards, backend_names, resolve_machine
-from .serve import SERVE_ENV, active_serve_workers
-from .util import MB, env_flag
+from .engine import Interference, Machine, backend_names, resolve_machine
+from .serve import SERVE_ENV
+from .util import MB, env_flag, env_int
 from .workloads import Workload
 
 __all__ = ["ScenarioConfig", "DEFAULT_LADDER", "FULL_SCALE_RANKS"]
@@ -56,6 +50,7 @@ __all__ = ["ScenarioConfig", "DEFAULT_LADDER", "FULL_SCALE_RANKS"]
 DEFAULT_LADDER: tuple[int, ...] = (576, 1152, 2304)
 #: The paper's largest Kraken configuration.
 FULL_SCALE_RANKS = 9216
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -71,23 +66,22 @@ class ScenarioConfig:
     backend: str | None = None
     #: Process-pool width for (scale, approach) sweeps; 1 = in-process.
     jobs: int = 1
-    #: OST-axis thread shards inside each solve; 1 = serial.  Any value
-    #: yields bit-identical results (see :mod:`repro.engine.sharding`).
-    solve_shards: int = 1
     #: Independently-seeded replications per experiment cell; > 1 makes
     #: the stochastic experiments report bootstrap-CI column families.
     replications: int = 1
     #: Route supporting experiments through the memoized solve service
     #: (:mod:`repro.serve`); bit-identical to the inline paths.
     serve: bool = False
-    #: Solve-service worker shards; 1 = in-process.  Any value yields
-    #: bit-identical results (deterministic request → shard assignment).
-    serve_workers: int = 1
     #: Background workload override for E9 (``None`` = the default bursty
     #: file-per-process contender).
     workload: Workload | None = None
     #: Directory E9 records per-cell request traces into (``None`` = off).
     trace: str | None = None
+
+    # Constants, not fields: every solve is serial and the solve service
+    # runs inline.  perfbench/worker.py still reads both after every run.
+    solve_shards: ClassVar[int] = 1
+    serve_workers: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "machine", resolve_machine(self.machine))
@@ -101,12 +95,8 @@ class ScenarioConfig:
                 )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.solve_shards < 1:
-            raise ValueError(f"solve_shards must be >= 1, got {self.solve_shards}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.serve_workers < 1:
-            raise ValueError(f"serve_workers must be >= 1, got {self.serve_workers}")
 
     def with_overrides(self, **overrides: object) -> ScenarioConfig:
         """A copy of this scenario with some fields replaced."""
@@ -131,14 +121,12 @@ class ScenarioConfig:
             machine=resolve_machine(env.get("REPRO_MACHINE", "kraken")),
             ladder=ladder,
             data_per_rank=float(env.get("REPRO_DATA_PER_RANK_MB", "45")) * MB,
-            seed=int(env.get("REPRO_SEED", "0")),
+            seed=env_int(env, "REPRO_SEED", default=0, minimum=0),
             full_scale=full_scale,
             backend=env.get("REPRO_ENGINE") or None,
-            jobs=int(env.get("REPRO_JOBS", "1")),
-            solve_shards=active_shards(env),
-            replications=int(env.get("REPRO_REPLICATIONS", "1")),
+            jobs=env_int(env, "REPRO_JOBS", default=1),
+            replications=env_int(env, "REPRO_REPLICATIONS", default=1),
             serve=env_flag(env, SERVE_ENV),
-            serve_workers=active_serve_workers(env),
             workload=Workload.parse(env["REPRO_WORKLOAD"]) if env.get("REPRO_WORKLOAD") else None,
             trace=env.get("REPRO_TRACE") or None,
         )

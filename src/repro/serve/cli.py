@@ -34,24 +34,19 @@ def add_serve_parser(sub: "argparse._SubParsersAction[Any]") -> argparse.Argumen
         help="drive an overlapping request stream through the solve service",
         description=(
             "Generate a deterministic stream of overlapping solve requests, run "
-            "it through the memoized shard-parallel solve service, and print "
+            "it through the memoized solve service, and print "
             "throughput and cache accounting."
         ),
     )
-    serve.add_argument("--machine", default="grid5000", help=f"one of: {', '.join(machine_names())}")
+    serve.add_argument(
+        "--machine", default="grid5000", help=f"one of: {', '.join(machine_names())}"
+    )
     serve.add_argument("--cells", type=int, default=16, metavar="N", help="unique solve cells")
     serve.add_argument(
         "--passes", type=int, default=8, metavar="N", help="sweeps over the cell set"
     )
     serve.add_argument("--ranks", type=int, default=256, metavar="N", help="requests per cell")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker shards (default: REPRO_SERVE_WORKERS, else 1)",
-    )
     serve.add_argument("--backend", choices=backend_names(), default=None)
     serve.add_argument(
         "--compare-inline",
@@ -68,7 +63,7 @@ def run_serve(args: argparse.Namespace) -> int:
     stream = demo_stream(
         args.machine, cells=args.cells, passes=args.passes, ranks=args.ranks, seed=args.seed
     )
-    service = SolveService(workers=args.workers, backend=args.backend)
+    service = SolveService(backend=args.backend)
 
     def drain() -> list[Any]:
         for request in stream:
@@ -83,7 +78,6 @@ def run_serve(args: argparse.Namespace) -> int:
         unique_cells=len(service.cache),
         solved=stats.solved,
         hit_rate=stats.hit_rate,
-        workers=service.workers,
         elapsed_s=elapsed,
         requests_per_s=stats.served / elapsed if elapsed > 0 else float("inf"),
     )

@@ -3,7 +3,7 @@
 The engine's stacked :func:`~repro.engine.solve_many` path solves any
 number of *independent* batches in one call, provided they share a
 machine and a write class (the seek-penalty slope is per solve).  The
-coalescer therefore groups a worker's queued cells into
+coalescer therefore groups a flush's unsolved cells into
 :class:`Bucket`\\ s keyed by ``(machine, large_writes)`` — machines are
 frozen dataclasses, so the grouping is plain hashing, no names involved
 — and :func:`solve_buckets` dispatches each bucket through one stacked

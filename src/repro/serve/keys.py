@@ -1,11 +1,9 @@
 """Canonical content-addressed request hashing.
 
 A solve's output is a pure function of ``(machine, batch arrays,
-background, large_writes)`` plus the backend-relevant storage flag
-``REPRO_FLOAT32`` — every registered backend is cross-validated
-bit-identical to the reference, so the backend *name* is deliberately
-not part of the identity and a cell solved under ``vectorized`` is a
-cache hit for a ``compiled`` client.  :func:`request_key` digests
+background, large_writes)`` — every registered backend is
+cross-validated against the reference, so the backend *name* is
+deliberately not part of the identity.  :func:`request_key` digests
 exactly those inputs into a sha256 hex string:
 
 * machine fields serialise as sorted-key JSON (shortest-repr float64
@@ -22,9 +20,8 @@ exactly those inputs into a sha256 hex string:
   array — the cache never has to assert that the two spellings solve
   bit-identically on every backend.
 
-The key is therefore stable across arrival order, process restarts,
-worker counts and dict insertion order, which is what lets the shard
-assignment in :mod:`repro.serve.service` be a pure function of it.
+The key is therefore stable across arrival order, process restarts and
+dict insertion order.
 """
 
 from __future__ import annotations
@@ -32,20 +29,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 from dataclasses import asdict
 
 import numpy as np
 
 from ..engine import Machine, RequestBatch
-from ..engine.compiled import FLOAT32_ENV
-from ..util import FloatArray, env_flag
+from ..util import FloatArray
 
 __all__ = ["KEY_SCHEMA", "request_key"]
 
 #: Bumped whenever the digest layout changes; part of every digest so a
 #: persisted cache from an incompatible layout can never alias a key.
-KEY_SCHEMA = "repro-serve-key-v1"
+KEY_SCHEMA = "repro-serve-key-v2"
 
 
 def _array_bytes(array: np.ndarray, dtype: str) -> bytes:
@@ -70,22 +65,12 @@ def request_key(
     batch: RequestBatch,
     background: FloatArray | None,
     large_writes: bool,
-    *,
-    float32: bool | None = None,
 ) -> str:
-    """The sha256 content hash identifying one solve cell.
-
-    ``float32`` pins the lane-storage flag explicitly; ``None`` reads
-    the live ``REPRO_FLOAT32`` environment flag, matching what the
-    engine would do at solve time.
-    """
-    if float32 is None:
-        float32 = env_flag(os.environ, FLOAT32_ENV)
+    """The sha256 content hash identifying one solve cell."""
     digest = hashlib.sha256()
     header = {
         "schema": KEY_SCHEMA,
         "large_writes": bool(large_writes),
-        "float32": bool(float32),
         "n": len(batch),
         "background": background is not None,
     }

@@ -1,4 +1,4 @@
-"""The memoized, shard-parallel solve service.
+"""The memoized solve service.
 
 :class:`SolveService` accepts a stream of
 :class:`~repro.serve.request.SolveRequest` cells (:meth:`~SolveService.submit`),
@@ -9,78 +9,32 @@ and on :meth:`~SolveService.flush` resolves the whole queue:
 2. **Memo lookup.**  Unique cells already solved in an earlier flush are
    served straight from the :class:`~repro.serve.cache.SolveCache` — the
    O(1) hit the roadmap's overlapping-sweep traffic lives on.
-3. **Deterministic sharding.**  The remaining cells are assigned to
-   worker shards by :func:`request_shard` — a pure function of the
-   request hash and the configured worker count, in the spirit of the
-   Bobpp deterministic-partitioning discipline: the partition depends on
-   *what* is asked, never on arrival order, queue depth or scheduling.
-4. **Coalesced solving.**  Each shard's cells are grouped into
-   ``(machine, write class)`` buckets and solved through the stacked
-   :func:`~repro.engine.solve_many` path, on a process pool when
-   ``workers > 1`` (``REPRO_SERVE_WORKERS``), inline otherwise.
+3. **Coalesced solving.**  The remaining cells are grouped into
+   ``(machine, write class)`` buckets and solved inline through the
+   stacked :func:`~repro.engine.solve_many` path.
 
 Responses come back in submission order, each carrying the cell key and
 whether it was served without running a solver.  **Determinism:** every
 cell solves independently (``solve_many`` is bit-identical to per-cell
-:func:`~repro.engine.solve`, the cache stores solver output verbatim,
-and the shard assignment never feeds back into any cell's arithmetic),
-so the service's results are bit-identical to serial per-request solving
-— for any worker count, any ``max_stack``, any interleaving of submits
-and flushes, and any request arrival order.
+:func:`~repro.engine.solve` and the cache stores solver output
+verbatim), so the service's results are bit-identical to serial
+per-request solving — for any ``max_stack``, any interleaving of
+submits and flushes, and any request arrival order.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ..engine import default_backend
-from ..util import FloatArray, env_int
+from ..util import FloatArray
 from .cache import CacheStats, SolveCache
 from .coalesce import DEFAULT_MAX_STACK, coalesce, solve_buckets
 from .request import SolveRequest, SolveResponse
 
-__all__ = [
-    "SERVE_ENV",
-    "SERVE_WORKERS_ENV",
-    "ServiceStats",
-    "SolveService",
-    "active_serve_workers",
-    "request_shard",
-]
+__all__ = ["SERVE_ENV", "ServiceStats", "SolveService"]
 
 #: Environment flag routing supporting experiments through the service.
 SERVE_ENV = "REPRO_SERVE"
-
-#: Environment variable selecting the service's worker-process count.
-SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"
-
-
-def active_serve_workers(env: Mapping[str, str] | None = None) -> int:
-    """The worker count ``REPRO_SERVE_WORKERS`` selects (default 1)."""
-    return env_int(os.environ if env is None else env, SERVE_WORKERS_ENV, default=1)
-
-
-def request_shard(key: str, workers: int) -> int:
-    """Which of ``workers`` shards owns the cell ``key``.
-
-    A pure function of ``(key, workers)``: the first 64 bits of the
-    canonical hash modulo the worker count.  Nothing about scheduling,
-    arrival order or queue composition can move a cell between shards.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(key[:16], 16) % workers
-
-
-def _solve_cells(
-    args: tuple[list[tuple[str, SolveRequest]], str, int | None],
-) -> list[tuple[str, FloatArray]]:
-    """One worker shard's share of a flush; module-level so it pickles."""
-    cells, backend, max_stack = args
-    return solve_buckets(coalesce(cells), backend=backend, max_stack=max_stack)
 
 
 @dataclass(frozen=True)
@@ -105,19 +59,15 @@ class ServiceStats:
 
 
 class SolveService:
-    """Memoized, deterministically sharded solving of request streams."""
+    """Memoized, coalesced solving of request streams."""
 
     def __init__(
         self,
         *,
-        workers: int | None = None,
         cache: SolveCache | None = None,
         backend: str | None = None,
         max_stack: int | None = DEFAULT_MAX_STACK,
     ) -> None:
-        self._workers = active_serve_workers() if workers is None else int(workers)
-        if self._workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self._workers}")
         if max_stack is not None and max_stack < 1:
             raise ValueError(f"max_stack must be >= 1, got {max_stack}")
         self._cache = SolveCache() if cache is None else cache
@@ -128,10 +78,6 @@ class SolveService:
         self._served = 0
         self._solved = 0
         self._coalesced = 0
-
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     @property
     def cache(self) -> SolveCache:
@@ -174,8 +120,12 @@ class SolveService:
                 to_solve[key] = request
             else:
                 resolved[key] = cached
-        for key, done in self._solve_assigned(to_solve):
-            resolved[key] = self._cache.put(key, done)
+        if to_solve:
+            solved = solve_buckets(
+                coalesce(to_solve.items()), backend=self._backend, max_stack=self._max_stack
+            )
+            for key, done in solved:
+                resolved[key] = self._cache.put(key, done)
         # Exactly one response per solved cell reports a fresh solve; every
         # other response was served from memory (earlier flush or coalesced).
         fresh = dict.fromkeys(to_solve, True)
@@ -189,30 +139,6 @@ class SolveService:
         self._solved += len(to_solve)
         self._coalesced += len(pending) - len(first)
         return responses
-
-    def _solve_assigned(
-        self, to_solve: Mapping[str, SolveRequest]
-    ) -> list[tuple[str, FloatArray]]:
-        """Solve the missed cells across the deterministic shard partition."""
-        if not to_solve:
-            return []
-        # Worker processes do not share this process's registry state, so
-        # resolve the effective backend name here and ship it explicitly.
-        backend = default_backend() if self._backend is None else self._backend
-        if self._workers == 1:
-            return _solve_cells((list(to_solve.items()), backend, self._max_stack))
-        assigned: list[list[tuple[str, SolveRequest]]] = [[] for _ in range(self._workers)]
-        for key, request in to_solve.items():
-            assigned[request_shard(key, self._workers)].append((key, request))
-        occupied = [cells for cells in assigned if cells]
-        if len(occupied) == 1:
-            return _solve_cells((occupied[0], backend, self._max_stack))
-        solved: list[tuple[str, FloatArray]] = []
-        with ProcessPoolExecutor(max_workers=len(occupied)) as pool:
-            payloads = [(cells, backend, self._max_stack) for cells in occupied]
-            for part in pool.map(_solve_cells, payloads):
-                solved.extend(part)
-        return solved
 
     @property
     def stats(self) -> ServiceStats:

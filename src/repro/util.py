@@ -55,7 +55,7 @@ def env_int(
     An unset or blank variable yields ``default``.  A set one must spell
     an integer >= ``minimum``; anything else raises a :class:`ValueError`
     naming the variable and the offending value, so a typo in e.g.
-    ``REPRO_SOLVE_SHARDS=two`` fails with the knob's name instead of a
+    ``REPRO_JOBS=two`` fails with the knob's name instead of a
     bare ``invalid literal for int()``.
     """
     raw = env.get(name)

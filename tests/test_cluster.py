@@ -1,28 +1,11 @@
 """Unit tests for the cluster model: Machine, overrides, and the OST DES."""
 
 import dataclasses
-import importlib
-import warnings
 
 import pytest
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.cluster import (
-        KRAKEN,
-        Machine,
-        WriteRequest,
-        resolve_machine,
-        simulate_writes,
-    )
+from repro.engine import KRAKEN, Machine, WriteRequest, resolve_machine, simulate_writes
 from repro.util import MB
-
-
-def test_cluster_import_emits_deprecation_warning():
-    import repro.cluster
-
-    with pytest.warns(DeprecationWarning, match="repro.cluster is deprecated"):
-        importlib.reload(repro.cluster)
 
 
 def test_kraken_constants():

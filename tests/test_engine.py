@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    EXASCALE,
     KRAKEN,
     RequestBatch,
     WriteRequest,
@@ -101,6 +102,26 @@ def test_batch_rejects_mismatched_tags():
         RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=MB, tag=[0, 1])
 
 
+def test_batch_rejects_non_finite_arrival():
+    # A NaN arrival solved to a finite time on vectorized but raised
+    # ZeroDivisionError on reference.
+    with pytest.raises(ValueError, match=r"arrival\[1\] must be finite, got nan"):
+        RequestBatch(arrival=[0.0, np.nan, 0.3], ost=0, nbytes=45 * MB)
+
+
+def test_batch_rejects_negative_nbytes():
+    # A negative size used to complete before its own arrival on every backend.
+    with pytest.raises(ValueError, match=r"nbytes\[1\] must be finite and >= 0, got -1000000.0"):
+        RequestBatch(arrival=[0.0, 0.5], ost=0, nbytes=[45 * MB, -1e6])
+    assert len(RequestBatch(arrival=0.5, ost=0, nbytes=0.0)) == 1  # zero-size writes stay
+
+
+def test_batch_rejects_infinite_nbytes():
+    # An infinite size made the reference backend loop forever.
+    with pytest.raises(ValueError, match=r"nbytes\[0\] must be finite and >= 0, got inf"):
+        RequestBatch(arrival=[0.0, 0.5], ost=[0, 1], nbytes=np.inf)
+
+
 def test_duplicate_tags_are_solved_per_position():
     # solve() is positional; caller tags need not be unique.
     batch = RequestBatch(0.0, [0, 0], [10 * MB, 20 * MB], tag=[5, 5])
@@ -152,6 +173,28 @@ def test_backends_agree_on_every_approach_iteration():
         np.testing.assert_allclose(vec.visible_times, ref.visible_times, rtol=1e-9, atol=1e-9)
         assert vec.backend_wall_s == pytest.approx(ref.backend_wall_s, rel=1e-9)
         assert vec.backend_busy_s == pytest.approx(ref.backend_busy_s, rel=1e-9)
+
+
+def test_backends_agree_on_exascale_machine():
+    rng = np.random.default_rng(17)
+    batch = RequestBatch(
+        arrival=rng.uniform(0.0, 60.0, 2048),
+        ost=rng.integers(0, EXASCALE.ost_count, 2048),
+        nbytes=rng.uniform(4 * MB, 90 * MB, 2048),
+    )
+    vec = solve(EXASCALE, batch, large_writes=True, backend="vectorized")
+    ref = solve(EXASCALE, batch, large_writes=True, backend="reference")
+    np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=1e-6)
+
+
+def test_backends_agree_on_deep_equal_size_lanes():
+    # 400 equal-size staggered writes on 5 OSTs: ~80-deep FIFO lanes.
+    rng = np.random.default_rng(11)
+    size = float(rng.uniform(MB, 64 * MB))
+    batch = RequestBatch(
+        arrival=rng.uniform(0.0, 30.0, 400), ost=rng.integers(0, 5, 400), nbytes=size
+    )
+    _assert_backends_agree(batch, large_writes=True)
 
 
 # -- pinned headline values (golden seed 0, default ladder) ----------------

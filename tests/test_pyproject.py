@@ -69,16 +69,13 @@ def test_ruff_selects_bugbear_numpy_and_ruff_rules():
         assert family in select, f"ruff rule family {family} must stay enabled"
 
 
-def test_numba_ships_as_optional_fast_extra():
-    # numba must never become a hard dependency: the compiled backend
-    # falls back to pure python with identical semantics without it.
+def test_dev_is_the_only_extra_and_ci_has_no_numba_axis():
+    # Every solver is numpy-only: no optional speed extra, and no CI leg
+    # that installs one.
     project = _pyproject()["project"]
+    assert set(project["optional-dependencies"]) == {"dev"}
     assert not any(re.match(r"numba\b", d) for d in project["dependencies"])
-    fast = project["optional-dependencies"]["fast"]
-    assert any(re.match(r"numba\b", d) for d in fast)
-    # And the test matrix exercises both install legs.
-    test_job = _ci_text().split("\n  test:")[1].split("\n  bench-smoke:")[0]
-    assert "with-numba" in test_job and "without-numba" in test_job
+    assert "numba" not in _ci_text()
 
 
 def test_ci_has_static_analysis_job():
@@ -101,6 +98,7 @@ def test_ci_has_serve_smoke_job():
     assert "tests/test_serve.py" in job
     assert "python -m repro serve" in job
     assert "--compare-inline" in job
+    assert "--workers" not in job
 
 
 def test_ci_has_perf_gate_concurrency_and_pip_cache():
@@ -116,10 +114,7 @@ def test_ci_has_perf_gate_concurrency_and_pip_cache():
     bench_perf = after[: next_job.start()] if next_job else after
     assert "tests/test_perf_guard.py" in bench_perf
     assert 'REPRO_PERF_STRICT: "0"' not in bench_perf
-    # Both install legs of the compiled backend run the gate, and the
-    # jitted leg runs it strictly (the fallback leg may warn).
-    assert "with-numba" in bench_perf and "without-numba" in bench_perf
-    assert "matrix.numba == 'with-numba' && '1'" in bench_perf
+    assert 'REPRO_PERF_STRICT: "1"' in bench_perf
     assert re.search(r"cancel-in-progress: \S", ci), "concurrency must cancel superseded runs"
     assert "refs/heads/main" in ci, "runs on main must never be cancelled"
     # Every setup-python step opts into pip caching.

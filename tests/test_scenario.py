@@ -110,13 +110,35 @@ def test_invalid_jobs_rejected():
         ScenarioConfig(jobs=0)
 
 
-def test_solve_shards_from_env():
-    assert ScenarioConfig.from_env({}).solve_shards == 1
-    assert ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "4"}).solve_shards == 4
-    with pytest.raises(ValueError):
-        ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "0"})
-    with pytest.raises(ValueError):
-        ScenarioConfig(solve_shards=0)
+@pytest.mark.parametrize(
+    ("name", "raw", "message"),
+    [
+        ("REPRO_JOBS", "abc", r"REPRO_JOBS must be an integer >= 1, got 'abc'"),
+        ("REPRO_REPLICATIONS", "abc", r"REPRO_REPLICATIONS must be an integer >= 1, got 'abc'"),
+        ("REPRO_SEED", "abc", r"REPRO_SEED must be an integer >= 0, got 'abc'"),
+        ("REPRO_SEED", "-1", r"REPRO_SEED must be >= 0, got -1"),
+    ],
+    ids=["jobs", "replications", "seed", "negative-seed"],
+)
+def test_integer_env_knob_errors_name_the_variable(name, raw, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig.from_env({name: raw})
+
+
+def test_sweep_jobs_env_error_names_the_variable(monkeypatch):
+    from repro.experiments._driver import _resolve_jobs
+
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    with pytest.raises(ValueError, match=r"REPRO_JOBS must be an integer >= 1, got 'abc'"):
+        _resolve_jobs(None)
+
+
+def test_serial_solve_and_inline_serve_are_constants():
+    # Not fields: no environment or constructor argument can set them.
+    sc = ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "4", "REPRO_SERVE_WORKERS": "4"})
+    assert (sc.solve_shards, sc.serve_workers) == (1, 1)
+    with pytest.raises(TypeError):
+        ScenarioConfig(solve_shards=2)  # type: ignore[call-arg]
 
 
 def test_from_env_workload_and_trace():

@@ -1,13 +1,12 @@
-"""The solve service: canonical keys, memo cache, deterministic sharding.
+"""The solve service: canonical keys, memo cache, coalesced solving.
 
 The service's contract is threefold: its canonical request hash is a
 pure, restart-stable function of the solve inputs (pinned digests guard
 the byte layout); its responses are bit-identical to serial per-request
-solving at any worker count, arrival order or flush interleaving
-(hypothesis drives that, mirroring ``tests/test_sharding.py``); and its
-hit/miss accounting reflects exactly which cells ran a solver.  The
-overlapping-stream smoke test at the bottom is what the CI serve job
-executes.
+solving at any arrival order or flush interleaving (hypothesis drives
+that); and its hit/miss accounting reflects exactly which cells ran a
+solver.  The overlapping-stream smoke test at the bottom is what the CI
+serve job executes.
 """
 
 import numpy as np
@@ -15,17 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import RequestBatch, resolve_machine, solve
-from repro.serve import (
-    SERVE_WORKERS_ENV,
-    SolveCache,
-    SolveRequest,
-    SolveService,
-    active_serve_workers,
-    coalesce,
-    request_key,
-    request_shard,
-)
-from repro.serve import demo_stream
+from repro.serve import SolveCache, SolveRequest, SolveService, coalesce, demo_stream, request_key
 from repro.util import MB
 
 _SETTINGS = dict(deadline=None, max_examples=15)
@@ -68,55 +57,45 @@ def test_request_key_digests_are_pinned():
     """
     batch = _pinned_batch()
     assert (
-        request_key(GRID, batch, None, False, float32=False)
-        == "a72a301f165ce885dae5886e5d2716b0f9fd9658204b90d9be3dfd31bf320ea8"
+        request_key(GRID, batch, None, False)
+        == "521fd86542fda6889cf90c70d188b2e18ee2ab8fdb81232d231acb6178f94c1a"
     )
     assert (
-        request_key(GRID, batch, np.zeros(GRID.ost_count), False, float32=False)
-        == "b85290bf6612ec35e0f9c737b303d8b5053c79a8c8392e408dcd020deb756e77"
+        request_key(GRID, batch, np.zeros(GRID.ost_count), False)
+        == "580edbaecd7a6e00d8ed7f28d99b2f35d3e0c8fc0bff1d2afea120525987c5ee"
     )
     assert (
-        request_key(GRID, batch, None, True, float32=False)
-        == "b6bd96656f6fbc8116b700687b0f29c674e0314173b59d1ab7923379b70ffa58"
-    )
-    assert (
-        request_key(GRID, batch, None, False, float32=True)
-        == "8923412edbcef1e8a06c9ae6c85c8fcb089d70a72acbab1d5e6edc2c94f7daa0"
+        request_key(GRID, batch, None, True)
+        == "484f0e5717f8f80b396e6484e265b32112e2a5c52e654445e40e6ffb8e97e244"
     )
 
 
 def test_request_key_identity_semantics():
     batch = _pinned_batch()
-    base = request_key(GRID, batch, None, False, float32=False)
+    base = request_key(GRID, batch, None, False)
     # Tags are caller metadata, not solve inputs: a tagged copy is the same cell.
     tagged = RequestBatch(batch.arrival, batch.ost, batch.nbytes, np.array([7, 8, 9]))
-    assert request_key(GRID, tagged, None, False, float32=False) == base
+    assert request_key(GRID, tagged, None, False) == base
     # OST ids are normalised modulo the machine's OST count.
     shifted = RequestBatch(batch.arrival, batch.ost + GRID.ost_count, batch.nbytes)
-    assert request_key(GRID, shifted, None, False, float32=False) == base
+    assert request_key(GRID, shifted, None, False) == base
     # ... but everything that reaches the arithmetic separates cells.
     other = RequestBatch(batch.arrival, batch.ost, batch.nbytes * 2)
-    assert request_key(GRID, other, None, False, float32=False) != base
+    assert request_key(GRID, other, None, False) != base
     kraken = resolve_machine("kraken")
-    assert request_key(kraken, batch, None, False, float32=False) != base
+    assert request_key(kraken, batch, None, False) != base
     # A None background is its own marker, not an implicit zero array.
-    zeros = request_key(GRID, batch, np.zeros(GRID.ost_count), False, float32=False)
+    zeros = request_key(GRID, batch, np.zeros(GRID.ost_count), False)
     assert zeros != base
 
 
-def test_request_key_memo_matches_fresh_digest(monkeypatch):
+def test_request_key_memo_matches_fresh_digest():
     request = _random_request(11, 40)
     first = request.key()
     assert request.key() == first  # memoized path
     assert first == request_key(
-        request.machine, request.batch, request.background, request.large_writes, float32=False
+        request.machine, request.batch, request.background, request.large_writes
     )
-    # The memo is per resolved float32 flag, so flipping the env flag
-    # between submissions still yields the right (distinct) key.
-    monkeypatch.setenv("REPRO_FLOAT32", "1")
-    assert request.key() != first
-    monkeypatch.delenv("REPRO_FLOAT32")
-    assert request.key() == first
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +119,7 @@ def test_cache_hit_miss_accounting_and_immutability():
 
 def test_service_accounting_separates_hits_coalesced_and_solves():
     requests = [_random_request(s, 30) for s in (1, 2, 3)]
-    service = SolveService(workers=1)
+    service = SolveService()
     for request in requests + requests:  # same flush: 3 coalesced duplicates
         service.submit(request)
     first = service.flush()
@@ -165,74 +144,64 @@ def test_service_accounting_separates_hits_coalesced_and_solves():
 @given(
     seed=seeds,
     n=st.integers(min_value=1, max_value=120),
-    workers=st.sampled_from([1, 2, 4]),
+    order=st.permutations(range(8)),
+    flush_after=st.sets(st.integers(min_value=0, max_value=7)),
 )
-def test_service_bit_identical_to_serial(seed, n, workers):
-    """Mirrors the sharding property: any worker count, same bytes."""
+def test_service_bit_identical_to_serial(seed, n, order, flush_after):
+    """Any arrival order and any flush interleaving: the same bytes.
+
+    Every cell is submitted twice, so each drawn interleaving mixes
+    fresh solves, same-flush duplicates and cross-flush cache hits.
+    """
     requests = [_random_request(seed + offset, n) for offset in range(4)]
     serial = [
         solve(r.machine, r.batch, background=r.background, large_writes=r.large_writes)
         for r in requests
     ]
-    service = SolveService(workers=workers)
-    # Reversed submission order: arrival order must not matter either.
-    keys = [service.submit(r) for r in reversed(requests)]
-    by_key = {response.key: response.done for response in service.flush()}
-    for request, key, want in zip(reversed(requests), keys, reversed(serial), strict=True):
-        np.testing.assert_array_equal(by_key[key], want)
+    stream = requests + requests
+    service = SolveService()
+    submitted: list[int] = []
+    responses = []
+    for position, index in enumerate(order):
+        service.submit(stream[index])
+        submitted.append(index % len(requests))
+        if position in flush_after:
+            responses.extend(service.flush())
+    responses.extend(service.flush())
+    for index, response in zip(submitted, responses, strict=True):
+        np.testing.assert_array_equal(response.done, serial[index])
+    assert service.stats.solved == len(requests)
 
 
-def test_cached_responses_identical_to_uncached_across_worker_counts():
+def test_cached_responses_identical_to_uncached():
     requests = [_random_request(s, 80) for s in range(6)]
-    reference = None
-    for workers in (1, 2, 4):
-        service = SolveService(workers=workers)
-        for _ in range(2):  # second sweep served entirely from cache
-            for request in requests:
-                service.submit(request)
-            done = [response.done for response in service.flush()]
-            if reference is None:
-                reference = done
-            for got, want in zip(done, reference, strict=True):
-                np.testing.assert_array_equal(got, want)
-        assert service.stats.solved == len(requests)
+    service = SolveService()
+    sweeps = []
+    for _ in range(2):  # second sweep served entirely from cache
+        for request in requests:
+            service.submit(request)
+        sweeps.append(service.flush())
+    assert [r.cache_hit for r in sweeps[1]] == [True] * len(requests)
+    for cached, fresh in zip(sweeps[1], sweeps[0], strict=True):
+        np.testing.assert_array_equal(cached.done, fresh.done)
+    assert service.stats.solved == len(requests)
 
 
 def test_flush_interleaving_cannot_change_results():
     requests = [_random_request(s, 50) for s in range(5)]
-    one_flush = SolveService(workers=2)
+    one_flush = SolveService()
     for request in requests:
         one_flush.submit(request)
     together = {r.key: r.done for r in one_flush.flush()}
-    per_request = SolveService(workers=2)
+    per_request = SolveService()
     for request in requests:
         response = per_request.solve(request)
         np.testing.assert_array_equal(response.done, together[response.key])
 
 
 # ---------------------------------------------------------------------------
-# Deterministic sharding + env knobs
+# Coalescing
 # ---------------------------------------------------------------------------
-
-
-def test_request_shard_is_pure_and_in_range():
-    keys = [_random_request(s, 10).key() for s in range(12)]
-    for workers in (1, 2, 3, 8):
-        shards = [request_shard(key, workers) for key in keys]
-        assert shards == [request_shard(key, workers) for key in keys]
-        assert all(0 <= shard < workers for shard in shards)
-    assert len({request_shard(key, 4) for key in keys}) > 1  # actually spreads
-    with pytest.raises(ValueError, match="workers"):
-        request_shard(keys[0], 0)
-
-
-def test_active_serve_workers_names_env_var_on_bad_value():
-    assert active_serve_workers({}) == 1
-    assert active_serve_workers({SERVE_WORKERS_ENV: "3"}) == 3
-    with pytest.raises(ValueError, match=r"REPRO_SERVE_WORKERS.*'many'"):
-        active_serve_workers({SERVE_WORKERS_ENV: "many"})
-    with pytest.raises(ValueError, match=r"REPRO_SERVE_WORKERS.*0"):
-        active_serve_workers({SERVE_WORKERS_ENV: "0"})
 
 
 def test_coalesce_groups_by_machine_and_write_class():
@@ -270,7 +239,7 @@ def test_run_replications_service_path_bit_identical():
         replications=3,
     )
     inline = run_replications(**kw)
-    service = SolveService(workers=2)
+    service = SolveService()
     served = run_replications(**kw, service=service)
     for reps_a, reps_b in zip(inline, served, strict=True):
         for a, b in zip(reps_a, reps_b, strict=True):
@@ -290,7 +259,7 @@ def test_run_sweep_serve_path_single_flush_and_bit_identical():
         with_interference=False,
     )
     inline = run_sweep(**kw)
-    service = SolveService(workers=3)
+    service = SolveService()
     served = run_sweep(**kw, service=service)
     assert inline.keys() == served.keys()
     for cell in inline:
@@ -309,23 +278,20 @@ def test_experiment_runners_serve_equals_inline():
     kw = dict(scales=(48, 96), iterations=2, machine=GRID, seed=2, replications=2)
     assert (
         run_weak_scaling(**kw).to_json()
-        == run_weak_scaling(**kw, service=SolveService(workers=2)).to_json()
+        == run_weak_scaling(**kw, service=SolveService()).to_json()
     )
     assert (
         run_spare_time(**kw).to_json()
-        == run_spare_time(**kw, service=SolveService(workers=2)).to_json()
+        == run_spare_time(**kw, service=SolveService()).to_json()
     )
 
 
 def test_scenario_reads_serve_knobs():
     from repro.scenario import ScenarioConfig
 
-    default = ScenarioConfig.from_env({})
-    assert default.serve is False and default.serve_workers == 1
-    config = ScenarioConfig.from_env({"REPRO_SERVE": "1", SERVE_WORKERS_ENV: "4"})
-    assert config.serve is True and config.serve_workers == 4
-    with pytest.raises(ValueError, match=r"REPRO_SERVE_WORKERS.*'lots'"):
-        ScenarioConfig.from_env({SERVE_WORKERS_ENV: "lots"})
+    assert ScenarioConfig.from_env({}).serve is False
+    assert ScenarioConfig.from_env({"REPRO_SERVE": "1"}).serve is True
+    assert ScenarioConfig.from_env({"REPRO_SERVE": "off"}).serve is False
 
 
 def test_cli_run_e1_serve_matches_inline(capsys, monkeypatch):
@@ -335,7 +301,7 @@ def test_cli_run_e1_serve_matches_inline(capsys, monkeypatch):
     base = ["run", "e1", "--machine", "grid5000", "--seed", "0"]
     assert main([*base, "--format", "csv"]) == 0
     inline = capsys.readouterr().out
-    assert main([*base, "--format", "csv", "--serve", "--serve-workers", "2"]) == 0
+    assert main([*base, "--format", "csv", "--serve"]) == 0
     assert capsys.readouterr().out == inline
 
 
@@ -363,13 +329,12 @@ def test_serve_smoke_overlapping_stream():
         solve(r.machine, r.batch, background=r.background, large_writes=r.large_writes)
         for r in stream
     ]
-    for workers in (1, 3):
-        service = SolveService(workers=workers)
-        for request in stream:
-            service.submit(request)
-        responses = service.flush()
-        for response, want in zip(responses, serial, strict=True):
-            np.testing.assert_array_equal(response.done, want)
-        stats = service.stats
-        assert stats.solved == 13
-        assert stats.hit_rate > 0.8  # 7 of 8 passes served without a solver
+    service = SolveService()
+    for request in stream:
+        service.submit(request)
+    responses = service.flush()
+    for response, want in zip(responses, serial, strict=True):
+        np.testing.assert_array_equal(response.done, want)
+    stats = service.stats
+    assert stats.solved == 13
+    assert stats.hit_rate > 0.8  # 7 of 8 passes served without a solver
