@@ -113,7 +113,8 @@ def _bench_solve_reference() -> tuple[Callable[[], None], float]:
 def _exascale_staggered() -> tuple[list[tuple[RequestBatch, bool]], FloatArray]:
     """The staggered unequal-size stressor: 9216 poisson writers plus a
     9216-rank burst front on the exascale machine's 1024 OSTs — the exact
-    shape that falls off every matrix fast path into per-event solving."""
+    shape that falls off every matrix fast path into per-event solving
+    (lockstep, 1024 requests per pass)."""
     rng = np.random.default_rng(1)
     batches: list[tuple[RequestBatch, bool]] = []
     for process, large_writes in (("poisson", False), ("burst", True)):
@@ -151,7 +152,7 @@ _STAGGERED_PARAMS = {
     "micro.solve_staggered.vectorized",
     kind="micro",
     params={**_STAGGERED_PARAMS, "backend": "vectorized"},
-    description="numpy backend's per-lane event loops on the same staggered workload",
+    description="numpy backend's lockstep heap sweep on the same staggered workload",
 )
 def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
     return _make_staggered("vectorized")

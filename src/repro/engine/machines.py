@@ -20,6 +20,7 @@ Three platforms ship by default:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..util import GB, MB
@@ -42,7 +43,14 @@ PENALTY_CAP = 20.0
 
 @dataclass(frozen=True)
 class Machine:
-    """Static description of a compute platform and its parallel file system."""
+    """Static description of a compute platform and its parallel file system.
+
+    Construction (and :meth:`with_overrides`) rejects a core or OST count
+    below 1, a rate or bandwidth that is not finite and positive, and a
+    seek-penalty slope that is not finite and non-negative, with a
+    :class:`ValueError` naming the field: the solvers would otherwise
+    return negative or infinite times, or divide by zero.
+    """
 
     name: str
     cores_per_node: int
@@ -64,6 +72,28 @@ class Machine:
     #: Sustained point-to-point interconnect bandwidth of one node's NIC
     #: (client node -> dedicated I/O node in the dedicated-nodes approach).
     nic_bandwidth: float = 2 * GB
+
+    def __post_init__(self) -> None:
+        # Plain compares, which NaN fails: solve_many builds a widened copy
+        # per stacked solve, so this runs on the hot path.
+        for name in ("cores_per_node", "ost_count"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"Machine {name} must be >= 1, got {value!r}")
+        for name in (
+            "ost_bandwidth",
+            "shm_bandwidth",
+            "metadata_rate",
+            "collective_bandwidth",
+            "nic_bandwidth",
+        ):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"Machine {name} must be finite and > 0, got {value!r}")
+        for name in ("small_write_seek_penalty", "large_write_seek_penalty"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"Machine {name} must be finite and >= 0, got {value!r}")
 
     def with_overrides(self, **overrides: object) -> Machine:
         """A copy of this machine with some fields replaced (e.g. a smaller

@@ -72,8 +72,8 @@ class RequestBatch:
     Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length;
     ``tag`` defaults to the position in the batch (``0..n-1``), which is
     also the order of the completion-time array the solvers return.
-    Arrivals must be finite and sizes finite and non-negative; anything
-    else raises a :class:`ValueError` naming the field and the first bad
+    Arrivals and sizes must be finite and non-negative; anything else
+    raises a :class:`ValueError` naming the field and the first bad
     index, because the backends would otherwise disagree (or never
     finish) on it.
     """
@@ -101,6 +101,7 @@ class RequestBatch:
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
         # Checked before broadcasting, so a scalar input costs O(1).
         _require("arrival", arrival, np.isfinite(arrival), "finite")
+        _require("arrival", arrival, arrival >= 0.0, ">= 0")
         _require("nbytes", nbytes, np.isfinite(nbytes) & (nbytes >= 0.0), "finite and >= 0")
         n = max(arrival.size, ost.size, nbytes.size)
         self.arrival = np.broadcast_to(arrival, (n,))

@@ -11,27 +11,32 @@ solved without per-byte Python dict churn:
   with a per-segment rate that only depends on how many streams remain.
   That cumsum is evaluated for *all OSTs at once* on a padded
   ``(osts, depth)`` matrix — one numpy pass for the whole batch.
-* **Staggered arrivals** (the file-per-process create storm): a
-  heap-driven event loop in *virtual service time*.  The cumulative
-  per-stream service ``S(t)`` is monotone, so a request arriving at
-  ``a`` with ``b`` bytes completes exactly when ``S`` reaches
-  ``S(a) + b``; a min-heap of those thresholds replaces the reference
-  backend's scan-every-active-stream-per-event loop, taking the per-OST
-  cost from O(k²) to O(k log k) with no remaining-bytes bookkeeping.
+* **Staggered arrivals** (the file-per-process create storm): an event
+  loop in *virtual service time*.  The cumulative per-stream service
+  ``S(t)`` is monotone, so a request arriving at ``a`` with ``b`` bytes
+  completes exactly when ``S`` reaches ``S(a) + b``.  Keeping those
+  thresholds replaces the reference backend's scan of every active
+  stream per event, with no remaining-bytes bookkeeping.  A batch that
+  averages at least :data:`LOCKSTEP_MIN_WIDTH` requests per pass runs in
+  *lockstep*: each numpy pass advances every OST lane by one event, with
+  a FIFO pointer for equal sizes and a row-wise min over a padded
+  ``(lanes, depth)`` threshold matrix for mixed sizes.  Narrower batches
+  run a min-heap loop per lane, O(k log k) per OST.  Both apply the same
+  arithmetic in the same order, so their results are bit-identical.
 * **Wide equal-size staggered batches** (stacked replications, see
   :mod:`repro.engine.batching`): when a batch spreads over many OST
-  groups and all writes are the same size, the per-OST FIFO loops are
-  replaced by an all-OSTs-at-once two-phase matrix solve.  In the
-  checkpoint regime the writes far outlast the arrival window, so on
-  each OST every request arrives before the first one completes: the
-  *arrival phase* is then a padded-row cumsum of per-stream service
-  (yielding each request's completion threshold) and the *completion
-  phase* a second cumsum draining the queue — a handful of numpy passes
-  over a ``(osts, depth)`` matrix instead of one Python loop per OST.
-  The regime assumption is checked exactly per OST (last arrival's
-  accumulated service vs. the first completion threshold) and violating
-  OSTs fall back to the scalar FIFO loop, so the fast path is an
-  optimisation, never an approximation.
+  groups and all writes are the same size, the event loop gives way to
+  an all-OSTs-at-once two-phase matrix solve.  In the checkpoint regime
+  the writes far outlast the arrival window, so on each OST every
+  request arrives before the first one completes: the *arrival phase*
+  is then a padded-row cumsum of per-stream service (yielding each
+  request's completion threshold) and the *completion phase* a second
+  cumsum draining the queue — a handful of numpy passes over a
+  ``(osts, depth)`` matrix instead of up to two per request of the
+  deepest lane.  The regime assumption is checked exactly per OST (last
+  arrival's accumulated service vs. the first completion threshold) and
+  violating OSTs are re-solved by the lockstep FIFO sweep, so the fast
+  path is an optimisation, never an approximation.
 """
 
 from __future__ import annotations
@@ -45,13 +50,13 @@ from ..util import FloatArray, IntArray
 from .machines import Machine, PENALTY_CAP
 from .requests import LaneOrder, RequestBatch
 
-__all__ = ["solve_vectorized", "WIDE_MIN_GROUPS", "STORM_THRESHOLD_WRITES"]
+__all__ = ["solve_vectorized", "WIDE_MIN_GROUPS", "STORM_THRESHOLD_WRITES", "LOCKSTEP_MIN_WIDTH"]
 
 #: Minimum OST-group count before the all-OSTs-at-once matrix solver for
 #: equal-size staggered batches engages.  Stacked multi-replication
 #: batches (``solve_many``) span thousands of virtual OSTs and amortise
-#: the matrix setup; ordinary single-iteration solves keep the per-OST
-#: FIFO pointer loop unchanged.
+#: the matrix setup; ordinary single-iteration solves take the staggered
+#: lane solvers.
 WIDE_MIN_GROUPS = 1024
 
 #: The storm-regime validity bound of the wide two-phase solve, in units
@@ -62,6 +67,14 @@ WIDE_MIN_GROUPS = 1024
 #: lane selection read this single definition (:func:`_storm_regime`), so
 #: the two sides of the boundary can never drift apart.
 STORM_THRESHOLD_WRITES = 1.0
+
+#: Minimum average number of requests per pass before a staggered batch
+#: is solved in lockstep (one event per OST lane per numpy pass) instead
+#: of by the scalar per-lane heap loop.  Lockstep needs up to two passes
+#: per request of the deepest lane, so the gate is ``n >= width * depth``:
+#: a lane count alone would send one deep lane plus many shallow ones
+#: into hundreds of near-empty passes.
+LOCKSTEP_MIN_WIDTH = 128
 
 
 def _storm_regime(service_last: FloatArray, size: float) -> npt.NDArray[np.bool_]:
@@ -167,20 +180,35 @@ def _solve_staggered(
     bg_per_ost: FloatArray,
 ) -> FloatArray:
     n = lanes.order.size
-    # Equal shares mean equal sizes complete in arrival order, so the
-    # pending-completion heap degenerates to a FIFO pointer.
-    equal_sizes = bool(np.all(lanes.nbytes == lanes.nbytes[0]))
+    out = np.empty(n, dtype=np.float64)
+    bg_per_lane = bg_per_ost[lanes.ost]
+    depth = int((lanes.ends - lanes.starts).max())
+    if n >= LOCKSTEP_MIN_WIDTH * depth:
+        if np.all(lanes.nbytes == lanes.nbytes[0]):
+            # Equal shares mean equal sizes complete in arrival order.
+            _solve_lockstep_fifo(
+                bw,
+                slope,
+                bg_per_lane,
+                lanes.arrival,
+                float(lanes.nbytes[0]),
+                lanes.order,
+                lanes.starts,
+                lanes.ends,
+                out,
+            )
+        else:
+            _solve_lockstep_heap(bw, slope, bg_per_lane, lanes, depth, out)
+        return out
 
     arrivals_sorted = lanes.arrival.tolist()
     sizes_sorted = lanes.nbytes.tolist()
     positions = lanes.order.tolist()
-    lane_bg = bg_per_ost[lanes.ost].tolist()
-    out = np.empty(n, dtype=np.float64)
-    solve_one = _solve_one_ost_fifo if equal_sizes else _solve_one_ost
+    lane_bg = bg_per_lane.tolist()
     for lane, (start, end) in enumerate(
         zip(lanes.starts.tolist(), lanes.ends.tolist(), strict=True)
     ):
-        solve_one(
+        _solve_one_ost(
             bw,
             slope,
             lane_bg[lane],
@@ -218,8 +246,9 @@ def _solve_wide_fifo(
 
     The regime assumption is *checked exactly* per OST — the service
     accumulated by the last arrival must not exceed the first request's
-    threshold — and violating OSTs are re-solved with the scalar FIFO
-    loop, so this path is bit-identical to per-OST solving either way.
+    threshold — and violating OSTs are re-solved by
+    :func:`_solve_lockstep_fifo`, so this path is bit-identical to
+    per-OST solving either way.
     """
     n = ost.size
     # Group by OST (stable radix sort, on the narrowest dtype that holds
@@ -312,51 +341,119 @@ def _solve_lockstep_fifo(
     ends: IntArray,
     out: FloatArray,
 ) -> None:
-    """Lockstep FIFO sweep over a subset of OST lanes.
+    """Lockstep FIFO sweep over a set of non-empty OST lanes.
 
     ``arr``/``positions`` are flat arrival-sorted-per-OST views and each
     (start, end) pair is one lane.  Every lane's scalar loop state (wall
     clock, cumulative service, arrival/completion cursors) is one vector
-    element and each pass advances every still-active lane by exactly one
-    event — an idle jump, an arrival, or a completion — with the per-OST
-    FIFO loop's arithmetic applied element-wise, so results stay
-    bit-identical to scalar solving.
+    element and each pass advances every unfinished lane by exactly one
+    event — an arrival or a completion, after an idle jump if the lane is
+    empty — with :func:`_solve_one_ost`'s arithmetic applied element-wise,
+    so results stay bit-identical to scalar solving.  Equal sizes complete
+    in arrival order, so the oldest pending request is always next.  Lanes
+    leave the vectors as soon as they finish.
     """
     n = arr.size
-    head = starts.astype(np.int64).copy()  # oldest active request per lane
+    head = starts.astype(np.int64)  # oldest pending request per lane
     nxt = head.copy()  # next arrival per lane
     ends = ends.astype(np.int64)
+    bg = bg_per_lane
     t = np.zeros(head.size)  # wall clock per lane
     service = np.zeros(head.size)  # cumulative per-stream service per lane
     thresholds = np.empty(n)  # service level at which a request completes
-
-    active = head < ends
-    while active.any():
-        idle = active & (head == nxt)
-        if idle.any():
-            ii = nxt[idle]
-            t[idle] = np.maximum(t[idle], arr[ii])
-            thresholds[ii] = service[idle] + size
+    while head.size:
+        idle = np.flatnonzero(head == nxt)
+        if idle.size:
+            # Idle lane: jump to the next arrival; no service accrues.
+            k = nxt[idle]
+            t[idle] = np.maximum(t[idle], arr[k])
+            thresholds[k] = service[idle] + size
             nxt[idle] += 1
-        busy = np.flatnonzero(active & (head != nxt))
-        if busy.size:
-            hb, ib = head[busy], nxt[busy]
-            streams = (ib - hb) + bg_per_lane[busy]
-            rate = _per_stream_rate(bw, slope, streams)
-            t_busy, s_busy = t[busy], service[busy]
-            t_complete = t_busy + (thresholds[hb] - s_busy) / rate
-            has_next = ib < ends[busy]
-            arr_next = np.where(has_next, arr[np.minimum(ib, n - 1)], np.inf)
-            arrive = has_next & (arr_next <= t_complete)
-            s_new = np.where(arrive, s_busy + rate * (arr_next - t_busy), thresholds[hb])
-            service[busy] = s_new
-            t[busy] = np.where(arrive, arr_next, t_complete)
-            thresholds[ib[arrive]] = s_new[arrive] + size
-            nxt[busy[arrive]] += 1
-            done = ~arrive
-            out[positions[hb[done]]] = t_complete[done]
-            head[busy[done]] += 1
-        active = head < ends
+        rate = _per_stream_rate(bw, slope, (nxt - head) + bg)
+        threshold = thresholds[head]
+        t_complete = t + (threshold - service) / rate
+        has_next = nxt < ends
+        arr_next = np.where(has_next, arr[np.minimum(nxt, n - 1)], np.inf)
+        arrive = has_next & (arr_next <= t_complete)
+        service = np.where(arrive, service + rate * (arr_next - t), threshold)
+        t = np.where(arrive, arr_next, t_complete)
+        a = np.flatnonzero(arrive)
+        thresholds[nxt[a]] = service[a] + size
+        nxt[a] += 1
+        d = np.flatnonzero(~arrive)
+        out[positions[head[d]]] = t_complete[d]
+        head[d] += 1
+        finished = head == ends
+        if finished.any():
+            keep = np.flatnonzero(~finished)
+            head, nxt, ends, bg = head[keep], nxt[keep], ends[keep], bg[keep]
+            t, service = t[keep], service[keep]
+
+
+def _solve_lockstep_heap(
+    bw: float,
+    slope: float,
+    bg_per_lane: FloatArray,
+    lanes: LaneOrder,
+    depth: int,
+    out: FloatArray,
+) -> None:
+    """Lockstep heap sweep over every lane of a mixed-size staggered batch.
+
+    The mixed-size counterpart of :func:`_solve_lockstep_fifo`, with the
+    same per-lane state and pass structure.  A lane's pending completion
+    thresholds sit in one row of a padded ``(lanes, depth)`` matrix
+    (``inf`` marks a free slot) instead of a heap.  A request's slot is
+    its rank by batch position within the lane, so the row-wise
+    ``argmin`` — which returns the first of equal minima — picks the
+    least ``(threshold, position)``, exactly the heap's order.
+    """
+    arr, nbytes = lanes.arrival, lanes.nbytes
+    n = arr.size
+    lane_of = np.repeat(np.arange(lanes.starts.size), lanes.ends - lanes.starts)
+    by_position = np.argsort(lane_of * n + lanes.order, kind="stable")
+    slot = np.empty(n, dtype=np.int64)
+    slot[by_position] = np.arange(n) - lanes.starts[lane_of[by_position]]
+    position = lanes.order[by_position]  # batch position of (lane, slot)
+
+    base = lanes.starts  # start of each lane's slots in ``position``
+    head = base.copy()  # advances once per completion
+    nxt = base.copy()  # next arrival per lane
+    ends = lanes.ends
+    bg = bg_per_lane
+    t = np.zeros(base.size)  # wall clock per lane
+    service = np.zeros(base.size)  # cumulative per-stream service per lane
+    thresholds = np.full((base.size, depth), np.inf)  # pending, by slot
+    while head.size:
+        idle = np.flatnonzero(head == nxt)
+        if idle.size:
+            # Idle lane: jump to the next arrival; no service accrues.
+            k = nxt[idle]
+            t[idle] = np.maximum(t[idle], arr[k])
+            thresholds[idle, slot[k]] = service[idle] + nbytes[k]
+            nxt[idle] += 1
+        rate = _per_stream_rate(bw, slope, (nxt - head) + bg)
+        first = thresholds.argmin(axis=1)
+        threshold = thresholds[np.arange(head.size), first]
+        t_complete = t + (threshold - service) / rate
+        has_next = nxt < ends
+        arr_next = np.where(has_next, arr[np.minimum(nxt, n - 1)], np.inf)
+        arrive = has_next & (arr_next <= t_complete)
+        service = np.where(arrive, service + rate * (arr_next - t), threshold)
+        t = np.where(arrive, arr_next, t_complete)
+        a = np.flatnonzero(arrive)
+        k = nxt[a]
+        thresholds[a, slot[k]] = service[a] + nbytes[k]
+        nxt[a] += 1
+        d = np.flatnonzero(~arrive)
+        thresholds[d, first[d]] = np.inf
+        out[position[base[d] + first[d]]] = t_complete[d]
+        head[d] += 1
+        finished = head == ends
+        if finished.any():
+            keep = np.flatnonzero(~finished)
+            base, head, nxt, ends, bg = base[keep], head[keep], nxt[keep], ends[keep], bg[keep]
+            t, service, thresholds = t[keep], service[keep], thresholds[keep]
 
 
 def _solve_one_ost(
@@ -398,44 +495,3 @@ def _solve_one_ost(
             t = t_complete
             heapq.heappop(heap)
             out[pos] = t
-
-
-def _solve_one_ost_fifo(
-    bw: float,
-    slope: float,
-    background: float,
-    arrivals: list[float],
-    sizes: list[float],
-    positions: list[int],
-    start: int,
-    end: int,
-    out: FloatArray,
-) -> None:
-    """Equal-size variant: completions follow arrival order, no heap."""
-    thresholds = [0.0] * (end - start)
-    head = start  # oldest active request (next to complete)
-    i = start  # next arrival
-    t = 0.0
-    service = 0.0
-    while head < end:
-        if head == i:
-            if arrivals[i] > t:
-                t = arrivals[i]
-            thresholds[i - start] = service + sizes[i]
-            i += 1
-            continue
-        streams = (i - head) + background
-        penalty = 1.0 if streams <= 1.0 else min(1.0 + slope * (streams - 1.0), PENALTY_CAP)
-        rate = bw / (streams * penalty)
-        threshold = thresholds[head - start]
-        t_complete = t + (threshold - service) / rate
-        if i < end and arrivals[i] <= t_complete:
-            service += rate * (arrivals[i] - t)
-            t = arrivals[i]
-            thresholds[i - start] = service + sizes[i]
-            i += 1
-        else:
-            service = threshold
-            t = t_complete
-            out[positions[head]] = t
-            head += 1

@@ -109,6 +109,17 @@ def test_batch_rejects_non_finite_arrival():
         RequestBatch(arrival=[0.0, np.nan, 0.3], ost=0, nbytes=45 * MB)
 
 
+def test_batch_rejects_negative_arrival():
+    # The lane loops start the clock at 0 but integrated service from a
+    # negative arrival: vectorized returned 60.75 s and 51.75 s here,
+    # reference 1.35 s for both.
+    with pytest.raises(ValueError, match=r"arrival\[0\] must be >= 0, got -10.0"):
+        RequestBatch(arrival=[-10.0, -9.0], ost=0, nbytes=16 * MB)
+    with pytest.raises(ValueError, match=r"arrival\[2\] must be >= 0, got -0.5"):
+        RequestBatch(arrival=[0.0, 1.0, -0.5], ost=[0, 1, 2], nbytes=[16 * MB, 8 * MB, MB])
+    assert len(RequestBatch(arrival=0.0, ost=0, nbytes=MB)) == 1  # time zero stays
+
+
 def test_batch_rejects_negative_nbytes():
     # A negative size used to complete before its own arrival on every backend.
     with pytest.raises(ValueError, match=r"nbytes\[1\] must be finite and >= 0, got -1000000.0"):

@@ -7,6 +7,11 @@
   matrix fast path) must agree with the reference backend to 1e-9 — for
   *every* backend in the live registry, so a newly registered solver is
   cross-validated automatically.
+* **Lockstep kernel fuzz** — staggered batches wide enough for the
+  lockstep kernels (equal and mixed sizes, lane depth 1 to 60, exact
+  arrival ties, duplicated rows, zero-size writes, integer and
+  fractional background, both write classes) must be bit-identical to
+  the scalar heap loop run lane by lane, and agree with the reference.
 * **Trace record/replay round trip** — a random multi-application
   workload is recorded, saved, reloaded, and replayed; the replay must
   reproduce the recorded per-app completion times exactly on both
@@ -16,8 +21,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import KRAKEN, RequestBatch, backend_names, merge_batches, solve
-from repro.engine.vectorized import WIDE_MIN_GROUPS
+from repro.engine import KRAKEN, RequestBatch, backend_names, merge_batches, solve, vectorized
+from repro.engine.vectorized import LOCKSTEP_MIN_WIDTH, WIDE_MIN_GROUPS
 from repro.util import MB
 from repro.workloads import Workload, replay_trace, run_composition
 from repro.workloads.trace import Trace
@@ -102,6 +107,119 @@ def test_fuzz_wide_fast_path_agrees_with_reference():
         np.testing.assert_allclose(
             vec, ref, rtol=1e-9, atol=1e-6, err_msg=f"wide fuzz case {case} diverged"
         )
+
+
+LOCKSTEP_FUZZ_CASES = 150
+
+
+def _lockstep_batch(
+    rng: np.random.Generator, depth: int
+) -> tuple[RequestBatch, np.ndarray | None, bool]:
+    """A staggered batch of max lane depth ``depth``, averaging at least
+    LOCKSTEP_MIN_WIDTH requests per pass."""
+    lanes = int(rng.integers(LOCKSTEP_MIN_WIDTH, 2 * LOCKSTEP_MIN_WIDTH))
+    counts = rng.integers(1, depth + 1, lanes)
+    counts[:LOCKSTEP_MIN_WIDTH] = depth  # n >= LOCKSTEP_MIN_WIDTH * depth
+    ost = np.repeat(rng.permutation(KRAKEN.ost_count)[:lanes], counts)
+    n = ost.size
+    # Rounded arrivals tie exactly, within and across lanes.
+    span = float(rng.choice([5.0, 60.0]))
+    arrival = np.round(rng.uniform(0.0, span, n), int(rng.integers(0, 3)))
+    if rng.random() < 0.5:
+        nbytes = np.full(n, float(rng.choice([0.0, rng.uniform(MB, 90 * MB)])))
+    else:
+        nbytes = rng.uniform(0.1 * MB, 128 * MB, n)
+        nbytes[rng.random(n) < 0.1] = 0.0
+    # Duplicated (arrival, OST, size) rows: their thresholds tie and the
+    # batch position decides which completes first.
+    dup = np.flatnonzero((ost[1:] == ost[:-1]) & (rng.random(n - 1) < 0.2))
+    arrival[dup + 1] = arrival[dup]
+    nbytes[dup + 1] = nbytes[dup]
+    shuffle = rng.permutation(n)
+    batch = RequestBatch(arrival=arrival[shuffle], ost=ost[shuffle], nbytes=nbytes[shuffle])
+    background = None
+    if rng.random() < 0.7:
+        background = rng.poisson(1.5, KRAKEN.ost_count).astype(float)
+        if rng.random() < 0.5:
+            background *= rng.uniform(0.0, 1.0, KRAKEN.ost_count)
+    return batch, background, bool(rng.random() < 0.5)
+
+
+def _heap_loop(batch: RequestBatch, background: np.ndarray | None, large: bool) -> np.ndarray:
+    """The bit-identity oracle: the scalar heap loop, one lane at a time."""
+    lanes = batch.lanes(KRAKEN.ost_count)
+    bg = np.zeros(KRAKEN.ost_count) if background is None else background
+    slope = KRAKEN.large_write_seek_penalty if large else KRAKEN.small_write_seek_penalty
+    out = np.empty(len(batch))
+    arrival, nbytes, order = lanes.arrival.tolist(), lanes.nbytes.tolist(), lanes.order.tolist()
+    for lane, (start, end) in enumerate(zip(lanes.starts, lanes.ends, strict=True)):
+        vectorized._solve_one_ost(
+            KRAKEN.ost_bandwidth,
+            slope,
+            float(bg[lanes.ost[lane]]),
+            arrival,
+            nbytes,
+            order,
+            int(start),
+            int(end),
+            out,
+        )
+    return out
+
+
+def test_fuzz_lockstep_kernels_bit_identical_to_heap_loop():
+    rng = np.random.default_rng(20261017)
+    # Both ends of the depth range, then log-uniform depths in [1, 60]:
+    # deep lanes are covered and the O(k^2) reference stays affordable.
+    depths = [1, 60, *np.exp(rng.uniform(0.0, np.log(61.0), LOCKSTEP_FUZZ_CASES - 2))]
+    for case, depth in enumerate(depths):
+        batch, background, large = _lockstep_batch(rng, int(depth))
+        lanes = batch.lanes(KRAKEN.ost_count)
+        assert len(batch) >= LOCKSTEP_MIN_WIDTH * int((lanes.ends - lanes.starts).max())
+        got = solve(KRAKEN, batch, background=background, large_writes=large)
+        np.testing.assert_array_equal(
+            got, _heap_loop(batch, background, large), err_msg=f"lockstep case {case}"
+        )
+        ref = solve(KRAKEN, batch, background=background, large_writes=large, backend="reference")
+        np.testing.assert_allclose(
+            got, ref, rtol=1e-9, atol=1e-6, err_msg=f"lockstep case {case} vs reference"
+        )
+
+
+def _kernels_entered(monkeypatch, batch: RequestBatch) -> list[str]:
+    """Which lockstep kernels a staggered solve of ``batch`` calls."""
+    entered: list[str] = []
+    for name in ("_solve_lockstep_fifo", "_solve_lockstep_heap"):
+        kernel = getattr(vectorized, name)
+
+        def spy(*args, _name=name, _kernel=kernel):
+            entered.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(vectorized, name, spy)
+    solve(KRAKEN, batch, large_writes=False)
+    monkeypatch.undo()
+    return entered
+
+
+@pytest.mark.parametrize("equal_sizes", [True, False])
+def test_lockstep_dispatch_follows_width_not_lane_count(monkeypatch, equal_sizes):
+    rng = np.random.default_rng(5)
+
+    def sizes(n: int) -> np.ndarray:
+        return np.full(n, 16 * MB) if equal_sizes else rng.uniform(4 * MB, 64 * MB, n)
+
+    # 300 one-write lanes plus one 5000-deep lane: many lanes, but each
+    # lockstep pass would advance only a handful of requests.
+    ost = np.concatenate([np.arange(1, 301), np.zeros(5000, dtype=np.int64)])
+    skewed = RequestBatch(arrival=rng.uniform(0.0, 60.0, ost.size), ost=ost, nbytes=sizes(ost.size))
+    assert _kernels_entered(monkeypatch, skewed) == []
+
+    # E9's shape: 2304 ranks spread over Kraken's 336 OSTs, depth 7.
+    ost = rng.permutation(2304) % KRAKEN.ost_count
+    storm = RequestBatch(arrival=rng.uniform(0.0, 6.0, ost.size), ost=ost, nbytes=sizes(ost.size))
+    kernel = "_solve_lockstep_fifo" if equal_sizes else "_solve_lockstep_heap"
+    assert _kernels_entered(monkeypatch, storm) == [kernel]
 
 
 def _random_workloads(rng: np.random.Generator) -> list[Workload]:

@@ -66,3 +66,36 @@ def test_experiments_run_on_alternate_machines():
 def test_machine_has_nic_bandwidth():
     assert KRAKEN.nic_bandwidth > 0
     assert EXASCALE.nic_bandwidth > KRAKEN.nic_bandwidth
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "rule"),
+    [
+        ("cores_per_node", 0, ">= 1"),
+        ("ost_count", 0, ">= 1"),
+        ("ost_count", -3, ">= 1"),
+        ("ost_bandwidth", -90 * MB, "finite and > 0"),
+        ("ost_bandwidth", 0.0, "finite and > 0"),
+        ("ost_bandwidth", float("inf"), "finite and > 0"),
+        ("shm_bandwidth", float("nan"), "finite and > 0"),
+        ("metadata_rate", 0.0, "finite and > 0"),
+        ("collective_bandwidth", -1.0, "finite and > 0"),
+        ("nic_bandwidth", float("inf"), "finite and > 0"),
+        ("small_write_seek_penalty", -0.1, "finite and >= 0"),
+        ("large_write_seek_penalty", float("nan"), "finite and >= 0"),
+        ("large_write_seek_penalty", float("inf"), "finite and >= 0"),
+    ],
+)
+def test_machine_rejects_invalid_field(field, value, rule):
+    # A negative bandwidth returned a completion before the write's own
+    # arrival on both backends; a zero one divided by zero.
+    with pytest.raises(ValueError, match=rf"Machine {field} must be {rule}, got"):
+        KRAKEN.with_overrides(**{field: value})
+
+
+def test_machine_accepts_boundary_values():
+    flat = KRAKEN.with_overrides(
+        cores_per_node=1, ost_count=1, small_write_seek_penalty=0.0, large_write_seek_penalty=0.0
+    )
+    assert flat.ost_count == 1
+    assert flat.seek_penalty(8.0, large_writes=False) == pytest.approx(1.0)
