@@ -2,7 +2,7 @@
 
 Each benchmark regenerates one experiment of the paper's evaluation (see
 DESIGN.md, "Experiment index").  The run configuration — machine, ladder,
-data volume, seed, engine backend, sweep parallelism — comes from the
+data volume, seed, engine backend, replications — comes from the
 frozen :class:`repro.scenario.ScenarioConfig` that ``_common.scenario()``
 parses from the ``REPRO_*`` environment; ``REPRO_FULL_SCALE=1`` adds the
 paper's full 9216-rank Kraken points (slower).

@@ -22,7 +22,6 @@ def test_bench_e1_weak_scaling(benchmark):
             "compute_time": 300.0,
             "machine": sc.machine,
             "seed": sc.seed,
-            "n_jobs": sc.jobs,
         },
         rounds=1,
         iterations=1,

@@ -27,7 +27,6 @@ def test_bench_e9_interference(benchmark):
             "machine": sc.machine,
             "seed": sc.seed,
             "background": sc.workload,
-            "n_jobs": sc.jobs,
             "trace_dir": sc.trace,
         },
         rounds=1,

@@ -1,12 +1,12 @@
 """repro.analyze — static enforcement of the reproducibility contract.
 
-Every guarantee the package advertises — bit-identical ``REPRO_JOBS``
-sweeps, crc32 name-hash rng streams that survive reordering, reference-
-vs-vectorized engine equivalence — holds only as long as nobody writes an
-unseeded rng, a wall-clock read or an order-unstable iteration into the
-deterministic core.  The tests enforce this *dynamically*, on the paths
-they happen to exercise; this package enforces it *statically*, on every
-path, before any test runs:
+Every guarantee the package advertises — stacked replications
+bit-identical to serial ones, crc32 name-hash rng streams that survive
+reordering, reference-vs-vectorized engine equivalence — holds only as
+long as nobody writes an unseeded rng, a wall-clock read or an
+order-unstable iteration into the deterministic core.  The tests
+enforce this *dynamically*, on the paths they happen to exercise; this
+package enforces it *statically*, on every path, before any test runs:
 
 * :mod:`repro.analyze.rules` — the rule registry (DET001-DET004 for
   determinism, INV001-INV004 for structural invariants), mirroring the

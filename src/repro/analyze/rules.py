@@ -113,7 +113,7 @@ register_rule(
         rationale=(
             "Every random stream must derive from an explicit seed (the crc32 "
             "name-hash scheme) or results stop being bit-identical across runs "
-            "and REPRO_JOBS partitions.  Zero-argument default_rng(), the "
+            "and execution orders.  Zero-argument default_rng(), the "
             "legacy RandomState, global np.random state and the stdlib random "
             "module all draw from process-global or OS entropy."
         ),

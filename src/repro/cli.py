@@ -7,7 +7,6 @@ Examples::
     python -m repro run e3 --backend reference --seed 7
     python -m repro run e6 --format json
     python -m repro run e9 --workload "app=bg,ranks=1152,arrival=burst" --trace traces/
-    python -m repro run e1 --serve
     python -m repro serve --cells 16 --passes 8 --compare-inline
     python -m repro machines
     python -m repro approaches
@@ -35,7 +34,6 @@ from .bench.cli import add_bench_parser, run_bench
 from .engine import backend_names, machine_names, resolve_machine, set_default_backend
 from .io_models import approach_names, resolve_approach
 from .scenario import FULL_SCALE_RANKS, ScenarioConfig
-from .serve import SERVE_ENV, SolveService
 from .serve.cli import add_serve_parser, run_serve
 from .table import Table
 from .workloads import arrival_process_names, resolve_arrival_process
@@ -43,21 +41,19 @@ from .workloads import arrival_process_names, resolve_arrival_process
 __all__ = ["main"]
 
 
-def _e1(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e1(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     table = experiments.run_weak_scaling(
         scales=sc.ladder,
         data_per_rank=sc.data_per_rank,
         compute_time=300.0,
         machine=sc.machine,
         seed=sc.seed,
-        n_jobs=sc.jobs,
         replications=sc.replications,
-        service=service,
     )
     return {"weak_scaling": table}
 
 
-def _e2(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e2(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     ranks = 2304 if sc.full_scale else 1152
     table = experiments.run_variability(
         ranks=ranks,
@@ -72,7 +68,7 @@ def _e2(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
     return {"variability": table}
 
 
-def _e3(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e3(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     ranks = FULL_SCALE_RANKS if sc.full_scale else 2304
     table = experiments.run_throughput(
         ranks=ranks,
@@ -85,7 +81,7 @@ def _e3(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
     return {"throughput": table}
 
 
-def _e4(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e4(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     table = experiments.run_spare_time(
         scales=sc.ladder,
         data_per_rank=sc.data_per_rank,
@@ -93,17 +89,16 @@ def _e4(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
         machine=sc.machine,
         seed=sc.seed,
         replications=sc.replications,
-        service=service,
     )
     return {"spare_time": table}
 
 
-def _e5(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e5(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     table = experiments.run_compression(output_dir=output_dir, machine=sc.machine, seed=sc.seed)
     return {"compression": table}
 
 
-def _e6(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e6(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     if sc.full_scale:
         machine, ranks = sc.machine, FULL_SCALE_RANKS
     else:
@@ -121,7 +116,7 @@ def _e6(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
     return {"scheduling": table}
 
 
-def _e7(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e7(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     scales = (92, 184, 368, 736) if sc.full_scale else (92, 184, 368)
     return {
         "insitu_scaling": experiments.run_insitu_scaling(
@@ -131,11 +126,11 @@ def _e7(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
     }
 
 
-def _e8(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e8(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     return {"usability": experiments.run_usability(output_dir=output_dir)}
 
 
-def _e9(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> dict[str, Table]:
+def _e9(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
     ranks = 2304 if sc.full_scale else 1152
     table = experiments.run_app_interference(
         ranks=ranks,
@@ -144,7 +139,6 @@ def _e9(sc: ScenarioConfig, output_dir: str, service: SolveService | None) -> di
         machine=sc.machine,
         seed=sc.seed,
         background=sc.workload,
-        n_jobs=sc.jobs,
         trace_dir=sc.trace,
         replications=sc.replications,
     )
@@ -163,10 +157,7 @@ _CHECKS: dict[str, Callable[[Table], None]] = {
     "app_interference": experiments.check_app_interference_shape,
 }
 
-#: Experiments whose runners accept a solve service (``--serve``).
-_SERVE_EXPERIMENTS = frozenset({"e1", "e4"})
-
-_EXPERIMENTS: dict[str, Callable[[ScenarioConfig, str, SolveService | None], dict[str, Table]]] = {
+_EXPERIMENTS: dict[str, Callable[[ScenarioConfig, str], dict[str, Table]]] = {
     "e1": _e1,
     "e2": _e2,
     "e3": _e3,
@@ -194,21 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data-per-rank-mb", type=float, default=None)
     run.add_argument("--backend", choices=backend_names(), default=None)
     run.add_argument(
-        "--jobs", type=int, default=None, help="process-pool width for multi-scale sweeps (e1)"
-    )
-    run.add_argument(
         "--replications",
         type=int,
         default=None,
         metavar="N",
         help="independently-seeded replications per cell; > 1 adds "
         "mean/std/cv/p95 and bootstrap-CI columns (stochastic experiments)",
-    )
-    run.add_argument(
-        "--serve",
-        action="store_true",
-        help="route the experiment through the memoized solve service "
-        "(e1/e4; bit-identical to the inline path)",
     )
     run.add_argument("--format", choices=("text", "csv", "json"), default="text")
     run.add_argument(
@@ -249,12 +231,8 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         env["REPRO_DATA_PER_RANK_MB"] = str(args.data_per_rank_mb)
     if args.backend is not None:
         env["REPRO_ENGINE"] = args.backend
-    if args.jobs is not None:
-        env["REPRO_JOBS"] = str(args.jobs)
     if args.replications is not None:
         env["REPRO_REPLICATIONS"] = str(args.replications)
-    if args.serve:
-        env[SERVE_ENV] = "1"
     if args.workload is not None:
         env["REPRO_WORKLOAD"] = args.workload
     if args.trace is not None:
@@ -312,21 +290,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if scenario.backend is not None:
         set_default_backend(scenario.backend)
 
-    service: SolveService | None = None
-    if scenario.serve:
-        if args.experiment in _SERVE_EXPERIMENTS:
-            service = SolveService(backend=scenario.backend)
-        else:
-            print(
-                f"note: {args.experiment} has no solve-service path yet; running inline",
-                file=sys.stderr,
-            )
-
     if args.output_dir is not None:
-        tables = _EXPERIMENTS[args.experiment](scenario, args.output_dir, service)
+        tables = _EXPERIMENTS[args.experiment](scenario, args.output_dir)
     else:
         with tempfile.TemporaryDirectory(prefix="repro-") as output_dir:
-            tables = _EXPERIMENTS[args.experiment](scenario, output_dir, service)
+            tables = _EXPERIMENTS[args.experiment](scenario, output_dir)
 
     multiple = len(tables) > 1
     for name, table in tables.items():

@@ -14,6 +14,8 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 
+import numpy as np
+
 from ..util import FloatArray
 from .machines import Machine
 from .reference import solve_reference
@@ -98,8 +100,30 @@ def solve(
 
     This is the hot-path entry point: the I/O models hand over a
     struct-of-arrays batch and get a numpy array back, no dicts involved.
+    ``background`` holds the extra streams each OST serves: one finite,
+    non-negative entry per OST, or ``None`` for a quiet system.  Anything
+    else raises a :class:`ValueError` naming the first bad index, because
+    the backends would otherwise disagree (or never finish) on it.
     """
-    return _resolve_backend(backend)(machine, batch, background, large_writes)
+    solver = _resolve_backend(backend)
+    if background is not None:
+        background = _checked_background(machine, background)
+    return solver(machine, batch, background, large_writes)
+
+
+def _checked_background(machine: Machine, background: FloatArray) -> FloatArray:
+    """``background`` as a float array, rejected unless every backend can use it."""
+    background = np.asarray(background, dtype=np.float64)
+    if background.shape != (machine.ost_count,):
+        raise ValueError(
+            f"background must hold one entry per OST, shape ({machine.ost_count},), "
+            f"got shape {background.shape}"
+        )
+    ok = np.isfinite(background) & (background >= 0.0)
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise ValueError(f"background[{index}] must be finite and >= 0, got {background[index]}")
+    return background
 
 
 def simulate_writes(

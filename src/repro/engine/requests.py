@@ -85,7 +85,7 @@ class RequestBatch:
     nbytes: FloatArray
     tag: IntArray
     #: ``ost_count -> LaneOrder`` cache; batches are logically immutable,
-    #: so the (lexsort-dominated) lane grouping is computed once per
+    #: so the (sort-dominated) lane grouping is computed once per
     #: machine width and reused by every subsequent staggered solve.
     _lane_orders: dict[int, LaneOrder]
 
@@ -124,9 +124,7 @@ class RequestBatch:
         if cached is not None:
             return cached
         ost = self.ost % ost_count
-        order = np.lexsort((self.arrival, ost))
-        ost_sorted = ost[order]
-        n = order.size
+        n = ost.size
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
             view = LaneOrder(
@@ -139,17 +137,39 @@ class RequestBatch:
             )
             self._lane_orders[ost_count] = view
             return view
+        # Group by OST with a stable radix sort on the narrowest unsigned
+        # dtype that holds the ids (fewer radix passes), then order each
+        # lane by arrival with one row-wise stable argsort of a padded
+        # matrix.  Both sorts are stable, so the order equals
+        # ``np.lexsort((arrival, ost))`` without its full float sort.
+        key = ost.astype(np.min_scalar_type(ost_count - 1))
+        perm = np.argsort(key, kind="stable")
+        ost_sorted = ost[perm]
         is_first = np.empty(n, dtype=bool)
         is_first[0] = True
         np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
         starts = np.flatnonzero(is_first)
-        ends = np.append(starts[1:], n)
+        counts = np.diff(starts, append=n)
+        depth = int(counts.max())
+        if starts.size * depth > 4 * n:
+            # A few deep lanes among many shallow ones: the padded matrix
+            # would dwarf the batch, so sort the flat columns instead.
+            order = np.lexsort((self.arrival, ost))
+        else:
+            # Flat (lane, slot) cell of every request in OST-sorted order;
+            # the inf padding sorts after every (finite) arrival.
+            lane_start = np.repeat(starts, counts)
+            cell = np.arange(n) - lane_start + np.repeat(np.arange(starts.size) * depth, counts)
+            padded = np.full(starts.size * depth, np.inf)
+            padded[cell] = self.arrival[perm]
+            by_arrival = np.argsort(padded.reshape(-1, depth), axis=1, kind="stable").ravel()
+            order = perm[lane_start + by_arrival[cell]]
         view = LaneOrder(
             order=order,
             arrival=np.ascontiguousarray(self.arrival[order]),
             nbytes=np.ascontiguousarray(self.nbytes[order]),
             starts=starts,
-            ends=ends,
+            ends=starts + counts,
             ost=ost_sorted[starts],
         )
         self._lane_orders[ost_count] = view

@@ -23,20 +23,6 @@ solved without per-byte Python dict churn:
   ``(lanes, depth)`` threshold matrix for mixed sizes.  Narrower batches
   run a min-heap loop per lane, O(k log k) per OST.  Both apply the same
   arithmetic in the same order, so their results are bit-identical.
-* **Wide equal-size staggered batches** (stacked replications, see
-  :mod:`repro.engine.batching`): when a batch spreads over many OST
-  groups and all writes are the same size, the event loop gives way to
-  an all-OSTs-at-once two-phase matrix solve.  In the checkpoint regime
-  the writes far outlast the arrival window, so on each OST every
-  request arrives before the first one completes: the *arrival phase*
-  is then a padded-row cumsum of per-stream service (yielding each
-  request's completion threshold) and the *completion phase* a second
-  cumsum draining the queue — a handful of numpy passes over a
-  ``(osts, depth)`` matrix instead of up to two per request of the
-  deepest lane.  The regime assumption is checked exactly per OST (last
-  arrival's accumulated service vs. the first completion threshold) and
-  violating OSTs are re-solved by the lockstep FIFO sweep, so the fast
-  path is an optimisation, never an approximation.
 """
 
 from __future__ import annotations
@@ -44,29 +30,12 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-import numpy.typing as npt
 
 from ..util import FloatArray, IntArray
 from .machines import Machine, PENALTY_CAP
 from .requests import LaneOrder, RequestBatch
 
-__all__ = ["solve_vectorized", "WIDE_MIN_GROUPS", "STORM_THRESHOLD_WRITES", "LOCKSTEP_MIN_WIDTH"]
-
-#: Minimum OST-group count before the all-OSTs-at-once matrix solver for
-#: equal-size staggered batches engages.  Stacked multi-replication
-#: batches (``solve_many``) span thousands of virtual OSTs and amortise
-#: the matrix setup; ordinary single-iteration solves take the staggered
-#: lane solvers.
-WIDE_MIN_GROUPS = 1024
-
-#: The storm-regime validity bound of the wide two-phase solve, in units
-#: of the shared write size: an OST lane qualifies exactly when the
-#: per-stream service accumulated by its last arrival has not passed the
-#: *first* request's completion threshold, which is one write size
-#: (``0 + size``).  Both the fast-path check and the lockstep fallback's
-#: lane selection read this single definition (:func:`_storm_regime`), so
-#: the two sides of the boundary can never drift apart.
-STORM_THRESHOLD_WRITES = 1.0
+__all__ = ["solve_vectorized", "LOCKSTEP_MIN_WIDTH"]
 
 #: Minimum average number of requests per pass before a staggered batch
 #: is solved in lockstep (one event per OST lane per numpy pass) instead
@@ -75,11 +44,6 @@ STORM_THRESHOLD_WRITES = 1.0
 #: a lane count alone would send one deep lane plus many shallow ones
 #: into hundreds of near-empty passes.
 LOCKSTEP_MIN_WIDTH = 128
-
-
-def _storm_regime(service_last: FloatArray, size: float) -> npt.NDArray[np.bool_]:
-    """Which lanes satisfy the storm-regime assumption (exact check)."""
-    return service_last <= STORM_THRESHOLD_WRITES * size
 
 
 def solve_vectorized(
@@ -92,7 +56,6 @@ def solve_vectorized(
     n = len(batch)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    ost = batch.ost % machine.ost_count
     if background is not None:
         bg_per_ost = np.asarray(background, dtype=np.float64)
     else:
@@ -104,16 +67,9 @@ def solve_vectorized(
     )
     arrival = batch.arrival
     if np.all(arrival == arrival[0]):
+        ost = batch.ost % machine.ost_count
         return _solve_simultaneous(
             machine.ost_bandwidth, slope, ost, arrival[0], batch.nbytes, bg_per_ost
-        )
-    if (
-        n >= WIDE_MIN_GROUPS
-        and machine.ost_count >= WIDE_MIN_GROUPS
-        and np.all(batch.nbytes == batch.nbytes[0])
-    ):
-        return _solve_wide_fifo(
-            machine.ost_bandwidth, slope, ost, arrival, float(batch.nbytes[0]), bg_per_ost
         )
     return _solve_staggered(
         machine.ost_bandwidth, slope, batch.lanes(machine.ost_count), bg_per_ost
@@ -186,17 +142,7 @@ def _solve_staggered(
     if n >= LOCKSTEP_MIN_WIDTH * depth:
         if np.all(lanes.nbytes == lanes.nbytes[0]):
             # Equal shares mean equal sizes complete in arrival order.
-            _solve_lockstep_fifo(
-                bw,
-                slope,
-                bg_per_lane,
-                lanes.arrival,
-                float(lanes.nbytes[0]),
-                lanes.order,
-                lanes.starts,
-                lanes.ends,
-                out,
-            )
+            _solve_lockstep_fifo(bw, slope, bg_per_lane, lanes, out)
         else:
             _solve_lockstep_heap(bw, slope, bg_per_lane, lanes, depth, out)
         return out
@@ -222,141 +168,30 @@ def _solve_staggered(
     return out
 
 
-def _solve_wide_fifo(
-    bw: float,
-    slope: float,
-    ost: IntArray,
-    arrival: FloatArray,
-    size: float,
-    bg_per_ost: FloatArray,
-) -> FloatArray:
-    """All-OSTs-at-once solve of a wide equal-size staggered batch.
-
-    In the checkpoint regime the equal-size writes far outlast the
-    arrival window, so on each OST every request arrives before the
-    first one completes.  The FIFO event loop then splits into two
-    vectorised phases over a padded ``(osts, depth)`` matrix:
-
-    * **arrival phase** — between consecutive arrivals ``j`` streams
-      share the OST, so the cumulative per-stream service at each
-      arrival is a row cumsum of ``rate(j + background) * gap``; adding
-      the write size yields every request's completion threshold.
-    * **completion phase** — the queue drains in FIFO order with the
-      stream count stepping down, a second row cumsum.
-
-    The regime assumption is *checked exactly* per OST — the service
-    accumulated by the last arrival must not exceed the first request's
-    threshold — and violating OSTs are re-solved by
-    :func:`_solve_lockstep_fifo`, so this path is bit-identical to
-    per-OST solving either way.
-    """
-    n = ost.size
-    # Group by OST (stable radix sort, on the narrowest dtype that holds
-    # the ids — fewer radix passes), then order arrivals within each
-    # group via one row-wise argsort of a padded matrix; both sorts are
-    # stable, so the combined order equals lexsort((arrival, ost)).
-    if bg_per_ost.size <= np.iinfo(np.uint16).max:
-        key = ost.astype(np.uint16)
-    elif bg_per_ost.size <= np.iinfo(np.uint32).max:
-        key = ost.astype(np.uint32)
-    else:
-        key = ost
-    perm = np.argsort(key, kind="stable")
-    ost_sorted = ost[perm]
-    is_first = np.empty(n, dtype=bool)
-    is_first[0] = True
-    np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
-    group_id = np.cumsum(is_first) - 1
-    starts = np.flatnonzero(is_first)
-    counts = np.diff(np.append(starts, n))
-    groups = counts.size
-    depth = int(counts.max())
-    pos = np.arange(n) - starts[group_id]
-    valid = np.arange(depth)[None, :] < counts[:, None]
-
-    lane = np.full((groups, depth), np.inf)
-    lane[group_id, pos] = arrival[perm]
-    row_order = np.argsort(lane, axis=1, kind="stable")
-    order = perm[(starts[:, None] + row_order)[valid]]
-
-    arrivals = np.zeros((groups, depth))
-    arrivals[group_id, pos] = arrival[order]
-    bg = bg_per_ost[ost_sorted[starts]].astype(np.float64)
-
-    # Arrival phase: j streams are active in the gap before arrival j+1.
-    service = np.zeros((groups, depth))
-    if depth > 1:
-        gaps = np.diff(arrivals, axis=1)
-        streams = np.arange(1.0, depth)[None, :] + bg[:, None]
-        inc = np.where(valid[:, 1:], _per_stream_rate(bw, slope, streams) * gaps, 0.0)
-        np.cumsum(inc, axis=1, out=service[:, 1:])
-    thresholds = service + size
-    rows = np.arange(groups)
-    service_last = service[rows, counts - 1]
-    t_last = arrivals[rows, counts - 1]
-    storm = _storm_regime(service_last, size)
-
-    # Completion phase: the queue drains FIFO, streams stepping down.
-    remaining = counts[:, None] - np.arange(depth)[None, :]
-    streams = np.where(valid, remaining, 1.0) + bg[:, None]
-    rate = _per_stream_rate(bw, slope, streams)
-    num = np.empty_like(thresholds)
-    num[:, 0] = thresholds[:, 0] - service_last
-    num[:, 1:] = np.diff(thresholds, axis=1)
-    dt = np.where(valid, num / rate, 0.0)
-    dt[:, 0] += t_last
-    finish = np.cumsum(dt, axis=1)
-
-    out = np.empty(n, dtype=np.float64)
-    # Scatter every lane unmasked; lanes that failed the storm check hold
-    # garbage here and are overwritten by the lockstep re-solve below.
-    out[order] = finish[group_id, pos]
-    if not storm.all():
-        # Sparse early arrivals let a request finish mid-storm; those
-        # lanes re-run in lockstep — one event per lane per pass, same
-        # scalar arithmetic as the FIFO loop, still fully vectorised.
-        bad = np.flatnonzero(~storm)
-        _solve_lockstep_fifo(
-            bw,
-            slope,
-            bg[bad],
-            arrival[order],
-            size,
-            order,
-            starts[bad],
-            starts[bad] + counts[bad],
-            out,
-        )
-    return out
-
-
 def _solve_lockstep_fifo(
     bw: float,
     slope: float,
     bg_per_lane: FloatArray,
-    arr: FloatArray,
-    size: float,
-    positions: IntArray,
-    starts: IntArray,
-    ends: IntArray,
+    lanes: LaneOrder,
     out: FloatArray,
 ) -> None:
-    """Lockstep FIFO sweep over a set of non-empty OST lanes.
+    """Lockstep FIFO sweep over every lane of an equal-size staggered batch.
 
-    ``arr``/``positions`` are flat arrival-sorted-per-OST views and each
-    (start, end) pair is one lane.  Every lane's scalar loop state (wall
-    clock, cumulative service, arrival/completion cursors) is one vector
-    element and each pass advances every unfinished lane by exactly one
-    event — an arrival or a completion, after an idle jump if the lane is
-    empty — with :func:`_solve_one_ost`'s arithmetic applied element-wise,
-    so results stay bit-identical to scalar solving.  Equal sizes complete
-    in arrival order, so the oldest pending request is always next.  Lanes
-    leave the vectors as soon as they finish.
+    Every lane's scalar loop state (wall clock, cumulative service,
+    arrival/completion cursors) is one vector element and each pass
+    advances every unfinished lane by exactly one event — an arrival or a
+    completion, after an idle jump if the lane is empty — with
+    :func:`_solve_one_ost`'s arithmetic applied element-wise, so results
+    stay bit-identical to scalar solving.  Equal sizes complete in arrival
+    order, so the oldest pending request is always next.  Lanes leave the
+    vectors as soon as they finish.
     """
+    arr, positions = lanes.arrival, lanes.order
+    size = float(lanes.nbytes[0])
     n = arr.size
-    head = starts.astype(np.int64)  # oldest pending request per lane
+    head = lanes.starts.copy()  # oldest pending request per lane
     nxt = head.copy()  # next arrival per lane
-    ends = ends.astype(np.int64)
+    ends = lanes.ends
     bg = bg_per_lane
     t = np.zeros(head.size)  # wall clock per lane
     service = np.zeros(head.size)  # cumulative per-stream service per lane

@@ -2,23 +2,14 @@
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from ..engine import (
-    Interference,
-    Machine,
-    NO_INTERFERENCE,
-    default_backend,
-    set_default_backend,
-)
-from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approaches
-from ..serve import SolveService
-from ..stats.replication import cell_rng, replication_rng, run_replications, serve_prepared
-from ..util import env_int, seed_key
+from ..engine import Interference, Machine, NO_INTERFERENCE
+from ..io_models import IOApproach, IterationResult, resolve_approaches
+from ..stats.replication import cell_rng, run_replications
+from ..util import seed_key
 
 __all__ = [
     "run_iterations",
@@ -149,115 +140,6 @@ def run_replicated_approaches(
         )
 
 
-def _run_cell(
-    args: tuple[
-        Machine,
-        int,
-        int,
-        float,
-        int,
-        Interference,
-        IOApproach,
-        str | None,
-        int | None,
-        bool,
-    ],
-) -> tuple[int, str, list[IterationResult] | list[list[IterationResult]]]:
-    """One (scale, approach) cell of a sweep; module-level so it pickles."""
-    (
-        machine,
-        ranks,
-        iterations,
-        data_per_rank,
-        seed,
-        interference,
-        approach,
-        backend,
-        replications,
-        batched,
-    ) = args
-    if backend is not None:
-        set_default_backend(backend)
-    results: list[IterationResult] | list[list[IterationResult]]
-    if replications is None:
-        rng = cell_rng(seed, ranks, approach)
-        results = run_iterations(
-            approach, machine, ranks, iterations, data_per_rank, rng, interference
-        )
-    else:
-        results = run_replications(
-            approach,
-            machine,
-            ranks,
-            iterations,
-            data_per_rank,
-            seed,
-            replications,
-            interference=interference,
-            batched=batched,
-        )
-    return ranks, approach.name, results
-
-
-def _resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is None:
-        n_jobs = env_int(os.environ, "REPRO_JOBS", default=1)
-    return max(1, n_jobs)
-
-
-def _run_sweep_serve(
-    service: SolveService,
-    machine: Machine,
-    scales: Sequence[int],
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    interference: Interference,
-    approaches: Sequence[IOApproach],
-    replications: int | None,
-) -> dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]]:
-    """The sweep's solve-service path: one flush covers every cell.
-
-    Every cell's iterations are *prepared* first — consuming each cell's
-    rng stream in exactly the order the inline path would — and
-    submitted to the service; a single flush then dedups, serves cache
-    hits, and coalesces all remaining cells into stacked solves.
-    Because the service is bit-identical to per-request solving and the
-    rng streams are pure functions of ``(seed, ranks, approach[, r])``,
-    the sweep's output matches the inline path byte for byte.
-    """
-    prepared: list[PreparedIteration] = []
-    spans: list[tuple[int, str, int, int]] = []
-    for ranks in scales:
-        for approach in approaches:
-            start = len(prepared)
-            if replications is None:
-                rng = cell_rng(seed, ranks, approach)
-                prepared.extend(
-                    approach.prepare_iteration(machine, ranks, data_per_rank, rng, interference)
-                    for _ in range(iterations)
-                )
-            else:
-                rngs = [replication_rng(seed, ranks, approach, r) for r in range(replications)]
-                prepared.extend(
-                    approach.prepare_iteration(machine, ranks, data_per_rank, rng, interference)
-                    for rng in rngs
-                    for _ in range(iterations)
-                )
-            spans.append((ranks, approach.name, start, len(prepared)))
-    final = serve_prepared(service, machine, prepared)
-    sweep: dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]] = {}
-    for ranks, name, start, stop in spans:
-        cell = final[start:stop]
-        if replications is None:
-            sweep[(ranks, name)] = cell
-        else:
-            sweep[(ranks, name)] = [
-                cell[r * iterations : (r + 1) * iterations] for r in range(replications)
-            ]
-    return sweep
-
-
 def run_sweep(
     machine: Machine,
     scales: Sequence[int],
@@ -266,65 +148,44 @@ def run_sweep(
     seed: int,
     with_interference: bool,
     approaches: Sequence[IOApproach | str] | None = None,
-    n_jobs: int | None = None,
     interference: Interference | None = None,
     replications: int | None = None,
     batched: bool = True,
-    service: SolveService | None = None,
 ) -> dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]]:
-    """Run every (scale, approach) cell, optionally across a process pool.
+    """Run every (scale, approach) cell, keyed by ``(ranks, approach name)``.
 
     The per-cell rng derivation (:func:`cell_rng`) makes every cell
-    independent of execution order, so the result is bit-identical whether
-    the sweep runs serially or on ``n_jobs`` worker processes
-    (``REPRO_JOBS`` when ``None``).  With ``replications`` set, every cell
-    value becomes one result list per replication — all of a cell's
-    replications run inside one worker (batched through the stacked
-    engine path), so partitioning across processes still cannot change a
-    single bit of the output.
-
-    With ``service`` set, the sweep routes through the memoized solve
-    service instead of the ``n_jobs`` pool: every cell is prepared up
-    front and one flush solves them all, deduplicated and coalesced —
-    bit-identical again, and repeated cells across sweeps cost one cache
-    lookup.
+    independent of which other cells run alongside it.  With
+    ``replications`` set, every cell value becomes one result list per
+    replication, solved through the stacked engine path unless
+    ``batched`` is off.
     """
-    resolved = resolve_approaches(approaches)
-    backend = default_backend()
-    effective = _effective_interference(with_interference, interference)
-    if service is not None:
-        return _run_sweep_serve(
-            service,
-            machine,
-            scales,
-            iterations,
-            data_per_rank,
-            seed,
-            effective,
-            resolved,
-            replications,
-        )
-    cells = [
-        (
-            machine,
-            ranks,
-            iterations,
-            data_per_rank,
-            seed,
-            effective,
-            approach,
-            backend,
-            replications,
-            batched,
-        )
-        for ranks in scales
-        for approach in resolved
-    ]
-    n_jobs = min(_resolve_jobs(n_jobs), len(cells)) if cells else 1
-    outcomes: Iterable[tuple[int, str, list[IterationResult] | list[list[IterationResult]]]]
-    if n_jobs <= 1:
-        outcomes = map(_run_cell, cells)
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    return {(ranks, name): results for ranks, name, results in outcomes}
+    sweep: dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]] = {}
+    for ranks in scales:
+        if replications is None:
+            for approach, results in run_all_approaches(
+                machine,
+                ranks,
+                iterations,
+                data_per_rank,
+                seed,
+                with_interference,
+                approaches=approaches,
+                interference=interference,
+            ):
+                sweep[(ranks, approach.name)] = results
+        else:
+            for approach, reps in run_replicated_approaches(
+                machine,
+                ranks,
+                iterations,
+                data_per_rank,
+                seed,
+                with_interference,
+                replications,
+                approaches=approaches,
+                interference=interference,
+                batched=batched,
+            ):
+                sweep[(ranks, approach.name)] = reps
+    return sweep

@@ -17,28 +17,27 @@ node-local memory copy) does not move at all — the dedicated core absorbs
 the contention in its overlapped backend write instead.
 
 Every (intensity, approach) cell is seeded from registry names via the
-crc32 scheme, so the sweep is bit-identical serially or on a process pool
-(``REPRO_JOBS``), and the foreground's random stream is *shared* across
-intensities — each approach faces the identical foreground under every
-background level, a controlled comparison.
+crc32 scheme, so a cell's rows do not depend on which other cells run,
+and the foreground's random stream is *shared* across intensities — each
+approach faces the identical foreground under every background level, a
+controlled comparison.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..engine import KRAKEN, Machine, default_backend, resolve_machine, set_default_backend
+from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import IOApproach, resolve_approaches
 from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB, replication_seed
 from ..workloads import Workload, run_composition
-from ._driver import _resolve_jobs, _validate_replications, iteration_period
+from ._driver import _validate_replications, iteration_period
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -68,39 +67,20 @@ def _scaled_background(background: Workload, fraction: float) -> Workload | None
     return background.with_overrides(ranks=max(1, round(background.ranks * fraction)))
 
 
-def _run_cell(
-    args: tuple[
-        Machine,
-        int,
-        int,
-        float,
-        float,
-        int,
-        str,
-        str,
-        Workload,
-        str | None,
-        str | None,
-        int,
-    ],
-) -> tuple[str, str, list[dict[str, Any]]]:
-    """One (intensity, approach) cell; module-level so it pickles."""
-    (
-        machine,
-        ranks,
-        iterations,
-        data_per_rank,
-        compute_time,
-        seed,
-        approach_name,
-        intensity,
-        background,
-        backend,
-        trace_dir,
-        replications,
-    ) = args
-    if backend is not None:
-        set_default_backend(backend)
+def _cell_rows(
+    machine: Machine,
+    ranks: int,
+    iterations: int,
+    data_per_rank: float,
+    compute_time: float,
+    seed: int,
+    approach_name: str,
+    intensity: str,
+    background: Workload,
+    trace_dir: Path | None,
+    replications: int,
+) -> list[dict[str, Any]]:
+    """The rows of one (intensity, approach) cell, one per replication."""
     foreground = Workload(
         app="sim",
         ranks=ranks,
@@ -116,7 +96,7 @@ def _run_cell(
         if trace_dir is not None and index == 0:
             # Replication 0 is the historical stream; its trace is the one
             # a replay reproduces bit for bit.
-            trace_path = Path(trace_dir) / f"e9-{intensity}-{approach_name}.jsonl"
+            trace_path = trace_dir / f"e9-{intensity}-{approach_name}.jsonl"
         outcome = run_composition(
             machine,
             workloads,
@@ -150,7 +130,7 @@ def _run_cell(
         if replications > 1:
             row["replication"] = index
         rows.append(row)
-    return intensity, approach_name, rows
+    return rows
 
 
 def run_app_interference(
@@ -163,7 +143,6 @@ def run_app_interference(
     approaches: Sequence[IOApproach | str] | None = None,
     intensities: tuple[str, ...] = ("off", "light", "heavy"),
     background: Workload | None = None,
-    n_jobs: int | None = None,
     trace_dir: str | Path | None = None,
     replications: int = 1,
 ) -> Table:
@@ -173,9 +152,7 @@ def run_app_interference(
     ``ranks`` field is the ``heavy`` level; lighter intensities scale it
     down).  When ``trace_dir`` is set, every cell records its request
     trace there as ``e9-<intensity>-<approach>.jsonl`` for exact replay
-    (replication 0's when replicated).  All of a cell's replications run
-    inside one worker, so ``REPRO_JOBS`` partitioning cannot change the
-    reduced table.
+    (replication 0's when replicated).
     """
     machine = resolve_machine(machine)
     for intensity in intensities:
@@ -185,37 +162,23 @@ def run_app_interference(
         background = _default_background(ranks, data_per_rank)
     _validate_replications(replications)
     names = [a.name for a in resolve_approaches(approaches)]
-    backend = default_backend()
-    cells = [
-        (
-            machine,
-            ranks,
-            iterations,
-            data_per_rank,
-            compute_time,
-            seed,
-            name,
-            intensity,
-            background,
-            backend,
-            None if trace_dir is None else str(trace_dir),
-            replications,
-        )
-        for intensity in intensities
-        for name in names
-    ]
-    n_jobs = min(_resolve_jobs(n_jobs), len(cells)) if cells else 1
-    outcomes: Iterable[tuple[str, str, list[dict[str, Any]]]]
-    if n_jobs <= 1:
-        outcomes = map(_run_cell, cells)
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    cell_rows = {(intensity, name): rows for intensity, name, rows in outcomes}
+    traces = None if trace_dir is None else Path(trace_dir)
     table = Table()
     for intensity in intensities:
         for name in names:
-            for row in cell_rows[(intensity, name)]:
+            for row in _cell_rows(
+                machine,
+                ranks,
+                iterations,
+                data_per_rank,
+                compute_time,
+                seed,
+                name,
+                intensity,
+                background,
+                traces,
+                replications,
+            ):
                 table.append(row)
     if replications > 1:
         table = reduce_replications(table, ("intensity", "approach"), seed=seed)

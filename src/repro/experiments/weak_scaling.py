@@ -18,7 +18,6 @@ import numpy as np
 
 from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult, resolve_approaches
-from ..serve import SolveService
 from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB
@@ -74,11 +73,9 @@ def run_weak_scaling(
     with_interference: bool = False,
     seed: int = 0,
     approaches: Sequence[IOApproach | str] | None = None,
-    n_jobs: int | None = None,
     interference: Interference | None = None,
     replications: int = 1,
     batched: bool = True,
-    service: SolveService | None = None,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -92,11 +89,9 @@ def run_weak_scaling(
         seed,
         with_interference,
         approaches=approaches,
-        n_jobs=n_jobs,
         interference=interference,
         replications=replications if replications > 1 else None,
         batched=batched,
-        service=service,
     )
     table = Table()
     if replications <= 1:

@@ -14,13 +14,12 @@ from .cache import CacheStats, SolveCache
 from .coalesce import DEFAULT_MAX_STACK, Bucket, coalesce, solve_buckets
 from .keys import KEY_SCHEMA, request_key
 from .request import SolveRequest, SolveResponse
-from .service import SERVE_ENV, ServiceStats, SolveService
+from .service import ServiceStats, SolveService
 from .stream import demo_stream
 
 __all__ = [
     "DEFAULT_MAX_STACK",
     "KEY_SCHEMA",
-    "SERVE_ENV",
     "Bucket",
     "CacheStats",
     "ServiceStats",

@@ -11,8 +11,9 @@ call.
 
 Correctness does not depend on how cells land in buckets: ``solve_many``
 is bit-identical to solving each batch alone, so *any* grouping returns
-the same bytes per cell.  Grouping only buys the wide-stack throughput
-the replication driver already exploits, now across unrelated requests.
+the same bytes per cell.  Grouping only saves per-call overhead — one
+stacked solve per bucket instead of one per cell, as in the replication
+driver — now across unrelated requests.
 """
 
 from __future__ import annotations

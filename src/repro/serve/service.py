@@ -31,10 +31,7 @@ from .cache import CacheStats, SolveCache
 from .coalesce import DEFAULT_MAX_STACK, coalesce, solve_buckets
 from .request import SolveRequest, SolveResponse
 
-__all__ = ["SERVE_ENV", "ServiceStats", "SolveService"]
-
-#: Environment flag routing supporting experiments through the service.
-SERVE_ENV = "REPRO_SERVE"
+__all__ = ["ServiceStats", "SolveService"]
 
 
 @dataclass(frozen=True)

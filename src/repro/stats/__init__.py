@@ -9,7 +9,7 @@ statistical machinery every experiment threads through:
   replications of an experiment cell, batched through the engine's
   stacked :func:`~repro.engine.solve_many` path (serial loop kept as
   ground truth), with streams derived from the crc32 name-hash scheme
-  so results are bit-identical under any partitioning.
+  so results are bit-identical however replications are batched.
 * :mod:`~repro.stats.bootstrap` — deterministic percentile-bootstrap
   confidence intervals of the mean.
 * :mod:`~repro.stats.summary` — collapse per-replication tables into

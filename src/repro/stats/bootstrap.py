@@ -10,8 +10,8 @@ read the interval off the quantiles of those means.
 Determinism: the resampling rng is derived from the crc32 name-hash
 scheme (``["bootstrap", column key, sample count, seed]``), never from
 global state, so a reduced table is bit-identical no matter where or how
-often the reduction runs — the same property the replication seeds and
-the sweep process pool guarantee.
+often the reduction runs — the same property the replication seeds
+guarantee.
 """
 
 from __future__ import annotations

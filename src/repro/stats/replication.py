@@ -22,7 +22,7 @@ crc32 name-hash derivation the sweeps already use, extended by the
 replication identity.  Replication 0 is the historical single-run
 stream, and every stream is a pure function of
 ``(seed, r, ranks, approach name)``, so results are bit-identical no
-matter how replications are batched or partitioned across processes.
+matter how replications are batched.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import Interference, Machine, NO_INTERFERENCE, resolve_machine, solve_many
-from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approach
-from ..serve import SolveRequest, SolveService
+from ..io_models import IOApproach, IterationResult, resolve_approach
 from ..util import replication_seed, seed_key
 
-__all__ = ["cell_rng", "replication_rng", "run_replications", "serve_prepared"]
+__all__ = ["cell_rng", "replication_rng", "run_replications"]
 
 
 def cell_rng(seed: int, ranks: int, approach: IOApproach | str) -> np.random.Generator:
@@ -42,8 +41,7 @@ def cell_rng(seed: int, ranks: int, approach: IOApproach | str) -> np.random.Gen
 
     Derived from ``[seed, ranks, crc32(approach.name)]``, so every cell is
     reproducible on its own, independent of which other scales or
-    approaches run alongside it — which is also what makes sweep cells
-    safe to run in parallel processes.
+    approaches run alongside it.
     """
     name = approach if isinstance(approach, str) else approach.name
     return np.random.default_rng([seed, ranks, seed_key(name)])
@@ -54,35 +52,6 @@ def replication_rng(
 ) -> np.random.Generator:
     """The rng of replication ``replication`` of a cell (0 = historical)."""
     return cell_rng(replication_seed(seed, replication), ranks, approach)
-
-
-def serve_prepared(
-    service: SolveService,
-    machine: Machine,
-    prepared: list[PreparedIteration],
-) -> list[IterationResult]:
-    """Solve prepared iterations through a solve service and finalize.
-
-    One :class:`~repro.serve.SolveRequest` per prepared iteration keeps
-    the memoization granularity at the cell level: any iteration whose
-    ``(machine, batch, background, write class)`` was solved before — in
-    this call, an earlier flush, or anywhere else the service was used —
-    is served from the cache.  The service is bit-identical to
-    :func:`~repro.engine.solve`, so the finalized results match the
-    serial and batched paths exactly.
-    """
-    keys = [
-        service.submit(
-            SolveRequest(
-                machine, p.batch, background=p.background, large_writes=p.large_writes
-            )
-        )
-        for p in prepared
-    ]
-    # Join on the canonical key: equal keys are the same cell, so a
-    # flush serving other callers' pending requests too is harmless.
-    done = {response.key: response.done for response in service.flush()}
-    return [p.finalize(done[key]) for p, key in zip(prepared, keys, strict=True)]
 
 
 def run_replications(
@@ -97,18 +66,13 @@ def run_replications(
     interference: Interference = NO_INTERFERENCE,
     batched: bool = True,
     backend: str | None = None,
-    service: SolveService | None = None,
 ) -> list[list[IterationResult]]:
     """Run ``replications`` independently-seeded copies of one cell.
 
     Returns ``replications`` lists of ``iterations`` results.  The
     batched path stacks every replication's request batches into one
     :func:`~repro.engine.solve_many` call; its output is bit-identical
-    to the serial path (which remains available as ground truth).  With
-    ``service`` set, the prepared iterations route through the memoized
-    solve service instead (one request per iteration; the service's own
-    backend configuration applies, and ``backend`` is ignored) — still
-    bit-identical, but repeated cells cost one cache lookup.
+    to the serial path (which remains available as ground truth).
     """
     machine = resolve_machine(machine)
     approach = resolve_approach(approach)
@@ -117,7 +81,7 @@ def run_replications(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     rngs = [replication_rng(seed, ranks, approach, r) for r in range(replications)]
-    if not batched and service is None:
+    if not batched:
         return [
             [
                 approach.run_iteration(machine, ranks, data_per_rank, rng, interference)
@@ -130,9 +94,6 @@ def run_replications(
         for rng in rngs
         for _ in range(iterations)
     ]
-    if service is not None:
-        final = serve_prepared(service, machine, prepared)
-        return [final[r * iterations : (r + 1) * iterations] for r in range(replications)]
     # One approach emits one write class, but group defensively so a
     # custom approach mixing classes still solves correctly.
     results: list[IterationResult | None] = [None] * len(prepared)

@@ -55,7 +55,7 @@ def env_int(
     An unset or blank variable yields ``default``.  A set one must spell
     an integer >= ``minimum``; anything else raises a :class:`ValueError`
     naming the variable and the offending value, so a typo in e.g.
-    ``REPRO_JOBS=two`` fails with the knob's name instead of a
+    ``REPRO_SEED=two`` fails with the knob's name instead of a
     bare ``invalid literal for int()``.
     """
     raw = env.get(name)
@@ -88,8 +88,7 @@ def replication_seed(seed: int, replication: int) -> int:
     replications can never shift existing golden values), and every
     further replication offsets the seed by the crc32 name-hash of
     ``"replication:<r>"`` — a pure function of the replication's
-    identity, never of how replications are batched, partitioned across
-    worker processes, or reordered.
+    identity, never of how replications are batched or reordered.
     """
     if replication < 0:
         raise ValueError(f"replication index must be >= 0, got {replication}")

@@ -19,8 +19,7 @@ Modelling decisions:
   ``[seed, ranks, crc32(approach), crc32(arrival), crc32(app)]`` — the
   crc32 name-hash scheme used everywhere else — so an application's
   stream never shifts when other applications are added, removed or
-  reordered, and composition cells can run on a process pool
-  bit-identically to a serial run.
+  reordered.
 * **Record/replay.**  Every run also assembles a
   :class:`~repro.workloads.trace.Trace` of what it put on the OSTs;
   :func:`replay_trace` re-solves a trace with no rng involved, so a
@@ -31,7 +30,7 @@ Modelling decisions:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +120,7 @@ def run_composition(
     effective = NO_INTERFERENCE if interference is None else interference
     background_rng = np.random.default_rng([seed, seed_key("composition-background")])
 
-    trace = Trace(machine=machine.name, period=period, apps=apps)
+    trace = Trace(machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine))
     results: dict[str, list[IterationResult]] = {app: [] for app in apps}
     completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
     for _ in range(iterations):
@@ -165,13 +164,16 @@ def replay_trace(
 ) -> dict[str, list[FloatArray]]:
     """Re-solve a recorded scenario; returns per-app completion times.
 
-    No rng is involved: the trace already pins every request and the
-    background load, so the result is exactly what the recording run saw
-    (and must agree across engine backends).
+    No rng is involved: the trace already pins the machine, every request
+    and the background load, so the result is exactly what the recording
+    run saw (and must agree across engine backends).  ``machine``
+    replays the requests on another machine instead.
     """
     if not isinstance(trace, Trace):
         trace = Trace.load(trace)
-    machine = resolve_machine(trace.machine if machine is None else machine)
+    if machine is None:
+        machine = trace.machine if trace.machine_fields is None else Machine(**trace.machine_fields)
+    machine = resolve_machine(machine)
     completions: dict[str, list[FloatArray]] = {app: [] for app in trace.apps}
     for iteration in trace.iterations:
         merged, segments = merge_batches([iteration.batches[app] for app in trace.apps])

@@ -1,21 +1,25 @@
 """Request-trace record and replay (JSONL).
 
 A :class:`Trace` pins everything a composed scenario put on the file
-system: per iteration, each application's generated :class:`RequestBatch`
-(arrival/ost/nbytes/tag), the sampled per-OST background load, and the
-write-class flag the merged solve used.  Saving it as JSON Lines makes a
-scenario *replayable bit-for-bit* — no rng involved on replay — and
-diffable/greppable by ordinary tools.
+system: the machine's fields, and per iteration each application's
+generated :class:`RequestBatch` (arrival/ost/nbytes/tag), the sampled
+per-OST background load, and the write-class flag the merged solve used.
+Saving it as JSON Lines makes a scenario *replayable bit-for-bit* — no
+rng involved on replay — and diffable/greppable by ordinary tools.
 
 File layout (one JSON object per line)::
 
-    {"type": "header", "version": 1, "machine": ..., "period": ..., "apps": [...], "iterations": N}
+    {"type": "header", "version": 1, "machine": ..., "machine_fields": {...}, "period": ...,
+     "apps": [...], "iterations": N}
     {"type": "solve", "iteration": 0, "large_writes": true, "background": [...]}
     {"type": "batch", "iteration": 0, "app": "sim", "arrival": [...], "ost": [...], "nbytes": [...], "tag": [...]}
     ...
 
 Python's ``json`` round-trips IEEE-754 doubles exactly (shortest-repr),
-so a replayed solve sees byte-identical inputs.
+so a replayed solve sees byte-identical inputs.  ``machine_fields`` lets
+a replay rebuild a machine that differs from its registered namesake
+(``KRAKEN.with_overrides(ost_count=24)``); traces without it replay on
+the registered machine.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ class Trace:
     period: float
     apps: tuple[str, ...]
     iterations: list[TraceIteration] = field(default_factory=list)
+    #: Every field of the recorded machine (``None``: the registered one).
+    machine_fields: dict[str, Any] | None = None
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -72,6 +78,7 @@ class Trace:
                     "type": "header",
                     "version": _VERSION,
                     "machine": self.machine,
+                    "machine_fields": self.machine_fields,
                     "period": self.period,
                     "apps": list(self.apps),
                     "iterations": len(self.iterations),
@@ -162,4 +169,5 @@ class Trace:
             period=float(header["period"]),
             apps=apps,
             iterations=iterations,
+            machine_fields=header.get("machine_fields"),
         )

@@ -176,6 +176,18 @@ def test_replay_reproduces_the_live_run_exactly(tmp_path):
             np.testing.assert_array_equal(live, again)
 
 
+def test_replay_rebuilds_an_overridden_machine(tmp_path):
+    # The trace names the machine "kraken"; the replay must rebuild the
+    # overridden machine from its recorded fields, not the registered one.
+    path = tmp_path / "scenario.jsonl"
+    small = KRAKEN.with_overrides(ost_count=24, ost_bandwidth=KRAKEN.ost_bandwidth / 2)
+    out = run_composition(small, [FG, BG], 2, period=60.0, seed=4, trace_path=path)
+    replayed = replay_trace(path)
+    for app in out.apps:
+        for live, again in zip(out.completions[app], replayed[app], strict=True):
+            np.testing.assert_array_equal(live, again)
+
+
 def test_replay_agrees_across_engine_backends(tmp_path):
     # The acceptance bar: a recorded trace replayed through both engine
     # backends yields identical per-app completion times.
@@ -221,12 +233,6 @@ def test_e9_table_and_shape():
     # The off cells compose the foreground alone.
     assert all(row["bg_ranks"] == 0 for row in table.where(intensity="off"))
     assert all(row["bg_ranks"] > 0 for row in table.where(intensity="heavy"))
-
-
-def test_e9_is_bit_identical_across_job_counts():
-    serial = run_app_interference(**_E9_KW, n_jobs=1)
-    pooled = run_app_interference(**_E9_KW, n_jobs=4)
-    assert [row.as_dict() for row in serial] == [row.as_dict() for row in pooled]
 
 
 def test_e9_records_per_cell_traces(tmp_path):

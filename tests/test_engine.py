@@ -21,6 +21,7 @@ from repro.engine import (
     default_backend,
     simulate_writes,
     solve,
+    solve_many,
     use_backend,
 )
 from repro.experiments import run_throughput, run_weak_scaling
@@ -131,6 +132,123 @@ def test_batch_rejects_infinite_nbytes():
     # An infinite size made the reference backend loop forever.
     with pytest.raises(ValueError, match=r"nbytes\[0\] must be finite and >= 0, got inf"):
         RequestBatch(arrival=[0.0, 0.5], ost=[0, 1], nbytes=np.inf)
+
+
+# -- lane grouping ---------------------------------------------------------
+
+
+def _assert_lanes_are_lexsort(batch, ost_count):
+    """``batch.lanes`` must be the ``(ost % ost_count, arrival)`` lexsort."""
+    ost = batch.ost % ost_count
+    order = np.lexsort((batch.arrival, ost))
+    starts = np.flatnonzero(np.diff(ost[order], prepend=-1))
+    lanes = batch.lanes(ost_count)
+    np.testing.assert_array_equal(lanes.order, order)
+    np.testing.assert_array_equal(lanes.arrival, batch.arrival[order])
+    np.testing.assert_array_equal(lanes.nbytes, batch.nbytes[order])
+    np.testing.assert_array_equal(lanes.starts, starts)
+    np.testing.assert_array_equal(lanes.ends, np.append(starts[1:], len(batch)))
+    np.testing.assert_array_equal(lanes.ost, ost[order][starts])
+
+
+@pytest.mark.parametrize("ost_count", [255, 256, 257, 65535, 65536, 65537])
+def test_lanes_order_equals_lexsort_of_ost_then_arrival(ost_count):
+    # The grouping key widens from uint8 to uint16 past 256 OSTs and to
+    # uint32 past 65536.  Ids on both sides of those boundaries, and ids
+    # that wrap modulo the machine width, share a few deep lanes;
+    # rounded arrivals tie.
+    rng = np.random.default_rng(ost_count)
+    ids = np.array([0, 1, 255, 256, 65534, 65535, 65536, 65537, ost_count - 1, 3 * ost_count])
+    n = 2000
+    balanced = RequestBatch(
+        arrival=np.round(rng.uniform(0.0, 2.0, n), 1),
+        ost=rng.choice(ids, n),
+        nbytes=rng.uniform(MB, 64 * MB, n),
+    )
+    _assert_lanes_are_lexsort(balanced, ost_count)
+    # One deep lane among many one-write lanes.
+    ost = np.concatenate([np.arange(1, 301), np.full(n, ost_count - 1)])
+    skewed = RequestBatch(arrival=np.round(rng.uniform(0.0, 2.0, ost.size), 1), ost=ost, nbytes=MB)
+    _assert_lanes_are_lexsort(skewed, ost_count)
+
+
+def test_lanes_of_empty_batch():
+    lanes = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)).lanes(336)
+    assert lanes.lane_count == 0
+    for column in (lanes.order, lanes.arrival, lanes.nbytes, lanes.starts, lanes.ends, lanes.ost):
+        assert column.size == 0
+
+
+# -- the background contract ----------------------------------------------
+
+
+def _both_shapes():
+    """A staggered and a simultaneous batch: the two solver shapes."""
+    return (
+        RequestBatch(arrival=[0.0, 0.1, 0.2], ost=[0, 0, 1], nbytes=45 * MB),
+        RequestBatch(arrival=0.0, ost=[0, 0, 1], nbytes=[45 * MB, 10 * MB, 45 * MB]),
+    )
+
+
+def _assert_background_rejected(background, message):
+    for backend in ("vectorized", "reference"):
+        for batch in _both_shapes():
+            with pytest.raises(ValueError, match=message):
+                solve(KRAKEN, batch, background=background, large_writes=False, backend=backend)
+
+
+def test_solve_rejects_nan_background():
+    # reference never returned on it; vectorized returned NaN.
+    background = np.zeros(KRAKEN.ost_count)
+    background[1] = np.nan
+    _assert_background_rejected(background, r"background\[1\] must be finite and >= 0, got nan")
+
+
+def test_solve_rejects_negative_background():
+    # -5 streams completed writes arriving at 0.0 s at -2.0 s on both backends.
+    background = np.full(KRAKEN.ost_count, -5.0)
+    _assert_background_rejected(background, r"background\[0\] must be finite and >= 0, got -5.0")
+
+
+def test_solve_rejects_infinite_background():
+    # reference raised ZeroDivisionError; vectorized returned [inf, nan, inf].
+    background = np.zeros(KRAKEN.ost_count)
+    background[0] = np.inf
+    _assert_background_rejected(background, r"background\[0\] must be finite and >= 0, got inf")
+
+
+def test_solve_rejects_background_of_the_wrong_length():
+    # A bare IndexError for the write on OST 7.
+    batch = RequestBatch(arrival=[0.0, 0.5], ost=[7, 1], nbytes=MB)
+    for backend in ("vectorized", "reference"):
+        with pytest.raises(ValueError, match=r"background must hold one entry per OST"):
+            solve(KRAKEN, batch, background=np.zeros(3), large_writes=False, backend=backend)
+
+
+def test_solve_rejects_two_dimensional_background():
+    # A bare TypeError.
+    _assert_background_rejected(
+        np.zeros((1, KRAKEN.ost_count)), r"background must hold one entry per OST"
+    )
+
+
+def test_background_contract_covers_every_entry_point():
+    from repro.serve import SolveRequest, SolveService
+
+    batch = _both_shapes()[0]
+    background = np.full(KRAKEN.ost_count, np.nan)
+    match = r"background\[0\] must be finite"
+    with pytest.raises(ValueError, match=match):
+        simulate_writes(KRAKEN, batch, background=background, large_writes=False)
+    with pytest.raises(ValueError, match=match):
+        solve_many(KRAKEN, [batch, batch], backgrounds=[background, None], large_writes=False)
+    with pytest.raises(ValueError, match=match):
+        SolveService().solve(SolveRequest(KRAKEN, batch, background=background))
+    # Integer arrays and fractional loads stay accepted.
+    quiet = solve(KRAKEN, batch, large_writes=False)
+    zeros = np.zeros(KRAKEN.ost_count, dtype=np.int64)
+    np.testing.assert_array_equal(solve(KRAKEN, batch, background=zeros, large_writes=False), quiet)
+    solve(KRAKEN, batch, background=np.full(KRAKEN.ost_count, 0.5), large_writes=False)
 
 
 def test_duplicate_tags_are_solved_per_position():
@@ -252,39 +370,22 @@ def test_experiment_tables_identical_across_backends():
 
 
 def test_storm_threshold_boundary_pinned():
-    """The wide-FIFO validity check lives in one named constant and the
-    boundary case sits exactly on it.
+    """A second write arriving exactly as the first completes, and one
+    arriving just after, solve bit-identically to the reference.
 
-    The storm regime holds while the service accumulated by the last
-    arrival does not exceed ``STORM_THRESHOLD_WRITES`` writes; the bound
-    is inclusive.  Built with exact float arithmetic (power-of-two
-    bandwidth, size, and gap) so ``service_last == size`` lands on the
-    boundary with no rounding, and both sides of it must still match
-    the reference solver bit-for-bit via the per-lane re-solve.
+    Two equal-size requests per lane, gap g: single-stream service at
+    the second arrival is exactly bw * g.  Built with exact float
+    arithmetic (bw = 2**30, size = 2**20, power-of-two gaps), so
+    g = 2**-10 lands the second arrival exactly on the first write's
+    completion and g = 2**-9 lands it after that, with no rounding; the
+    batch of 1024 lanes runs the lockstep sweep.
     """
-    from repro.engine.vectorized import (
-        STORM_THRESHOLD_WRITES,
-        WIDE_MIN_GROUPS,
-        _storm_regime,
-    )
-
-    # The bound is definitionally exact: one write of service.
-    assert STORM_THRESHOLD_WRITES == 1.0  # repro: allow[DET004]
     size = float(2**20)
-    # Inclusive bound: exactly one write of service is still storm regime.
-    assert bool(_storm_regime(np.array([size]), size))
-    assert not bool(_storm_regime(np.array([np.nextafter(size, np.inf)]), size))
-
-    # Two equal-size requests per lane, gap g: single-stream service at
-    # the second arrival is exactly bw * g.  bw = 2**30, size = 2**20:
-    # g = 2**-10 puts every lane exactly ON the bound (storm path) and
-    # g = 2**-9 pushes every lane past it (lockstep fallback) — both
-    # must agree with the reference event loop exactly.
-    machine = KRAKEN.with_overrides(ost_count=WIDE_MIN_GROUPS, ost_bandwidth=float(2**30))
-    lanes = np.arange(WIDE_MIN_GROUPS, dtype=np.int64)
+    machine = KRAKEN.with_overrides(ost_count=1024, ost_bandwidth=float(2**30))
+    lanes = np.arange(1024, dtype=np.int64)
     for gap in (2.0**-10, 2.0**-9):
         batch = RequestBatch(
-            arrival=np.concatenate([np.zeros(WIDE_MIN_GROUPS), np.full(WIDE_MIN_GROUPS, gap)]),
+            arrival=np.concatenate([np.zeros(1024), np.full(1024, gap)]),
             ost=np.concatenate([lanes, lanes]),
             nbytes=size,
         )

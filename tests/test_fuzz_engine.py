@@ -3,10 +3,10 @@
 * **Engine equivalence fuzz** — ~100 random request batches spanning
   every workload shape the models can produce (simultaneous and
   staggered arrivals, equal and mixed sizes, duplicate tags, background
-  load, merged multi-app batches, wide stacked batches that engage the
-  matrix fast path) must agree with the reference backend to 1e-9 — for
-  *every* backend in the live registry, so a newly registered solver is
-  cross-validated automatically.
+  load, merged multi-app batches, wide equal-size batches over 1024+
+  OSTs like stacked replications) must agree with the reference backend
+  to 1e-9 — for *every* backend in the live registry, so a newly
+  registered solver is cross-validated automatically.
 * **Lockstep kernel fuzz** — staggered batches wide enough for the
   lockstep kernels (equal and mixed sizes, lane depth 1 to 60, exact
   arrival ties, duplicated rows, zero-size writes, integer and
@@ -21,8 +21,16 @@
 import numpy as np
 import pytest
 
-from repro.engine import KRAKEN, RequestBatch, backend_names, merge_batches, solve, vectorized
-from repro.engine.vectorized import LOCKSTEP_MIN_WIDTH, WIDE_MIN_GROUPS
+from repro.engine import (
+    KRAKEN,
+    Machine,
+    RequestBatch,
+    backend_names,
+    merge_batches,
+    solve,
+    vectorized,
+)
+from repro.engine.vectorized import LOCKSTEP_MIN_WIDTH
 from repro.util import MB
 from repro.workloads import Workload, replay_trace, run_composition
 from repro.workloads.trace import Trace
@@ -88,13 +96,13 @@ def test_fuzz_backends_agree_on_merged_batches():
 
 
 def test_fuzz_wide_fast_path_agrees_with_reference():
-    # Equal-size staggered batches wide enough to engage the stacked
-    # matrix solver, including storm-check violations (long arrival
-    # spans) that exercise the lockstep fallback.
+    # Equal-size staggered batches over thousands of OSTs, the shape of
+    # stacked replications, with short and long arrival spans: bit for
+    # bit the per-lane heap loop, and within 1e-9 of the reference.
     rng = np.random.default_rng(99)
-    machine = KRAKEN.with_overrides(ost_count=4 * WIDE_MIN_GROUPS)
+    machine = KRAKEN.with_overrides(ost_count=4 * 1024)
     for case in range(10):
-        n = int(rng.integers(WIDE_MIN_GROUPS, 4 * WIDE_MIN_GROUPS))
+        n = int(rng.integers(1024, 4 * 1024))
         span = float(rng.choice([5.0, 2000.0]))
         batch = RequestBatch(
             arrival=rng.uniform(0.0, span, n),
@@ -103,6 +111,9 @@ def test_fuzz_wide_fast_path_agrees_with_reference():
         )
         background = rng.poisson(1.2, machine.ost_count).astype(float)
         vec = solve(machine, batch, background=background, large_writes=False)
+        np.testing.assert_array_equal(
+            vec, _heap_loop(machine, batch, background, False), err_msg=f"wide fuzz case {case}"
+        )
         ref = solve(machine, batch, background=background, large_writes=False, backend="reference")
         np.testing.assert_allclose(
             vec, ref, rtol=1e-9, atol=1e-6, err_msg=f"wide fuzz case {case} diverged"
@@ -145,16 +156,18 @@ def _lockstep_batch(
     return batch, background, bool(rng.random() < 0.5)
 
 
-def _heap_loop(batch: RequestBatch, background: np.ndarray | None, large: bool) -> np.ndarray:
+def _heap_loop(
+    machine: Machine, batch: RequestBatch, background: np.ndarray | None, large: bool
+) -> np.ndarray:
     """The bit-identity oracle: the scalar heap loop, one lane at a time."""
-    lanes = batch.lanes(KRAKEN.ost_count)
-    bg = np.zeros(KRAKEN.ost_count) if background is None else background
-    slope = KRAKEN.large_write_seek_penalty if large else KRAKEN.small_write_seek_penalty
+    lanes = batch.lanes(machine.ost_count)
+    bg = np.zeros(machine.ost_count) if background is None else background
+    slope = machine.large_write_seek_penalty if large else machine.small_write_seek_penalty
     out = np.empty(len(batch))
     arrival, nbytes, order = lanes.arrival.tolist(), lanes.nbytes.tolist(), lanes.order.tolist()
     for lane, (start, end) in enumerate(zip(lanes.starts, lanes.ends, strict=True)):
         vectorized._solve_one_ost(
-            KRAKEN.ost_bandwidth,
+            machine.ost_bandwidth,
             slope,
             float(bg[lanes.ost[lane]]),
             arrival,
@@ -178,7 +191,7 @@ def test_fuzz_lockstep_kernels_bit_identical_to_heap_loop():
         assert len(batch) >= LOCKSTEP_MIN_WIDTH * int((lanes.ends - lanes.starts).max())
         got = solve(KRAKEN, batch, background=background, large_writes=large)
         np.testing.assert_array_equal(
-            got, _heap_loop(batch, background, large), err_msg=f"lockstep case {case}"
+            got, _heap_loop(KRAKEN, batch, background, large), err_msg=f"lockstep case {case}"
         )
         ref = solve(KRAKEN, batch, background=background, large_writes=large, backend="reference")
         np.testing.assert_allclose(

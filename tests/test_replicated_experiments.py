@@ -2,8 +2,9 @@
 
 ``replications=1`` must be bit-identical to the historical single-run
 tables; ``replications > 1`` must add the CI column family, stay
-bit-identical under ``REPRO_JOBS`` process-pool partitioning, and keep
-every replication independent of the others.
+bit-identical between the stacked and serial drivers, and keep every
+replication independent of the others and every sweep cell independent
+of the cells beside it.
 """
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.util import MB
 _KW = dict(ranks=192, iterations=3, data_per_rank=45 * MB, seed=7)
 
 _CI_SUFFIXES = ("", "_std", "_cv", "_p95", "_ci_lo", "_ci_hi")
+
+_PAPER_APPROACHES = ("file-per-process", "collective", "damaris")
 
 
 def _rows(table):
@@ -88,10 +91,9 @@ def test_weak_scaling_replicated_sweep_bit_identical_across_jobs():
         seed=3,
         replications=3,
     )
-    serial = run_weak_scaling(**kwargs, n_jobs=1)
-    pooled = run_weak_scaling(**kwargs, n_jobs=4)
-    assert _rows(serial) == _rows(pooled)
-    row = serial.where(approach="damaris", ranks=288)[0]
+    stacked = run_weak_scaling(**kwargs)
+    assert _rows(stacked) == _rows(run_weak_scaling(**kwargs, batched=False))
+    row = stacked.where(approach="damaris", ranks=288)[0]
     for suffix in _CI_SUFFIXES:
         assert f"io_phase_mean_s{suffix}" in row, suffix
     assert "speedup_vs_collective_ci_lo" in row
@@ -113,11 +115,11 @@ def test_run_sweep_replicated_cells_independent_of_partitioning():
         with_interference=True,
         replications=2,
     )
-    serial = run_sweep(n_jobs=1, **kwargs)
-    pooled = run_sweep(n_jobs=3, **kwargs)
-    assert serial.keys() == pooled.keys()
-    for key in serial:
-        for rep_a, rep_b in zip(serial[key], pooled[key], strict=True):
+    both = run_sweep(**kwargs)
+    assert set(both) == {(ranks, name) for ranks in (144, 288) for name in _PAPER_APPROACHES}
+    alone = {**run_sweep(**{**kwargs, "scales": [144]}), **run_sweep(**{**kwargs, "scales": [288]})}
+    for key in both:
+        for rep_a, rep_b in zip(both[key], alone[key], strict=True):
             for a, b in zip(rep_a, rep_b, strict=True):
                 np.testing.assert_array_equal(a.visible_times, b.visible_times)
                 assert a.backend_wall_s == b.backend_wall_s
@@ -192,10 +194,7 @@ def test_app_interference_replicated_bit_identical_across_jobs():
         replications=1,
     )
     assert _rows(baseline) == _rows(single)
-    serial = run_app_interference(**kwargs, n_jobs=1)
-    pooled = run_app_interference(**kwargs, n_jobs=4)
-    assert _rows(serial) == _rows(pooled)
-    row = serial.where(intensity="heavy", approach="damaris")[0]
+    row = run_app_interference(**kwargs).where(intensity="heavy", approach="damaris")[0]
     assert row["replications"] == 2
     assert "io_mean_s_ci_hi" in row
 

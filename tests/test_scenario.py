@@ -60,7 +60,6 @@ def test_from_env_overrides():
             "REPRO_DATA_PER_RANK_MB": "10",
             "REPRO_SEED": "7",
             "REPRO_ENGINE": "reference",
-            "REPRO_JOBS": "4",
         }
     )
     assert sc.machine is GRID5000
@@ -68,7 +67,6 @@ def test_from_env_overrides():
     assert sc.data_per_rank == 10 * MB
     assert sc.seed == 7
     assert sc.backend == "reference"
-    assert sc.jobs == 4
 
 
 def test_ladder_override_beats_full_scale():
@@ -105,40 +103,89 @@ def test_scenario_interference_reaches_the_runners():
     assert fpp_heavy["io_mean_s"] > fpp_quiet["io_mean_s"]
 
 
-def test_invalid_jobs_rejected():
-    with pytest.raises(ValueError):
-        ScenarioConfig(jobs=0)
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        ({"ladder": ()}, r"ladder must hold at least one rung"),
+        ({"ladder": (576, 0)}, r"ladder\[1\] must be >= 1, got 0"),
+        ({"ladder": (-96,)}, r"ladder\[0\] must be >= 1, got -96"),
+        ({"data_per_rank": 0.0}, r"data_per_rank must be finite and > 0, got 0.0"),
+        ({"data_per_rank": -5.0 * MB}, r"data_per_rank must be finite and > 0, got -5242880.0"),
+        ({"data_per_rank": float("nan")}, r"data_per_rank must be finite and > 0, got nan"),
+        ({"data_per_rank": float("inf")}, r"data_per_rank must be finite and > 0, got inf"),
+    ],
+    ids=[
+        "empty-ladder",
+        "zero-rung",
+        "negative-rung",
+        "zero-mb",
+        "negative-mb",
+        "nan-mb",
+        "inf-mb",
+    ],
+)
+def test_invalid_ladder_or_payload_rejected(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    ("env", "message"),
+    [
+        ({"REPRO_LADDER": "abc"}, r"REPRO_LADDER must be comma-separated integers, got 'abc'"),
+        ({"REPRO_LADDER": "576,1.5"}, r"REPRO_LADDER must be .*, got '576,1.5'"),
+        ({"REPRO_LADDER": ","}, r"ladder must hold at least one rung"),
+        ({"REPRO_LADDER": "0"}, r"ladder\[0\] must be >= 1, got 0"),
+        ({"REPRO_LADDER": "576,-96"}, r"ladder\[1\] must be >= 1, got -96"),
+        ({"REPRO_DATA_PER_RANK_MB": "abc"}, r"REPRO_DATA_PER_RANK_MB must be a number, got 'abc'"),
+        ({"REPRO_DATA_PER_RANK_MB": "0"}, r"data_per_rank must be finite and > 0, got 0.0"),
+        ({"REPRO_DATA_PER_RANK_MB": "-5"}, r"data_per_rank must be finite and > 0, got -5242880.0"),
+        ({"REPRO_DATA_PER_RANK_MB": "nan"}, r"data_per_rank must be finite and > 0, got nan"),
+    ],
+    ids=[
+        "ladder-text",
+        "ladder-float",
+        "ladder-empty",
+        "ladder-zero",
+        "ladder-negative",
+        "mb-text",
+        "mb-zero",
+        "mb-negative",
+        "mb-nan",
+    ],
+)
+def test_from_env_rejects_bad_ladder_or_payload(env, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig.from_env(env)
 
 
 @pytest.mark.parametrize(
     ("name", "raw", "message"),
     [
-        ("REPRO_JOBS", "abc", r"REPRO_JOBS must be an integer >= 1, got 'abc'"),
         ("REPRO_REPLICATIONS", "abc", r"REPRO_REPLICATIONS must be an integer >= 1, got 'abc'"),
         ("REPRO_SEED", "abc", r"REPRO_SEED must be an integer >= 0, got 'abc'"),
         ("REPRO_SEED", "-1", r"REPRO_SEED must be >= 0, got -1"),
     ],
-    ids=["jobs", "replications", "seed", "negative-seed"],
+    ids=["replications", "seed", "negative-seed"],
 )
 def test_integer_env_knob_errors_name_the_variable(name, raw, message):
     with pytest.raises(ValueError, match=message):
         ScenarioConfig.from_env({name: raw})
 
 
-def test_sweep_jobs_env_error_names_the_variable(monkeypatch):
-    from repro.experiments._driver import _resolve_jobs
-
-    monkeypatch.setenv("REPRO_JOBS", "abc")
-    with pytest.raises(ValueError, match=r"REPRO_JOBS must be an integer >= 1, got 'abc'"):
-        _resolve_jobs(None)
-
-
 def test_serial_solve_and_inline_serve_are_constants():
     # Not fields: no environment or constructor argument can set them.
-    sc = ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "4", "REPRO_SERVE_WORKERS": "4"})
-    assert (sc.solve_shards, sc.serve_workers) == (1, 1)
-    with pytest.raises(TypeError):
-        ScenarioConfig(solve_shards=2)  # type: ignore[call-arg]
+    env = {
+        "REPRO_JOBS": "4",
+        "REPRO_SOLVE_SHARDS": "4",
+        "REPRO_SERVE": "1",
+        "REPRO_SERVE_WORKERS": "4",
+    }
+    sc = ScenarioConfig.from_env(env)
+    assert (sc.jobs, sc.solve_shards, sc.serve, sc.serve_workers) == (1, 1, False, 1)
+    for name, value in (("jobs", 2), ("solve_shards", 2), ("serve", True), ("serve_workers", 2)):
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{name: value})
 
 
 def test_from_env_workload_and_trace():

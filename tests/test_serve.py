@@ -221,88 +221,35 @@ def test_coalesce_groups_by_machine_and_write_class():
     ]
 
 
-# ---------------------------------------------------------------------------
-# The experiment integrations: replication driver, sweeps, CLI, scenario.
-# ---------------------------------------------------------------------------
-
-
-def test_run_replications_service_path_bit_identical():
-    from repro.stats import run_replications
-
-    kw = dict(
-        approach="file-per-process",
-        machine=GRID,
-        ranks=96,
-        iterations=2,
-        data_per_rank=4 * MB,
-        seed=5,
-        replications=3,
-    )
-    inline = run_replications(**kw)
+def test_service_matches_per_cell_solving_on_an_exact_tie():
+    # On every Kraken OST a second 45 MiB write arrives the instant the
+    # first completes at 90 MiB/s.  Four distinct cells (OST ids rotated)
+    # coalesce into one stack of 1344 virtual OSTs.
+    kraken = resolve_machine("kraken")
+    lanes = np.arange(kraken.ost_count)
+    cells = [
+        RequestBatch(
+            arrival=np.repeat([0.2425, 0.7425], kraken.ost_count),
+            ost=np.concatenate([lanes, lanes]) + shift,
+            nbytes=45 * MB,
+        )
+        for shift in range(4)
+    ]
     service = SolveService()
-    served = run_replications(**kw, service=service)
-    for reps_a, reps_b in zip(inline, served, strict=True):
-        for a, b in zip(reps_a, reps_b, strict=True):
-            np.testing.assert_array_equal(a.visible_times, b.visible_times)
-    assert service.stats.served == 6
+    for batch in cells:
+        service.submit(SolveRequest(kraken, batch))
+    responses = service.flush()
+    assert service.stats.solved == 4
+    for batch, response in zip(cells, responses, strict=True):
+        np.testing.assert_array_equal(response.done, solve(kraken, batch, large_writes=False))
+        np.testing.assert_array_equal(
+            response.done, solve(kraken, batch, large_writes=False, backend="reference")
+        )
 
 
-def test_run_sweep_serve_path_single_flush_and_bit_identical():
-    from repro.experiments._driver import run_sweep
-
-    kw = dict(
-        machine=GRID,
-        scales=(48, 96),
-        iterations=2,
-        data_per_rank=4 * MB,
-        seed=1,
-        with_interference=False,
-    )
-    inline = run_sweep(**kw)
-    service = SolveService()
-    served = run_sweep(**kw, service=service)
-    assert inline.keys() == served.keys()
-    for cell in inline:
-        for a, b in zip(inline[cell], served[cell], strict=True):
-            np.testing.assert_array_equal(a.visible_times, b.visible_times)
-    stats = service.stats
-    # One flush covered every cell of the sweep, and the deterministic
-    # approaches' repeated iterations deduplicated inside it.
-    assert stats.served == stats.submitted
-    assert stats.solved < stats.submitted
-
-
-def test_experiment_runners_serve_equals_inline():
-    from repro.experiments import run_spare_time, run_weak_scaling
-
-    kw = dict(scales=(48, 96), iterations=2, machine=GRID, seed=2, replications=2)
-    assert (
-        run_weak_scaling(**kw).to_json()
-        == run_weak_scaling(**kw, service=SolveService()).to_json()
-    )
-    assert (
-        run_spare_time(**kw).to_json()
-        == run_spare_time(**kw, service=SolveService()).to_json()
-    )
-
-
-def test_scenario_reads_serve_knobs():
-    from repro.scenario import ScenarioConfig
-
-    assert ScenarioConfig.from_env({}).serve is False
-    assert ScenarioConfig.from_env({"REPRO_SERVE": "1"}).serve is True
-    assert ScenarioConfig.from_env({"REPRO_SERVE": "off"}).serve is False
-
-
-def test_cli_run_e1_serve_matches_inline(capsys, monkeypatch):
-    from repro.cli import main
-
-    monkeypatch.setenv("REPRO_LADDER", "48,96")
-    base = ["run", "e1", "--machine", "grid5000", "--seed", "0"]
-    assert main([*base, "--format", "csv"]) == 0
-    inline = capsys.readouterr().out
-    assert main([*base, "--format", "csv", "--serve"]) == 0
-    assert capsys.readouterr().out == inline
+# ---------------------------------------------------------------------------
+# The ``python -m repro serve`` subcommand.
+# ---------------------------------------------------------------------------
 
 
 def test_cli_serve_subcommand_compares_inline(capsys):

@@ -98,7 +98,7 @@ def test_replication_zero_is_the_historical_stream():
 
 def test_replications_are_independent_of_count():
     # Replication r's results depend only on (seed, r), never on how many
-    # replications run alongside — the property that makes partitioning free.
+    # replications run alongside — the property that makes stacking free.
     few = run_replications("file-per-process", replications=2, **_CELL)
     many = run_replications("file-per-process", replications=5, **_CELL)
     for rep_few, rep_many in zip(few, many, strict=False):
@@ -129,15 +129,28 @@ def test_solve_many_matches_per_batch_solving_on_both_backends():
         for _ in range(6)
     ]
     backgrounds = [rng.poisson(1.2, KRAKEN.ost_count).astype(float), None] * 3
+    # An exact tie: on every OST a second 45 MiB write arrives the instant
+    # the first completes at 90 MiB/s.  Four copies span 1344 virtual OSTs.
+    lanes = np.arange(KRAKEN.ost_count)
+    tie = RequestBatch(
+        arrival=np.repeat([0.2425, 0.7425], KRAKEN.ost_count),
+        ost=np.concatenate([lanes, lanes]),
+        nbytes=45 * MB,
+    )
+    inputs = [(batches, backgrounds), ([tie] * 4, [None] * 4)]
     for backend in ("vectorized", "reference"):
-        stacked = solve_many(
-            KRAKEN, batches, backgrounds=backgrounds, large_writes=False, backend=backend
-        )
-        for batch, background, done in zip(batches, backgrounds, stacked, strict=True):
-            alone = solve(
-                KRAKEN, batch, background=background, large_writes=False, backend=backend
+        for stack, stack_backgrounds in inputs:
+            stacked = solve_many(
+                KRAKEN, stack, backgrounds=stack_backgrounds, large_writes=False, backend=backend
             )
-            np.testing.assert_array_equal(done, alone)
+            for batch, background, done in zip(stack, stack_backgrounds, stacked, strict=True):
+                alone = solve(
+                    KRAKEN, batch, background=background, large_writes=False, backend=backend
+                )
+                np.testing.assert_array_equal(done, alone)
+        # The reference's own rounding of the tied completion.
+        for done in stacked:
+            np.testing.assert_array_equal(done[: KRAKEN.ost_count], 0.7424999999999999)
 
 
 def test_solve_many_vectorized_agrees_with_reference_ground_truth():
