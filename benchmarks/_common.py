@@ -1,21 +1,26 @@
 """Helpers shared by the benchmark modules.
 
-The environment parsing lives in :meth:`repro.scenario.ScenarioConfig.from_env`;
-this module only re-exposes it in the shapes the benchmarks consume
-(``scenario()``, ``full_scale()``, ``default_ladder()``) so every module
-reads the same frozen configuration.  Timing, when a module wants it,
-comes from the shared :mod:`repro.bench` harness — never a bespoke
-``time.perf_counter`` loop — so every number in this repo is reduced the
-same way (warmup + best-of-N; see DESIGN.md, "Benchmarking").  The
-fallback ``benchmark`` fixture in ``conftest.py`` already routes through
-:func:`repro.bench.time_once`.
+Every module builds its run from the experiment table
+(:data:`repro.experiments.EXPERIMENTS`), the same table
+``python -m repro run`` reads, on the frozen
+:class:`~repro.scenario.ScenarioConfig` that
+:meth:`~repro.scenario.ScenarioConfig.from_env` parses from the
+``REPRO_*`` environment.  So the knobs of ``run`` — replications
+included — reach the benchmarks as environment variables.  Timing, when
+a module wants it, comes from the shared :mod:`repro.bench` harness —
+never a bespoke ``time.perf_counter`` loop — so every number in this
+repo is reduced the same way (warmup + best-of-N; see DESIGN.md,
+"Benchmarking").  The fallback ``benchmark`` fixture in ``conftest.py``
+already routes through :func:`repro.bench.time_once`.
 """
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.scenario import ScenarioConfig
+from repro.table import Table
 
-__all__ = ["scenario", "full_scale", "print_table", "default_ladder"]
+__all__ = ["scenario", "bench_table", "print_table"]
 
 
 def scenario() -> ScenarioConfig:
@@ -23,14 +28,26 @@ def scenario() -> ScenarioConfig:
     return ScenarioConfig.from_env()
 
 
-def full_scale() -> bool:
-    """Whether to also run the paper's largest (9216-rank) configurations."""
-    return scenario().full_scale
+def bench_table(
+    benchmark,
+    experiment: str,
+    index: int = 0,
+    *,
+    sc: ScenarioConfig | None = None,
+    output_dir: str = "",
+) -> Table:
+    """Run table ``index`` of ``experiment`` once, print it and apply its check.
 
-
-def default_ladder() -> list[int]:
-    """Weak-scaling ladder used by the scaling benchmarks."""
-    return list(scenario().ladder)
+    ``sc`` defaults to :func:`scenario`; ``output_dir`` is the artifact
+    directory of the experiments that write files (E5, E8).
+    """
+    spec = experiments.EXPERIMENTS[experiment][index]
+    runner = getattr(experiments, spec.runner)
+    kwargs = spec.kwargs(scenario() if sc is None else sc, output_dir)
+    table = benchmark.pedantic(runner, kwargs=kwargs, rounds=1, iterations=1)
+    print_table(table)
+    spec.verify(table)
+    return table
 
 
 def print_table(table) -> None:

@@ -1,11 +1,13 @@
 """Shared fixtures of the benchmark harness.
 
 Each benchmark regenerates one experiment of the paper's evaluation (see
-DESIGN.md, "Experiment index").  The run configuration — machine, ladder,
-data volume, seed, engine backend, replications — comes from the
-frozen :class:`repro.scenario.ScenarioConfig` that ``_common.scenario()``
-parses from the ``REPRO_*`` environment; ``REPRO_FULL_SCALE=1`` adds the
-paper's full 9216-rank Kraken points (slower).
+DESIGN.md, "Experiment index").  ``_common.bench_table`` builds the run
+from the experiment table :data:`repro.experiments.EXPERIMENTS` — the
+one ``python -m repro run`` reads — on the frozen
+:class:`repro.scenario.ScenarioConfig` that ``_common.scenario()`` parses
+from the ``REPRO_*`` environment, so machine, ladder, data volume, seed,
+engine backend and replications all apply; ``REPRO_FULL_SCALE=1`` adds
+the paper's full 9216-rank Kraken points (slower).
 
 Wall-clock numbers for CI live in ``repro.bench`` (``python -m repro
 bench``); these modules are about the experiment *tables*.  The fallback

@@ -12,35 +12,13 @@ seed-stable (CV bound), and the order-of-magnitude gap must hold between
 CI bounds — so the paper's claim is demonstrably not a seed artifact.
 """
 
-from repro.experiments import (
-    check_variability_shape,
-    check_variability_statistics,
-    run_variability,
-)
+from repro.experiments import check_variability_statistics
 
-from ._common import print_table, scenario
+from ._common import bench_table, scenario
 
 
 def test_bench_e2_variability(benchmark):
-    sc = scenario()
-    ranks = 2304 if sc.full_scale else 1152
-    table = benchmark.pedantic(
-        run_variability,
-        kwargs={
-            "ranks": ranks,
-            "iterations": 5,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 120.0,
-            "with_interference": True,
-            "interference": sc.interference,
-            "machine": sc.machine,
-            "seed": sc.seed,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_variability_shape(table)
+    table = bench_table(benchmark, "e2")
     # Paper §IV.B: the Damaris-visible write cost is of the order of 0.1 s
     # (a node-local memory copy), independent of the file system's state.
     damaris = table.where(approach="damaris")[0]
@@ -49,27 +27,9 @@ def test_bench_e2_variability(benchmark):
 
 def test_bench_e2_variability_statistics(benchmark):
     sc = scenario()
-    ranks = 2304 if sc.full_scale else 1152
-    replications = max(sc.replications, 30)
-    table = benchmark.pedantic(
-        run_variability,
-        kwargs={
-            "ranks": ranks,
-            "iterations": 5,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 120.0,
-            "with_interference": True,
-            "interference": sc.interference,
-            "machine": sc.machine,
-            "seed": sc.seed,
-            "replications": replications,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
+    sc = sc.with_overrides(replications=max(sc.replications, 30))
     # The reduced table keeps the single-run column names for the means,
     # so the qualitative shape check applies unchanged...
-    check_variability_shape(table)
+    table = bench_table(benchmark, "e2", sc=sc)
     # ...and the replication-grade acceptance test tightens it to CI level.
     check_variability_statistics(table, min_replications=30)

@@ -7,27 +7,8 @@ approach; the absolute Damaris number approaches the paper's value only at
 the full 9216-rank scale (REPRO_FULL_SCALE=1).
 """
 
-from repro.experiments import check_throughput_shape, run_throughput
-from repro.scenario import FULL_SCALE_RANKS
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e3_throughput(benchmark):
-    sc = scenario()
-    ranks = FULL_SCALE_RANKS if sc.full_scale else 2304
-    table = benchmark.pedantic(
-        run_throughput,
-        kwargs={
-            "ranks": ranks,
-            "iterations": 2,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 120.0,
-            "machine": sc.machine,
-            "seed": sc.seed,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_throughput_shape(table)
+    bench_table(benchmark, "e3")

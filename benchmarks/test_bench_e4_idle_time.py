@@ -1,27 +1,10 @@
 """E4 (paper §IV.D): the dedicated cores are idle 92%-99% of the time."""
 
-from repro.experiments import check_spare_time_shape, run_spare_time
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e4_idle_time(benchmark):
-    sc = scenario()
-    table = benchmark.pedantic(
-        run_spare_time,
-        kwargs={
-            "scales": list(sc.ladder),
-            "iterations": 3,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 300.0,
-            "machine": sc.machine,
-            "seed": sc.seed,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_spare_time_shape(table)
+    table = bench_table(benchmark, "e4")
     # Idle fraction should not degrade as the simulation scales out.
     idles = table.sort_by("ranks").column("idle_fraction")
     assert idles[-1] >= idles[0] - 0.05

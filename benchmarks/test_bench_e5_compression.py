@@ -6,21 +6,11 @@ comparing the client-visible write cost with and without the compressing
 writer plugin.
 """
 
-from repro.experiments import check_compression_shape, run_compression
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e5_compression(benchmark, tmp_path):
-    sc = scenario()
-    table = benchmark.pedantic(
-        run_compression,
-        kwargs={"output_dir": str(tmp_path), "machine": sc.machine, "seed": sc.seed},
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_compression_shape(table)
+    table = bench_table(benchmark, "e5", output_dir=str(tmp_path))
     # At least one codec should approach the paper's 600% figure.
     ratios = [row["ratio_percent"] for row in table if "ratio_percent" in row.as_dict()]
     assert max(ratios) > 400.0

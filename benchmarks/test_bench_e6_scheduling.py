@@ -8,34 +8,8 @@ absolute scale (96 OSTs, 192 writing nodes) so it completes quickly.
 ``REPRO_FULL_SCALE=1`` runs the true Kraken configuration instead.
 """
 
-from repro.experiments import check_scheduling_shape, run_scheduling
-from repro.scenario import FULL_SCALE_RANKS
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e6_scheduling(benchmark):
-    sc = scenario()
-    if sc.full_scale:
-        kwargs = {
-            "ranks": FULL_SCALE_RANKS,
-            "machine": sc.machine,
-            "wave_size": sc.machine.ost_count,
-        }
-    else:
-        kwargs = {
-            "ranks": 2304,
-            "machine": sc.machine.with_overrides(ost_count=96),
-            "wave_size": 96,
-        }
-    kwargs.update(
-        {
-            "iterations": 2,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 120.0,
-            "seed": sc.seed,
-        }
-    )
-    table = benchmark.pedantic(run_scheduling, kwargs=kwargs, rounds=1, iterations=1)
-    print_table(table)
-    check_scheduling_shape(table)
+    bench_table(benchmark, "e6")

@@ -6,40 +6,15 @@ Nek5000-like workload, and (b) the iteration-skipping behaviour when the
 analysis is slower than the simulation's compute step.
 """
 
-from repro.experiments import check_insitu_shape, run_insitu_scaling
-from repro.experiments.insitu_scale import run_insitu_backpressure
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e7_insitu_scaling(benchmark):
-    sc = scenario()
-    scales = (92, 184, 368, 736) if sc.full_scale else (92, 184, 368)
-    table = benchmark.pedantic(
-        run_insitu_scaling,
-        kwargs={
-            "scales": scales,
-            "iterations": 3,
-            "machine": sc.machine,
-            "seed": sc.seed,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_insitu_shape(table)
+    bench_table(benchmark, "e7", 0)
 
 
 def test_bench_e7_iteration_skipping(benchmark):
-    sc = scenario()
-    table = benchmark.pedantic(
-        run_insitu_backpressure,
-        kwargs={"machine": sc.machine},
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    row = table[0]
+    row = bench_table(benchmark, "e7", 1)[0]
     # The analysis cannot keep up, so iterations are dropped rather than the
     # simulation being stalled: the run time stays close to pure compute.
     assert row["skipped"] > 0

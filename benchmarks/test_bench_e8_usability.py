@@ -7,17 +7,11 @@ instruments the CM1 proxy against both couplings and counts real source
 lines and API calls.
 """
 
-from repro.experiments import check_usability_shape, run_usability
-
-from ._common import print_table
+from ._common import bench_table
 
 
 def test_bench_e8_usability(benchmark, tmp_path):
-    table = benchmark.pedantic(
-        run_usability, kwargs={"output_dir": str(tmp_path)}, rounds=1, iterations=1
-    )
-    print_table(table)
-    check_usability_shape(table)
+    table = bench_table(benchmark, "e8", output_dir=str(tmp_path))
     rows = {row["coupling"]: row for row in table}
     damaris = rows["damaris (dedicated cores)"]
     visit = rows["visit-like (synchronous)"]

@@ -9,31 +9,11 @@ the dedicated core absorbing the contention in its overlapped backend
 write instead.
 """
 
-from repro.experiments import check_app_interference_shape, run_app_interference
-
-from ._common import print_table, scenario
+from ._common import bench_table
 
 
 def test_bench_e9_interference(benchmark):
-    sc = scenario()
-    ranks = 2304 if sc.full_scale else 1152
-    table = benchmark.pedantic(
-        run_app_interference,
-        kwargs={
-            "ranks": ranks,
-            "iterations": 4,
-            "data_per_rank": sc.data_per_rank,
-            "compute_time": 120.0,
-            "machine": sc.machine,
-            "seed": sc.seed,
-            "background": sc.workload,
-            "trace_dir": sc.trace,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    print_table(table)
-    check_app_interference_shape(table)
+    table = bench_table(benchmark, "e9")
     # The Damaris-visible cost must not move when another application
     # hammers the shared OSTs: same ~0.1 s copy at every intensity.
     damaris = table.where(approach="damaris")

@@ -15,9 +15,10 @@ Examples::
     python -m repro bench --baseline benchmarks/baseline.json --max-regression 25
 
 ``run`` builds a :class:`~repro.scenario.ScenarioConfig` from the flags
-(environment variables fill whatever the flags leave out), executes the
-experiment's runner, optionally applies its shape check, and prints the
-resulting table(s) as text, CSV or JSON.
+(environment variables fill whatever the flags leave out), calls the
+runners that :data:`repro.experiments.EXPERIMENTS` lists for the
+experiment, and prints the resulting table(s) as text, CSV or JSON,
+applying each table's shape check after printing it when asked.
 """
 
 from __future__ import annotations
@@ -26,148 +27,19 @@ import argparse
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from . import experiments
 from .analyze.cli import add_analyze_parser, run_analyze
 from .bench.cli import add_bench_parser, run_bench
 from .engine import backend_names, machine_names, resolve_machine, set_default_backend
+from .experiments import EXPERIMENTS
 from .io_models import approach_names, resolve_approach
-from .scenario import FULL_SCALE_RANKS, ScenarioConfig
+from .scenario import ScenarioConfig
 from .serve.cli import add_serve_parser, run_serve
 from .table import Table
 from .workloads import arrival_process_names, resolve_arrival_process
 
 __all__ = ["main"]
-
-
-def _e1(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    table = experiments.run_weak_scaling(
-        scales=sc.ladder,
-        data_per_rank=sc.data_per_rank,
-        compute_time=300.0,
-        machine=sc.machine,
-        seed=sc.seed,
-        replications=sc.replications,
-    )
-    return {"weak_scaling": table}
-
-
-def _e2(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    ranks = 2304 if sc.full_scale else 1152
-    table = experiments.run_variability(
-        ranks=ranks,
-        data_per_rank=sc.data_per_rank,
-        compute_time=120.0,
-        with_interference=True,
-        interference=sc.interference,
-        machine=sc.machine,
-        seed=sc.seed,
-        replications=sc.replications,
-    )
-    return {"variability": table}
-
-
-def _e3(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    ranks = FULL_SCALE_RANKS if sc.full_scale else 2304
-    table = experiments.run_throughput(
-        ranks=ranks,
-        data_per_rank=sc.data_per_rank,
-        compute_time=120.0,
-        machine=sc.machine,
-        seed=sc.seed,
-        replications=sc.replications,
-    )
-    return {"throughput": table}
-
-
-def _e4(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    table = experiments.run_spare_time(
-        scales=sc.ladder,
-        data_per_rank=sc.data_per_rank,
-        compute_time=300.0,
-        machine=sc.machine,
-        seed=sc.seed,
-        replications=sc.replications,
-    )
-    return {"spare_time": table}
-
-
-def _e5(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    table = experiments.run_compression(output_dir=output_dir, machine=sc.machine, seed=sc.seed)
-    return {"compression": table}
-
-
-def _e6(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    if sc.full_scale:
-        machine, ranks = sc.machine, FULL_SCALE_RANKS
-    else:
-        # The scheduling claim needs writers to outnumber OSTs; reach the
-        # over-subscribed regime cheaply by shrinking the file system.
-        machine, ranks = sc.machine.with_overrides(ost_count=96), 2304
-    table = experiments.run_scheduling(
-        ranks=ranks,
-        machine=machine,
-        data_per_rank=sc.data_per_rank,
-        compute_time=120.0,
-        seed=sc.seed,
-        replications=sc.replications,
-    )
-    return {"scheduling": table}
-
-
-def _e7(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    scales = (92, 184, 368, 736) if sc.full_scale else (92, 184, 368)
-    return {
-        "insitu_scaling": experiments.run_insitu_scaling(
-            scales=scales, machine=sc.machine, seed=sc.seed, replications=sc.replications
-        ),
-        "insitu_backpressure": experiments.run_insitu_backpressure(machine=sc.machine),
-    }
-
-
-def _e8(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    return {"usability": experiments.run_usability(output_dir=output_dir)}
-
-
-def _e9(sc: ScenarioConfig, output_dir: str) -> dict[str, Table]:
-    ranks = 2304 if sc.full_scale else 1152
-    table = experiments.run_app_interference(
-        ranks=ranks,
-        data_per_rank=sc.data_per_rank,
-        compute_time=120.0,
-        machine=sc.machine,
-        seed=sc.seed,
-        background=sc.workload,
-        trace_dir=sc.trace,
-        replications=sc.replications,
-    )
-    return {"app_interference": table}
-
-
-_CHECKS: dict[str, Callable[[Table], None]] = {
-    "weak_scaling": experiments.check_scaling_shape,
-    "variability": experiments.check_variability_shape,
-    "throughput": experiments.check_throughput_shape,
-    "spare_time": experiments.check_spare_time_shape,
-    "compression": experiments.check_compression_shape,
-    "scheduling": experiments.check_scheduling_shape,
-    "insitu_scaling": experiments.check_insitu_shape,
-    "usability": experiments.check_usability_shape,
-    "app_interference": experiments.check_app_interference_shape,
-}
-
-_EXPERIMENTS: dict[str, Callable[[ScenarioConfig, str], dict[str, Table]]] = {
-    "e1": _e1,
-    "e2": _e2,
-    "e3": _e3,
-    "e4": _e4,
-    "e5": _e5,
-    "e6": _e6,
-    "e7": _e7,
-    "e8": _e8,
-    "e9": _e9,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment and print its table(s)")
-    run.add_argument("experiment", choices=sorted(_EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run.add_argument("--machine", default=None, help=f"one of: {', '.join(machine_names())}")
     run.add_argument("--full-scale", action="store_true", help="add the 9216-rank points")
     run.add_argument("--seed", type=int, default=None)
@@ -290,15 +162,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if scenario.backend is not None:
         set_default_backend(scenario.backend)
 
+    specs = EXPERIMENTS[args.experiment]
     if args.output_dir is not None:
-        tables = _EXPERIMENTS[args.experiment](scenario, args.output_dir)
+        tables = [spec.build(scenario, args.output_dir) for spec in specs]
     else:
         with tempfile.TemporaryDirectory(prefix="repro-") as output_dir:
-            tables = _EXPERIMENTS[args.experiment](scenario, output_dir)
+            tables = [spec.build(scenario, output_dir) for spec in specs]
 
-    multiple = len(tables) > 1
-    for name, table in tables.items():
-        sys.stdout.write(_render(name, table, args.format, multiple))
-        if args.check and name in _CHECKS:
-            _CHECKS[name](table)
+    for spec, table in zip(specs, tables, strict=True):
+        sys.stdout.write(_render(spec.name, table, args.format, len(specs) > 1))
+        if args.check:
+            spec.verify(table)
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,30 @@ class Interference:
     #: Chance that a whole collective write lands during a heavy burst.
     collective_burst_probability: float = 0.25
     collective_burst_slowdown: tuple[float, float] = (2.0, 5.0)
+
+    def __post_init__(self) -> None:
+        # Plain compares, which NaN fails; nothing here draws from an rng.
+        for name in ("background_streams", "collective_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"Interference {name} must be finite and >= 0, got {value!r}")
+        for name in ("burst_probability", "collective_burst_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"Interference {name} must be in [0, 1], got {value!r}")
+        for name in ("burst_streams", "collective_burst_slowdown"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] < math.inf:
+                raise ValueError(
+                    f"Interference {name} must be a finite (lo, hi) pair "
+                    f"with 0 <= lo <= hi, got {pair!r}"
+                )
+        # The sampler's rng.integers would floor a fractional stream count.
+        streams = self.burst_streams
+        if not all(float(count).is_integer() for count in streams):
+            raise ValueError(
+                f"Interference burst_streams must be whole stream counts, got {streams!r}"
+            )
 
     def sample_background(self, machine: Machine, rng: np.random.Generator) -> FloatArray:
         """Background stream count per OST for one iteration."""

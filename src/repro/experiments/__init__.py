@@ -2,10 +2,13 @@
 
 Every ``run_*`` returns a :class:`repro.table.Table`; every ``check_*_shape``
 asserts the qualitative shape of the corresponding figure or claim.
+:data:`EXPERIMENTS` maps each experiment id to the runner calls that
+build its tables; the CLI and ``benchmarks/`` both read it.
 """
 
 from .app_interference import check_app_interference_shape, run_app_interference
 from .compression import check_compression_shape, run_compression
+from .index import EXPERIMENTS, TableSpec
 from .insitu_scale import (
     check_insitu_shape,
     run_insitu_backpressure,
@@ -23,6 +26,8 @@ from .variability import (
 from .weak_scaling import check_scaling_shape, run_weak_scaling
 
 __all__ = [
+    "EXPERIMENTS",
+    "TableSpec",
     "run_weak_scaling",
     "check_scaling_shape",
     "run_variability",

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-
-import numpy as np
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Any
 
 from ..engine import Interference, Machine, NO_INTERFERENCE
 from ..io_models import IOApproach, IterationResult, resolve_approaches
+from ..stats import reduce_replications
 from ..stats.replication import cell_rng, run_replications
+from ..table import Table
 from ..util import seed_key
 
 __all__ = [
-    "run_iterations",
-    "run_all_approaches",
     "run_replicated_approaches",
     "run_sweep",
+    "replication_table",
     "cell_rng",
     "approach_seed_key",
     "iteration_period",
@@ -53,20 +53,23 @@ def approach_seed_key(name: str) -> int:
     return seed_key(name)
 
 
-def run_iterations(
-    approach: IOApproach,
-    machine: Machine,
-    ranks: int,
-    iterations: int,
-    data_per_rank: float,
-    rng: np.random.Generator,
-    interference: Interference = NO_INTERFERENCE,
-) -> list[IterationResult]:
-    """Run ``iterations`` simulated timesteps of one approach."""
-    return [
-        approach.run_iteration(machine, ranks, data_per_rank, rng, interference)
-        for _ in range(iterations)
-    ]
+def replication_table(
+    rows: Iterable[tuple[int, dict[str, Any]]],
+    group_by: Sequence[str],
+    replications: int,
+    seed: int,
+) -> Table:
+    """A runner's table from its ``(replication, row)`` pairs.
+
+    One replication gives the plain rows.  More tag each row with its
+    ``replication`` index and reduce every ``group_by`` group to one row
+    of CI column families.  The pairs come in the runner's row order,
+    which fixes the group order and the bootstrap CIs.
+    """
+    if replications == 1:
+        return Table(row for _, row in rows)
+    tagged = Table({**row, "replication": index} for index, row in rows)
+    return reduce_replications(tagged, group_by, seed=seed)
 
 
 def _effective_interference(
@@ -76,30 +79,6 @@ def _effective_interference(
     if not with_interference:
         return NO_INTERFERENCE
     return DEFAULT_INTERFERENCE if interference is None else interference
-
-
-def run_all_approaches(
-    machine: Machine,
-    ranks: int,
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    with_interference: bool,
-    approaches: Sequence[IOApproach | str] | None = None,
-    interference: Interference | None = None,
-) -> Iterator[tuple[IOApproach, list[IterationResult]]]:
-    """Run a selection of approaches at one scale with the standard seeding.
-
-    ``approaches`` may mix instances and registered names; ``None`` selects
-    the paper's original three.  ``interference`` overrides the default
-    model when ``with_interference`` is set (e.g. a scenario's own).
-    """
-    effective = _effective_interference(with_interference, interference)
-    for approach in resolve_approaches(approaches):
-        rng = cell_rng(seed, ranks, approach)
-        yield approach, run_iterations(
-            approach, machine, ranks, iterations, data_per_rank, rng, effective
-        )
 
 
 def run_replicated_approaches(
@@ -114,13 +93,17 @@ def run_replicated_approaches(
     interference: Interference | None = None,
     batched: bool = True,
 ) -> Iterator[tuple[IOApproach, list[list[IterationResult]]]]:
-    """Replicated :func:`run_all_approaches`: R independently-seeded copies.
+    """Run a selection of approaches at one scale, R seeded copies each.
 
     Yields ``(approach, replications)`` where the inner value holds one
-    result list per replication (replication 0 being the historical
-    stream).  Replications solve batched through the engine's stacked
+    result list per replication.  Replication 0 is the historical stream,
+    so a single run is replication 0 of a one-deep stack.  Replications
+    solve batched through the engine's stacked
     :func:`~repro.engine.solve_many` path by default; ``batched=False``
-    keeps the serial ground-truth loop.
+    keeps the serial ground-truth loop.  ``approaches`` may mix instances
+    and registered names; ``None`` selects the paper's original three.
+    ``interference`` overrides the default model when
+    ``with_interference`` is set (e.g. a scenario's own).
     """
     effective = _effective_interference(with_interference, interference)
     for approach in resolve_approaches(approaches):
@@ -149,43 +132,29 @@ def run_sweep(
     with_interference: bool,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
-    replications: int | None = None,
+    replications: int = 1,
     batched: bool = True,
-) -> dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]]:
+) -> dict[tuple[int, str], list[list[IterationResult]]]:
     """Run every (scale, approach) cell, keyed by ``(ranks, approach name)``.
 
-    The per-cell rng derivation (:func:`cell_rng`) makes every cell
-    independent of which other cells run alongside it.  With
-    ``replications`` set, every cell value becomes one result list per
-    replication, solved through the stacked engine path unless
-    ``batched`` is off.
+    Every cell value holds one result list per replication, solved
+    through the stacked engine path unless ``batched`` is off.  The
+    per-cell rng derivation (:func:`cell_rng`) makes every cell
+    independent of which other cells run alongside it.
     """
-    sweep: dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]] = {}
+    sweep: dict[tuple[int, str], list[list[IterationResult]]] = {}
     for ranks in scales:
-        if replications is None:
-            for approach, results in run_all_approaches(
-                machine,
-                ranks,
-                iterations,
-                data_per_rank,
-                seed,
-                with_interference,
-                approaches=approaches,
-                interference=interference,
-            ):
-                sweep[(ranks, approach.name)] = results
-        else:
-            for approach, reps in run_replicated_approaches(
-                machine,
-                ranks,
-                iterations,
-                data_per_rank,
-                seed,
-                with_interference,
-                replications,
-                approaches=approaches,
-                interference=interference,
-                batched=batched,
-            ):
-                sweep[(ranks, approach.name)] = reps
+        for approach, reps in run_replicated_approaches(
+            machine,
+            ranks,
+            iterations,
+            data_per_rank,
+            seed,
+            with_interference,
+            replications,
+            approaches=approaches,
+            interference=interference,
+            batched=batched,
+        ):
+            sweep[(ranks, approach.name)] = reps
     return sweep

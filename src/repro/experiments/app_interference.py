@@ -33,11 +33,10 @@ import numpy as np
 
 from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import IOApproach, resolve_approaches
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB, replication_seed
 from ..workloads import Workload, run_composition
-from ._driver import _validate_replications, iteration_period
+from ._driver import _validate_replications, iteration_period, replication_table
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -79,8 +78,8 @@ def _cell_rows(
     background: Workload,
     trace_dir: Path | None,
     replications: int,
-) -> list[dict[str, Any]]:
-    """The rows of one (intensity, approach) cell, one per replication."""
+) -> list[tuple[int, dict[str, Any]]]:
+    """The ``(replication, row)`` pairs of one (intensity, approach) cell."""
     foreground = Workload(
         app="sim",
         ranks=ranks,
@@ -90,7 +89,7 @@ def _cell_rows(
     )
     contender = _scaled_background(background, INTENSITY_LEVELS[intensity])
     workloads = [foreground] + ([contender] if contender is not None else [])
-    rows: list[dict[str, Any]] = []
+    rows: list[tuple[int, dict[str, Any]]] = []
     for index in range(replications):
         trace_path: Path | None = None
         if trace_dir is not None and index == 0:
@@ -127,9 +126,7 @@ def _cell_rows(
             bg_samples = np.concatenate([r.visible_times for r in outcome.results[contender.app]])
             row["bg_io_mean_s"] = float(bg_samples.mean())
             row["bg_io_p99_s"] = float(np.percentile(bg_samples, 99))
-        if replications > 1:
-            row["replication"] = index
-        rows.append(row)
+        rows.append((index, row))
     return rows
 
 
@@ -163,26 +160,25 @@ def run_app_interference(
     _validate_replications(replications)
     names = [a.name for a in resolve_approaches(approaches)]
     traces = None if trace_dir is None else Path(trace_dir)
-    table = Table()
-    for intensity in intensities:
-        for name in names:
-            for row in _cell_rows(
-                machine,
-                ranks,
-                iterations,
-                data_per_rank,
-                compute_time,
-                seed,
-                name,
-                intensity,
-                background,
-                traces,
-                replications,
-            ):
-                table.append(row)
-    if replications > 1:
-        table = reduce_replications(table, ("intensity", "approach"), seed=seed)
-    return table
+    rows = (
+        pair
+        for intensity in intensities
+        for name in names
+        for pair in _cell_rows(
+            machine,
+            ranks,
+            iterations,
+            data_per_rank,
+            compute_time,
+            seed,
+            name,
+            intensity,
+            background,
+            traces,
+            replications,
+        )
+    )
+    return replication_table(rows, ("intensity", "approach"), replications, seed)
 
 
 def check_app_interference_shape(table: Table) -> None:

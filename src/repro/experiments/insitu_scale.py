@@ -21,10 +21,9 @@ from typing import Any
 import numpy as np
 
 from ..engine import KRAKEN, Machine, resolve_machine
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import replication_seed
-from ._driver import _validate_replications
+from ._driver import _validate_replications, replication_table
 
 __all__ = ["run_insitu_scaling", "run_insitu_backpressure", "check_insitu_shape"]
 
@@ -43,7 +42,7 @@ def run_insitu_scaling(
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
-    table = Table()
+    rows: list[tuple[int, dict[str, Any]]] = []
     for cores in scales:
         for index in range(replications):
             # Per-rung seeding: a row is reproducible from (seed, cores,
@@ -67,12 +66,8 @@ def run_insitu_scaling(
                     "insitu_mean_s": mean,
                     "run_time_s": iterations * (NEK_COMPUTE_S + mean),
                 }
-                if replications > 1:
-                    row["replication"] = index
-                table.append(row)
-    if replications > 1:
-        table = reduce_replications(table, ("coupling", "cores"), seed=seed)
-    return table
+                rows.append((index, row))
+    return replication_table(rows, ("coupling", "cores"), replications, seed)
 
 
 def check_insitu_shape(table: Table) -> None:

@@ -18,10 +18,9 @@ import numpy as np
 from ..engine import Interference, KRAKEN, Machine, RequestBatch, resolve_machine, solve
 from ..util import IntArray
 from ..io_models import DedicatedCores
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import GB, MB, replication_seed
-from ._driver import DEFAULT_INTERFERENCE, _validate_replications
+from ._driver import DEFAULT_INTERFERENCE, _validate_replications, replication_table
 
 __all__ = ["run_scheduling", "check_scheduling_shape"]
 
@@ -70,7 +69,7 @@ def run_scheduling(
     else:
         interference = None
 
-    table = Table()
+    rows: list[tuple[int, dict[str, Any]]] = []
     for index in range(replications):
         rng = np.random.default_rng([replication_seed(seed, index), ranks, wave_size])
         # Both policies face the same file-system weather and OST placement.
@@ -113,14 +112,10 @@ def run_scheduling(
                 # compute phase (the point of overlapping them at all).
                 "hidden_by_compute": bool(np.max(walls) <= compute_time),
             }
-            if replications > 1:
-                row["replication"] = index
-            table.append(row)
-    if replications > 1:
-        table = reduce_replications(
-            table, ("policy", "ranks", "writers", "osts", "wave_size"), seed=seed
-        )
-    return table
+            rows.append((index, row))
+    return replication_table(
+        rows, ("policy", "ranks", "writers", "osts", "wave_size"), replications, seed
+    )
 
 
 def check_scheduling_shape(table: Table) -> None:

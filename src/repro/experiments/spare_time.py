@@ -17,10 +17,9 @@ import numpy as np
 
 from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import DedicatedCores
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB, replication_seed
-from ._driver import _validate_replications, iteration_period, run_iterations
+from ._driver import _validate_replications, iteration_period, replication_table
 
 __all__ = ["run_spare_time", "check_spare_time_shape"]
 
@@ -37,13 +36,16 @@ def run_spare_time(
     machine = resolve_machine(machine)
     _validate_replications(replications)
     approach = DedicatedCores()
-    table = Table()
+    rows: list[tuple[int, dict[str, Any]]] = []
     for ranks in scales:
         for index in range(replications):
             # Replication 0 keeps the experiment's historical [seed, ranks]
             # stream; further replications shift the seed by name-hash.
             rng = np.random.default_rng([replication_seed(seed, index), ranks])
-            results = run_iterations(approach, machine, ranks, iterations, data_per_rank, rng)
+            results = [
+                approach.run_iteration(machine, ranks, data_per_rank, rng)
+                for _ in range(iterations)
+            ]
             nodes = machine.nodes_for(ranks)
             node_bytes = approach.node_bytes(machine, ranks, data_per_rank)
             # Ingest of the clients' shared-memory copies plus the async write.
@@ -60,12 +62,8 @@ def run_spare_time(
                 "period_s": period,
                 "idle_fraction": 1.0 - busy / period,
             }
-            if replications > 1:
-                row["replication"] = index
-            table.append(row)
-    if replications > 1:
-        table = reduce_replications(table, ("ranks", "nodes"), seed=seed)
-    return table
+            rows.append((index, row))
+    return replication_table(rows, ("ranks", "nodes"), replications, seed)
 
 
 def check_spare_time_shape(table: Table) -> None:

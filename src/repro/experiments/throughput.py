@@ -16,13 +16,12 @@ import numpy as np
 
 from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import GB, MB
 from ._driver import (
     _validate_replications,
     iteration_period,
-    run_all_approaches,
+    replication_table,
     run_replicated_approaches,
 )
 
@@ -65,38 +64,23 @@ def run_throughput(
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
-    table = Table()
-    if replications <= 1:
-        for approach, results in run_all_approaches(
+    rows = (
+        (index, _throughput_row(approach.name, ranks, results, compute_time, iterations))
+        for approach, reps in run_replicated_approaches(
             machine,
             ranks,
             iterations,
             data_per_rank,
             seed,
             with_interference,
+            replications,
             approaches=approaches,
             interference=interference,
-        ):
-            table.append(_throughput_row(approach.name, ranks, results, compute_time, iterations))
-        return table
-    for approach, reps in run_replicated_approaches(
-        machine,
-        ranks,
-        iterations,
-        data_per_rank,
-        seed,
-        with_interference,
-        replications,
-        approaches=approaches,
-        interference=interference,
-        batched=batched,
-    ):
-        for index, results in enumerate(reps):
-            table.append(
-                _throughput_row(approach.name, ranks, results, compute_time, iterations),
-                replication=index,
-            )
-    return reduce_replications(table, ("approach", "ranks"), seed=seed)
+            batched=batched,
+        )
+        for index, results in enumerate(reps)
+    )
+    return replication_table(rows, ("approach", "ranks"), replications, seed)
 
 
 def check_throughput_shape(table: Table) -> None:

@@ -26,13 +26,12 @@ import numpy as np
 
 from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB
 from ._driver import (
     _validate_replications,
     iteration_period,
-    run_all_approaches,
+    replication_table,
     run_replicated_approaches,
 )
 
@@ -79,38 +78,23 @@ def run_variability(
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
-    table = Table()
-    if replications <= 1:
-        for approach, results in run_all_approaches(
+    rows = (
+        (index, _variability_row(approach.name, ranks, results, compute_time))
+        for approach, reps in run_replicated_approaches(
             machine,
             ranks,
             iterations,
             data_per_rank,
             seed,
             with_interference,
+            replications,
             approaches=approaches,
             interference=interference,
-        ):
-            table.append(_variability_row(approach.name, ranks, results, compute_time))
-        return table
-    for approach, reps in run_replicated_approaches(
-        machine,
-        ranks,
-        iterations,
-        data_per_rank,
-        seed,
-        with_interference,
-        replications,
-        approaches=approaches,
-        interference=interference,
-        batched=batched,
-    ):
-        for index, results in enumerate(reps):
-            table.append(
-                _variability_row(approach.name, ranks, results, compute_time),
-                replication=index,
-            )
-    return reduce_replications(table, ("approach", "ranks"), seed=seed)
+            batched=batched,
+        )
+        for index, results in enumerate(reps)
+    )
+    return replication_table(rows, ("approach", "ranks"), replications, seed)
 
 
 def check_variability_shape(table: Table) -> None:

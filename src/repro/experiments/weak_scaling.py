@@ -12,16 +12,15 @@ scale — the paper's ≈3.5x figure for Damaris at 9216 ranks.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Any, cast
+from typing import Any
 
 import numpy as np
 
 from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult, resolve_approaches
-from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB
-from ._driver import _validate_replications, iteration_period, run_sweep
+from ._driver import _validate_replications, iteration_period, replication_table, run_sweep
 
 __all__ = ["run_weak_scaling", "check_scaling_shape"]
 
@@ -90,23 +89,17 @@ def run_weak_scaling(
         with_interference,
         approaches=approaches,
         interference=interference,
-        replications=replications if replications > 1 else None,
+        replications=replications,
         batched=batched,
     )
-    table = Table()
-    if replications <= 1:
-        singles = cast("dict[tuple[int, str], list[IterationResult]]", sweep)
-        for row in _scaling_rows(singles, scales, names, iterations, compute_time):
-            table.append(row)
-        return table
     # Per-replication speedups compare same-replication runs, so the
     # reduced speedup column is a genuine paired statistic.
-    replicated = cast("dict[tuple[int, str], list[list[IterationResult]]]", sweep)
+    rows: list[tuple[int, dict[str, Any]]] = []
     for index in range(replications):
-        cut = {key: reps[index] for key, reps in replicated.items()}
+        cut = {key: reps[index] for key, reps in sweep.items()}
         for row in _scaling_rows(cut, scales, names, iterations, compute_time):
-            table.append(row, replication=index)
-    return reduce_replications(table, ("approach", "ranks"), seed=seed)
+            rows.append((index, row))
+    return replication_table(rows, ("approach", "ranks"), replications, seed)
 
 
 def check_scaling_shape(table: Table) -> None:

@@ -12,6 +12,8 @@ one can live in the ``REPRO_WORKLOAD`` environment variable::
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 from ..io_models import resolve_approach
@@ -36,10 +38,14 @@ class Workload:
     def __post_init__(self) -> None:
         if not self.app:
             raise ValueError("workload app name must be non-empty")
-        if self.ranks < 1:
-            raise ValueError(f"workload ranks must be >= 1, got {self.ranks}")
-        if self.data_per_rank <= 0:
-            raise ValueError(f"data per rank must be > 0, got {self.data_per_rank}")
+        ranks = self.ranks
+        if isinstance(ranks, bool) or not isinstance(ranks, numbers.Integral) or ranks < 1:
+            raise ValueError(f"workload ranks must be an integer >= 1, got {ranks!r}")
+        # A plain compare, which NaN fails.
+        if not 0.0 < self.data_per_rank < math.inf:
+            raise ValueError(
+                f"workload data_per_rank must be finite and > 0, got {self.data_per_rank!r}"
+            )
         # Normalise through the registries so typos fail at construction,
         # not in the middle of a sweep.
         object.__setattr__(self, "arrival", resolve_arrival_process(self.arrival).name)
@@ -64,9 +70,19 @@ class Workload:
             if key == "app":
                 fields["app"] = value
             elif key == "ranks":
-                fields["ranks"] = int(value)
+                try:
+                    fields["ranks"] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"workload field ranks must be an integer, got {value!r} in {spec!r}"
+                    ) from None
             elif key == "data_mb":
-                fields["data_per_rank"] = float(value) * MB
+                try:
+                    fields["data_per_rank"] = float(value) * MB
+                except ValueError:
+                    raise ValueError(
+                        f"workload field data_mb must be a number, got {value!r} in {spec!r}"
+                    ) from None
             elif key == "arrival":
                 fields["arrival"] = value
             elif key == "approach":

@@ -112,7 +112,13 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> Trace:
-        """Read a trace written by :meth:`save`."""
+        """Read a trace written by :meth:`save`.
+
+        Every malformed record raises a :class:`ValueError` naming the
+        file and the line: invalid JSON, a missing key, batch columns of
+        unequal length, or a background that does not cover the recorded
+        machine's OSTs.
+        """
         path = Path(path)
         header: dict[str, Any] | None = None
         iterations: list[TraceIteration] = []
@@ -121,37 +127,13 @@ class Trace:
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                kind = record.get("type")
-                if kind == "header":
-                    if record.get("version") != _VERSION:
-                        raise ValueError(
-                            f"{path}: unsupported trace version {record.get('version')!r}"
-                        )
-                    header = record
-                elif header is None:
-                    raise ValueError(f"{path}:{line_no}: trace record before header")
-                elif kind == "solve":
-                    iterations.append(
-                        TraceIteration(
-                            large_writes=bool(record["large_writes"]),
-                            background=np.asarray(record["background"], dtype=np.float64),
-                        )
-                    )
-                elif kind == "batch":
-                    if record["iteration"] != len(iterations) - 1:
-                        raise ValueError(
-                            f"{path}:{line_no}: batch for iteration "
-                            f"{record['iteration']} outside iteration {len(iterations) - 1}"
-                        )
-                    iterations[-1].batches[record["app"]] = RequestBatch(
-                        arrival=np.asarray(record["arrival"], dtype=np.float64),
-                        ost=np.asarray(record["ost"], dtype=np.int64),
-                        nbytes=np.asarray(record["nbytes"], dtype=np.float64),
-                        tag=np.asarray(record["tag"], dtype=np.int64),
-                    )
-                else:
-                    raise ValueError(f"{path}:{line_no}: unknown trace record {kind!r}")
+                try:
+                    header = _read_record(line, header, iterations)
+                except KeyError as exc:
+                    key = exc.args[0]
+                    raise ValueError(f"{path}:{line_no}: record lacks key {key!r}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
         if header is None:
             raise ValueError(f"{path}: not a trace file (no header line)")
         if len(iterations) != header["iterations"]:
@@ -171,3 +153,62 @@ class Trace:
             iterations=iterations,
             machine_fields=header.get("machine_fields"),
         )
+
+
+def _read_record(
+    line: str, header: dict[str, Any] | None, iterations: list[TraceIteration]
+) -> dict[str, Any] | None:
+    """Apply one line of a trace file to the iterations read so far.
+
+    Returns the header, which is ``line``'s record when it is the header
+    line.  Errors leave out the file and line, which the caller adds.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg} at column {exc.colno})") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"trace record must be a JSON object, got {type(record).__name__}")
+    kind = record.get("type")
+    if kind == "header":
+        if record.get("version") != _VERSION:
+            raise ValueError(f"unsupported trace version {record.get('version')!r}")
+        for key in ("machine", "period", "apps", "iterations"):
+            if key not in record:
+                raise KeyError(key)
+        fields = record.get("machine_fields")
+        if fields is not None and "ost_count" not in fields:
+            raise KeyError("machine_fields.ost_count")
+        return record
+    if header is None:
+        raise ValueError("trace record before header")
+    if kind == "solve":
+        background = np.asarray(record["background"], dtype=np.float64)
+        fields = header.get("machine_fields")
+        if fields is not None and background.shape != (fields["ost_count"],):
+            raise ValueError(
+                f"background must hold one entry per OST of the recorded machine "
+                f"({fields['ost_count']}), got shape {background.shape}"
+            )
+        iterations.append(
+            TraceIteration(large_writes=bool(record["large_writes"]), background=background)
+        )
+    elif kind == "batch":
+        if record["iteration"] != len(iterations) - 1:
+            raise ValueError(
+                f"batch for iteration {record['iteration']} outside iteration "
+                f"{len(iterations) - 1}"
+            )
+        columns = {
+            "arrival": np.asarray(record["arrival"], dtype=np.float64),
+            "ost": np.asarray(record["ost"], dtype=np.int64),
+            "nbytes": np.asarray(record["nbytes"], dtype=np.float64),
+            "tag": np.asarray(record["tag"], dtype=np.int64),
+        }
+        shapes = {name: column.shape for name, column in columns.items()}
+        if any(len(shape) != 1 for shape in shapes.values()) or len(set(shapes.values())) != 1:
+            raise ValueError(f"batch columns must be flat lists of one length, got shapes {shapes}")
+        iterations[-1].batches[record["app"]] = RequestBatch(**columns)
+    else:
+        raise ValueError(f"unknown trace record {kind!r}")
+    return header

@@ -1,17 +1,21 @@
 """Tests for the ``python -m repro`` command line."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+import repro.experiments
+from repro.cli import _build_parser, main
 from repro.engine import default_backend, set_default_backend
+from repro.experiments import EXPERIMENTS
 
 
 @pytest.fixture(autouse=True)
@@ -179,3 +183,43 @@ def test_startup_loads_no_process_pool_machinery():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+# -- the experiment table ---------------------------------------------------
+
+
+def test_run_choices_are_the_experiment_table_ids():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    experiment = next(a for a in sub.choices["run"]._actions if a.dest == "experiment")
+    assert list(experiment.choices) == sorted(EXPERIMENTS)
+
+
+def test_table_names_exported_runners_and_checks_only():
+    exported = set(repro.experiments.__all__)
+    runners = {spec.runner for specs in EXPERIMENTS.values() for spec in specs}
+    checks = {spec.check for specs in EXPERIMENTS.values() for spec in specs} - {None}
+    assert runners <= exported
+    assert checks <= exported
+    # A tracer wraps every exported run_* name as an experiment span, so
+    # those names are exactly the table's runners.
+    assert {name for name in exported if name.startswith("run_")} == runners
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_run_calls_each_table_runner_once_by_name(experiment, capsys, monkeypatch, tmp_path):
+    # The table looks runners up on the package at call time, so a rebound
+    # package attribute (here a counting wrapper) sees every call.
+    calls: Counter[str] = Counter()
+    for spec in EXPERIMENTS[experiment]:
+        original = getattr(repro.experiments, spec.runner)
+
+        def counting(*args, _name=spec.runner, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.experiments, spec.runner, counting)
+    monkeypatch.setenv("REPRO_LADDER", "192,384")
+    assert main(["run", experiment, "--output-dir", str(tmp_path)]) == 0
+    assert calls == Counter(spec.runner for spec in EXPERIMENTS[experiment])
+    assert set(calls.values()) == {1}

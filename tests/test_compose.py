@@ -1,5 +1,8 @@
 """Multi-application composition, trace record/replay, and experiment E9."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,67 @@ def test_trace_load_rejects_garbage(tmp_path):
     bad.write_text('{"type": "solve", "iteration": 0}\n')
     with pytest.raises(ValueError):
         Trace.load(bad)
+
+
+def _recorded_trace(tmp_path):
+    """A one-iteration trace on disk and its records (header, solve, sim, background)."""
+    path = tmp_path / "scenario.jsonl"
+    run_composition(KRAKEN, [FG, BG], 1, period=60.0, seed=3, trace_path=path)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _rewrite(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+def _load_fails_at(path, line_no, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line_no}: {message}"):
+        Trace.load(path)
+
+
+def test_trace_load_names_file_and_line_of_invalid_json(tmp_path):
+    # Was a bare JSONDecodeError naming neither the file nor the line.
+    path, _ = _recorded_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:40]
+    path.write_text("\n".join(lines) + "\n")
+    _load_fails_at(path, 3, r"invalid JSON")
+
+
+def test_trace_load_names_a_missing_key(tmp_path):
+    # Was a bare KeyError('nbytes').
+    path, records = _recorded_trace(tmp_path)
+    del records[2]["nbytes"]
+    _rewrite(path, records)
+    _load_fails_at(path, 3, r"record lacks key 'nbytes'")
+
+
+@pytest.mark.parametrize("keep", [1, -1], ids=["one-entry-arrival", "short-arrival"])
+def test_trace_load_rejects_ragged_batch_columns(tmp_path, keep):
+    # A one-entry arrival column silently broadcast to the batch length; a
+    # shorter one failed with a numpy broadcast error.
+    path, records = _recorded_trace(tmp_path)
+    records[2]["arrival"] = records[2]["arrival"][:keep]
+    _rewrite(path, records)
+    _load_fails_at(path, 3, r"batch columns must be flat lists of one length")
+
+
+def test_trace_load_rejects_background_not_covering_recorded_osts(tmp_path):
+    # Three entries for a 336-OST machine loaded, and failed only at replay.
+    path, records = _recorded_trace(tmp_path)
+    records[1]["background"] = records[1]["background"][:3]
+    _rewrite(path, records)
+    _load_fails_at(path, 2, r"background must hold one entry per OST .*\(336\)")
+
+
+def test_trace_without_machine_fields_still_loads(tmp_path):
+    path, records = _recorded_trace(tmp_path)
+    del records[0]["machine_fields"]
+    _rewrite(path, records)
+    loaded = Trace.load(path)
+    assert loaded.machine_fields is None
+    assert loaded.machine == "kraken"
+    assert len(loaded) == 1
 
 
 # -- experiment E9 --------------------------------------------------------

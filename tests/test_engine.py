@@ -15,6 +15,8 @@ import pytest
 from repro.engine import (
     EXASCALE,
     KRAKEN,
+    NO_INTERFERENCE,
+    Interference,
     RequestBatch,
     WriteRequest,
     backend_names,
@@ -249,6 +251,43 @@ def test_background_contract_covers_every_entry_point():
     zeros = np.zeros(KRAKEN.ost_count, dtype=np.int64)
     np.testing.assert_array_equal(solve(KRAKEN, batch, background=zeros, large_writes=False), quiet)
     solve(KRAKEN, batch, background=np.full(KRAKEN.ost_count, 0.5), large_writes=False)
+
+
+_PAIR_RULE = r"a finite \(lo, hi\) pair with 0 <= lo <= hi"
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "rule"),
+    [
+        ("burst_probability", 1.5, r"in \[0, 1\]"),
+        ("burst_probability", -0.1, r"in \[0, 1\]"),
+        ("burst_probability", float("nan"), r"in \[0, 1\]"),
+        ("collective_burst_probability", 2.0, r"in \[0, 1\]"),
+        ("background_streams", -1.0, "finite and >= 0"),
+        ("background_streams", float("nan"), "finite and >= 0"),
+        ("background_streams", float("inf"), "finite and >= 0"),
+        ("collective_sigma", -0.45, "finite and >= 0"),
+        ("collective_sigma", float("nan"), "finite and >= 0"),
+        ("burst_streams", (12, 4), _PAIR_RULE),
+        ("burst_streams", (-4, 12), _PAIR_RULE),
+        ("burst_streams", (4.5, 12), "whole stream counts"),
+        ("collective_burst_slowdown", (5.0, 2.0), _PAIR_RULE),
+        ("collective_burst_slowdown", (2.0, float("inf")), _PAIR_RULE),
+    ],
+)
+def test_interference_rejects_invalid_field(field, value, rule):
+    # Accepted and sampled before: a probability of 1.5 bursted every OST, a
+    # reversed slowdown drew from uniform(5, 2), and the rest failed in
+    # numpy's samplers without naming the field.
+    with pytest.raises(ValueError, match=rf"^Interference {field} must be {rule}, got"):
+        Interference(**{field: value})
+
+
+def test_interference_defaults_and_quiet_model_construct():
+    assert Interference().burst_streams == (4, 12)
+    assert not NO_INTERFERENCE.sample_background(KRAKEN, np.random.default_rng(0)).any()
+    # Degenerate ranges stay accepted: lo == hi draws a constant.
+    Interference(burst_streams=(4, 4), collective_burst_slowdown=(1.0, 1.0))
 
 
 def test_duplicate_tags_are_solved_per_position():

@@ -120,3 +120,16 @@ def test_ci_has_perf_gate_concurrency_and_pip_cache():
     # Every setup-python step opts into pip caching.
     setups = ci.count("uses: actions/setup-python@")
     assert setups > 0 and ci.count("cache: pip") == setups
+
+
+def test_ci_bench_smoke_runs_the_replicated_benchmarks():
+    # The benchmarks read REPRO_REPLICATIONS through the experiment table;
+    # one smoke step must take that branch at full scale.
+    ci = _ci_text()
+    after = ci.split("bench-smoke:")[1]
+    next_job = re.search(r"\n  \w[\w-]*:\n", after)
+    job = after[: next_job.start()] if next_job else after
+    steps = [step for step in job.split("- name:") if 'REPRO_REPLICATIONS: "30"' in step]
+    assert len(steps) == 1, "bench-smoke needs one step with 30 replications"
+    assert "python -m pytest -x -q benchmarks/" in steps[0]
+    assert 'REPRO_FULL_SCALE: "1"' in steps[0]

@@ -8,6 +8,7 @@ of the cells beside it.
 """
 
 import numpy as np
+import pytest
 
 from repro.experiments import (
     check_variability_statistics,
@@ -38,6 +39,31 @@ def test_variability_single_replication_is_the_historical_table():
     baseline = run_variability(**_KW, with_interference=True)
     replicated = run_variability(**_KW, with_interference=True, replications=1)
     assert _rows(baseline) == _rows(replicated)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 35])
+@pytest.mark.parametrize("with_interference", [False, True], ids=["quiet", "interference"])
+@pytest.mark.parametrize(
+    ("runner", "scale"),
+    [
+        (run_weak_scaling, {"scales": (96, 192)}),
+        (run_variability, {"ranks": 192}),
+        (run_throughput, {"ranks": 192}),
+    ],
+    ids=["e1", "e2", "e3"],
+)
+def test_single_run_stack_equals_serial_ground_truth(runner, scale, with_interference, seed):
+    # A single run is replication 0 of a one-deep stack; the serial loop
+    # (batched=False) stays its ground truth.
+    kwargs = dict(
+        **scale,
+        iterations=2,
+        data_per_rank=45 * MB,
+        seed=seed,
+        with_interference=with_interference,
+        approaches=(*_PAPER_APPROACHES, "dedicated-nodes"),
+    )
+    assert _rows(runner(**kwargs)) == _rows(runner(**kwargs, batched=False))
 
 
 def test_variability_replicated_emits_ci_columns():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.engine import KRAKEN, RequestBatch, solve, solve_many
-from repro.experiments._driver import DEFAULT_INTERFERENCE, cell_rng, run_iterations
+from repro.experiments._driver import DEFAULT_INTERFERENCE, cell_rng
 from repro.io_models import resolve_approach
 from repro.stats import (
     bootstrap_ci,
@@ -80,15 +80,13 @@ def test_batched_replications_bit_identical_to_serial(approach):
 
 def test_replication_zero_is_the_historical_stream():
     approach = resolve_approach("damaris")
-    historical = run_iterations(
-        approach,
-        KRAKEN,
-        _CELL["ranks"],
-        _CELL["iterations"],
-        _CELL["data_per_rank"],
-        cell_rng(_CELL["seed"], _CELL["ranks"], approach),
-        DEFAULT_INTERFERENCE,
-    )
+    rng = cell_rng(_CELL["seed"], _CELL["ranks"], approach)
+    historical = [
+        approach.run_iteration(
+            KRAKEN, _CELL["ranks"], _CELL["data_per_rank"], rng, DEFAULT_INTERFERENCE
+        )
+        for _ in range(_CELL["iterations"])
+    ]
     replicated = run_replications(
         approach, replications=2, interference=DEFAULT_INTERFERENCE, **_CELL
     )

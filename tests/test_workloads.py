@@ -132,6 +132,37 @@ def test_workload_defaults_and_validation():
         Workload(app="sim", ranks=1, approach="quantum-io")
 
 
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (
+            lambda: Workload(app="sim", ranks=2.5),
+            r"workload ranks must be an integer >= 1, got 2.5",
+        ),
+        (
+            lambda: Workload(app="sim", ranks=1, data_per_rank=float("nan")),
+            r"workload data_per_rank must be finite and > 0, got nan",
+        ),
+        (
+            lambda: Workload(app="sim", ranks=1, data_per_rank=float("inf")),
+            r"workload data_per_rank must be finite and > 0, got inf",
+        ),
+        (
+            lambda: Workload.parse("app=sim,ranks=abc"),
+            r"workload field ranks must be an integer, got 'abc'",
+        ),
+        (
+            lambda: Workload.parse("app=sim,ranks=64,data_mb=lots"),
+            r"workload field data_mb must be a number, got 'lots'",
+        ),
+    ],
+    ids=["fractional-ranks", "nan-data", "inf-data", "parse-ranks", "parse-data"],
+)
+def test_workload_rejects_invalid_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_workload_parse_round_trips():
     spec = "app=background,ranks=1152,data_mb=45,arrival=burst,approach=file-per-process"
     w = Workload.parse(spec)
