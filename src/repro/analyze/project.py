@@ -51,10 +51,6 @@ def _check_docstrings(root: Path) -> list[Finding]:
     from ..io_models import approach_names, resolve_approach
     from ..workloads.arrivals import arrival_process_names, resolve_arrival_process
 
-    # Importing the suite is what populates the benchmark registry (the
-    # bench CLI does the same before listing).
-    from ..bench import suite  # noqa: F401
-
     findings: list[Finding] = []
     for name in approach_names():
         approach = resolve_approach(name)

@@ -14,6 +14,8 @@ This package makes it one:
   micro-benchmarks (twin solvers, stacked ``solve_many`` vs the serial
   loop, ``merge_batches``, arrival generation, the replication driver)
   and full-scale experiment macro-benchmarks (E1–E4, E9, replicated E2).
+  The registry imports it on first use, so code that only times
+  (E5's ``time_once``) does not load the experiments and the service.
 * :mod:`~repro.bench.results` — the versioned ``BENCH_<sha>.json``
   document (machine fingerprint, git sha, per-round timings, derived
   throughput) and best-of-N baseline comparison.
@@ -23,7 +25,6 @@ This package makes it one:
   committed ``benchmarks/baseline.json``.
 """
 
-from . import suite  # noqa: F401  (importing registers the benchmark suite)
 from .registry import (
     Benchmark,
     benchmark_names,

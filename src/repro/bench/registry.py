@@ -61,6 +61,14 @@ class Benchmark:
 _REGISTRY: dict[str, Benchmark] = {}
 
 
+def _registry() -> dict[str, Benchmark]:
+    """The registry, with the suite (which loads the experiments and the
+    solve service) imported on the first lookup rather than with the package."""
+    from . import suite  # noqa: F401  (importing registers the benchmark suite)
+
+    return _REGISTRY
+
+
 def register_benchmark(
     name: str,
     *,
@@ -72,7 +80,7 @@ def register_benchmark(
     """Decorator registering ``make`` as benchmark ``name``."""
 
     def deco(make: BenchmarkMaker) -> BenchmarkMaker:
-        if name in _REGISTRY:
+        if name in _registry():
             raise ValueError(f"benchmark {name!r} already registered")
         _REGISTRY[name] = Benchmark(
             name=name,
@@ -94,7 +102,7 @@ def benchmark_names() -> tuple[str, ...]:
 
 def resolve_benchmark(name: str) -> Benchmark:
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; known: {benchmark_names()}") from None
 
@@ -116,7 +124,7 @@ def select_benchmarks(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     selected = [
         bench
-        for bench in _REGISTRY.values()
+        for bench in _registry().values()
         if (kind is None or bench.kind == kind)
         and (not filters or any(f.lower() in bench.name.lower() for f in filters))
     ]

@@ -29,20 +29,19 @@ import sys
 import tempfile
 from collections.abc import Sequence
 
-from .analyze.cli import add_analyze_parser, run_analyze
-from .bench.cli import add_bench_parser, run_bench
 from .engine import backend_names, machine_names, resolve_machine, set_default_backend
 from .experiments import EXPERIMENTS
 from .io_models import approach_names, resolve_approach
 from .scenario import ScenarioConfig
-from .serve.cli import add_serve_parser, run_serve
 from .table import Table
 from .workloads import arrival_process_names, resolve_arrival_process
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  For ``command == "run"``, empty stand-ins replace the
+    subcommands ``run`` never uses, and keep its error usage line as is."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run the paper's experiments against the simulated cluster.",
@@ -85,9 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("machines", help="list registered machines")
     sub.add_parser("approaches", help="list registered I/O approaches")
     sub.add_parser("workloads", help="list registered arrival processes + workload spec syntax")
-    add_serve_parser(sub)
-    add_bench_parser(sub)
-    add_analyze_parser(sub)
+    if command == "run":
+        for name in ("serve", "bench", "analyze"):
+            sub.add_parser(name)
+        return parser
+    from .analyze.cli import add_analyze_parser, run_analyze
+    from .bench.cli import add_bench_parser, run_bench
+    from .serve.cli import add_serve_parser, run_serve
+
+    add_serve_parser(sub).set_defaults(handler=run_serve)
+    add_bench_parser(sub).set_defaults(handler=run_bench)
+    add_analyze_parser(sub).set_defaults(handler=run_analyze)
     return parser
 
 
@@ -125,7 +132,8 @@ def _render(name: str, table: Table, fmt: str, multiple: bool) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
 
     if args.command == "machines":
         for name in machine_names():
@@ -151,12 +159,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("workload spec (REPRO_WORKLOAD / --workload):")
         print("  app=background,ranks=1152,data_mb=45,arrival=burst,approach=file-per-process")
         return 0
-    if args.command == "serve":
-        return run_serve(args)
-    if args.command == "bench":
-        return run_bench(args)
-    if args.command == "analyze":
-        return run_analyze(args)
+    if args.command in ("serve", "bench", "analyze"):
+        return int(args.handler(args))
 
     scenario = _scenario_from_args(args)
     if scenario.backend is not None:

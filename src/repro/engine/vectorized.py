@@ -21,7 +21,8 @@ solved without per-byte Python dict churn:
   *lockstep*: each numpy pass advances every OST lane by one event, with
   a FIFO pointer for equal sizes and a row-wise min over a padded
   ``(lanes, depth)`` threshold matrix for mixed sizes.  Narrower batches
-  run a min-heap loop per lane, O(k log k) per OST.  Both apply the same
+  run a min-heap loop per lane, O(k log k) per OST, that reads its rates
+  from one per-batch table of the same formula.  Both apply the same
   arithmetic in the same order, so their results are bit-identical.
 """
 
@@ -138,7 +139,8 @@ def _solve_staggered(
     n = lanes.order.size
     out = np.empty(n, dtype=np.float64)
     bg_per_lane = bg_per_ost[lanes.ost]
-    depth = int((lanes.ends - lanes.starts).max())
+    lengths = lanes.ends - lanes.starts
+    depth = int(lengths.max())
     if n >= LOCKSTEP_MIN_WIDTH * depth:
         if np.all(lanes.nbytes == lanes.nbytes[0]):
             # Equal shares mean equal sizes complete in arrival order.
@@ -147,17 +149,21 @@ def _solve_staggered(
             _solve_lockstep_heap(bw, slope, bg_per_lane, lanes, depth, out)
         return out
 
+    # One rate per (lane, active count 0..lane length): entry ``k`` of a
+    # lane's slice is the per-stream rate with ``k`` requests active.  Count
+    # 0 is never read; it holds the one-stream rate, not a division by zero.
+    table_start = lanes.starts + np.arange(lengths.size)
+    active = np.arange(n + lengths.size) - np.repeat(table_start, lengths + 1)
+    streams = np.maximum(active, 1) + np.repeat(bg_per_lane, lengths + 1)
+    rates = _per_stream_rate(bw, slope, streams).tolist()
     arrivals_sorted = lanes.arrival.tolist()
     sizes_sorted = lanes.nbytes.tolist()
     positions = lanes.order.tolist()
-    lane_bg = bg_per_lane.tolist()
-    for lane, (start, end) in enumerate(
-        zip(lanes.starts.tolist(), lanes.ends.tolist(), strict=True)
+    for first, start, end in zip(
+        table_start.tolist(), lanes.starts.tolist(), lanes.ends.tolist(), strict=True
     ):
         _solve_one_ost(
-            bw,
-            slope,
-            lane_bg[lane],
+            rates[first : first + end - start + 1],
             arrivals_sorted,
             sizes_sorted,
             positions,
@@ -292,9 +298,7 @@ def _solve_lockstep_heap(
 
 
 def _solve_one_ost(
-    bw: float,
-    slope: float,
-    background: float,
+    rates: list[float],
     arrivals: list[float],
     sizes: list[float],
     positions: list[int],
@@ -302,7 +306,11 @@ def _solve_one_ost(
     end: int,
     out: FloatArray,
 ) -> None:
-    """Virtual-service-time sweep of one OST's arrival-sorted requests."""
+    """Virtual-service-time sweep of one OST's arrival-sorted requests.
+
+    ``rates[k]`` is the per-stream rate while ``k`` requests are active.
+    """
+    push, pop = heapq.heappush, heapq.heappop
     heap: list[tuple[float, int]] = []  # (service threshold, output position)
     t = 0.0  # wall-clock time
     service = 0.0  # cumulative per-stream service S(t)
@@ -312,21 +320,19 @@ def _solve_one_ost(
             # Idle OST: jump to the next arrival; no service accrues.
             if arrivals[i] > t:
                 t = arrivals[i]
-            heapq.heappush(heap, (service + sizes[i], positions[i]))
+            push(heap, (service + sizes[i], positions[i]))
             i += 1
             continue
-        streams = len(heap) + background
-        penalty = 1.0 if streams <= 1.0 else min(1.0 + slope * (streams - 1.0), PENALTY_CAP)
-        rate = bw / (streams * penalty)
+        rate = rates[len(heap)]
         threshold, pos = heap[0]
         t_complete = t + (threshold - service) / rate
         if i < end and arrivals[i] <= t_complete:
             service += rate * (arrivals[i] - t)
             t = arrivals[i]
-            heapq.heappush(heap, (service + sizes[i], positions[i]))
+            push(heap, (service + sizes[i], positions[i]))
             i += 1
         else:
             service = threshold
             t = t_complete
-            heapq.heappop(heap)
+            pop(heap)
             out[pos] = t

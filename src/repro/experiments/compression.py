@@ -67,8 +67,8 @@ def run_compression(
     machine: Machine | str = KRAKEN,
     seed: int = 0,
 ) -> Table:
-    # Timing goes through the blessed harness; imported lazily because
-    # repro.bench imports the experiment suite at package-init time.
+    # Timing goes through the blessed harness; imported lazily so that
+    # only E5 pays for loading repro.bench.
     from ..bench.timing import time_once
 
     machine = resolve_machine(machine)

@@ -60,6 +60,16 @@ def _machine_json(machine: Machine) -> bytes:
     return json.dumps(asdict(machine), sort_keys=True).encode("utf-8")
 
 
+@functools.lru_cache(maxsize=256)
+def _prefix(machine: Machine, large_writes: bool, n: int, background: bool) -> hashlib._Hash:
+    """The sha256 state after the header and machine JSON that every cell of
+    this shape starts with; :func:`request_key` copies it, never updates it."""
+    header = {"schema": KEY_SCHEMA, "large_writes": large_writes, "n": n, "background": background}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(_machine_json(machine))
+    return digest
+
+
 def request_key(
     machine: Machine,
     batch: RequestBatch,
@@ -67,15 +77,7 @@ def request_key(
     large_writes: bool,
 ) -> str:
     """The sha256 content hash identifying one solve cell."""
-    digest = hashlib.sha256()
-    header = {
-        "schema": KEY_SCHEMA,
-        "large_writes": bool(large_writes),
-        "n": len(batch),
-        "background": background is not None,
-    }
-    digest.update(json.dumps(header, sort_keys=True).encode("utf-8"))
-    digest.update(_machine_json(machine))
+    digest = _prefix(machine, bool(large_writes), len(batch), background is not None).copy()
     digest.update(_array_bytes(batch.arrival, "<f8"))
     digest.update(_array_bytes(batch.ost % machine.ost_count, "<i8"))
     digest.update(_array_bytes(batch.nbytes, "<f8"))

@@ -16,7 +16,6 @@ tests read.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from ..engine import Machine, RequestBatch, resolve_machine
@@ -40,19 +39,21 @@ class SolveRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "machine", resolve_machine(self.machine))
 
-    @functools.cached_property
-    def _key(self) -> str:
-        return request_key(self.machine, self.batch, self.background, self.large_writes)
-
     def key(self) -> str:
         """The canonical content hash of this cell (see :mod:`.keys`).
 
-        Memoized: a request is frozen (and its arrays must not be mutated
-        after construction — the engine's standing contract), so
-        re-submitting the same object costs an attribute lookup, not a
-        fresh digest.
+        Memoized in the instance ``__dict__`` (a plain dict lookup, where
+        ``functools.cached_property`` takes a lock on Python 3.11): a
+        request is frozen, and its arrays must not be mutated after
+        construction (the engine's standing contract), so re-submitting
+        the same object costs a lookup, not a fresh digest.
         """
-        return self._key
+        key: str | None = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = request_key(
+                self.machine, self.batch, self.background, self.large_writes
+            )
+        return key
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,6 +185,59 @@ def test_startup_loads_no_process_pool_machinery():
     assert done.stdout.strip() == "[]"
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess[str]:
+    """``python *args`` in a fresh interpreter that imports this checkout."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def _loaded(after: str, packages: tuple[str, ...]) -> list[str]:
+    """Modules of ``packages`` a fresh interpreter holds after running ``after``."""
+    probe = (
+        f"{after}\nimport json, sys\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({packages!r}))))"
+    )
+    return json.loads(_fresh_python("-c", probe).stdout)
+
+
+def test_startup_loads_no_subcommand_packages():
+    # `run` never uses serve, bench or analyze; they load when dispatched.
+    packages = ("repro.bench", "repro.serve", "repro.analyze")
+    assert _loaded("import repro, repro.cli", packages) == []
+
+
+@pytest.mark.parametrize("experiment", ["e1", "e5"])
+def test_run_loads_no_service_linter_or_bench_suite(experiment):
+    # E5 times through repro.bench.timing; that must not pull in the suite,
+    # which imports the service.
+    run = (
+        "import contextlib, io\nfrom repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['run', '{experiment}', '--format', 'json'])"
+    )
+    packages = ("repro.serve", "repro.analyze", "repro.bench.suite")
+    assert _loaded(run, packages) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--list"],
+        ["analyze", "--list-rules"],
+        ["serve", "--cells", "2", "--passes", "2", "--ranks", "8"],
+    ],
+    ids=["bench", "analyze", "serve"],
+)
+def test_lazily_imported_subcommands_run_in_a_fresh_interpreter(argv):
+    assert _fresh_python("-m", "repro", *argv).stdout
+
+
 # -- the experiment table ---------------------------------------------------
 
 

@@ -11,18 +11,26 @@
   lockstep kernels (equal and mixed sizes, lane depth 1 to 60, exact
   arrival ties, duplicated rows, zero-size writes, integer and
   fractional background, both write classes) must be bit-identical to
-  the scalar heap loop run lane by lane, and agree with the reference.
+  a scalar heap loop run lane by lane, and agree with the reference.
+* **Narrow heap-loop fuzz** — the same shapes below the lockstep width,
+  deep lanes included, take the vectorized per-lane heap loop and its
+  per-batch rate table; they must be bit-identical to the same oracle.
+  The oracle groups lanes and computes every rate on its own, so it
+  shares no code with the kernels it checks.
 * **Trace record/replay round trip** — a random multi-application
   workload is recorded, saved, reloaded, and replayed; the replay must
   reproduce the recorded per-app completion times exactly on both
   backends.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.engine import (
     KRAKEN,
+    PENALTY_CAP,
     Machine,
     RequestBatch,
     backend_names,
@@ -132,6 +140,13 @@ def _lockstep_batch(
     counts = rng.integers(1, depth + 1, lanes)
     counts[:LOCKSTEP_MIN_WIDTH] = depth  # n >= LOCKSTEP_MIN_WIDTH * depth
     ost = np.repeat(rng.permutation(KRAKEN.ost_count)[:lanes], counts)
+    return _staggered_batch(rng, ost)
+
+
+def _staggered_batch(
+    rng: np.random.Generator, ost: np.ndarray
+) -> tuple[RequestBatch, np.ndarray | None, bool]:
+    """A staggered batch on the lane-grouped OST ids ``ost``, shuffled."""
     n = ost.size
     # Rounded arrivals tie exactly, within and across lanes.
     span = float(rng.choice([5.0, 60.0]))
@@ -159,24 +174,46 @@ def _lockstep_batch(
 def _heap_loop(
     machine: Machine, batch: RequestBatch, background: np.ndarray | None, large: bool
 ) -> np.ndarray:
-    """The bit-identity oracle: the scalar heap loop, one lane at a time."""
-    lanes = batch.lanes(machine.ost_count)
+    """The bit-identity oracle: a scalar min-heap loop, one OST at a time.
+
+    It groups the lanes itself and recomputes the per-stream rate at
+    every event, from ``len(heap) + background`` and the capped seek
+    penalty, so it shares no code with the engine's kernels.
+    """
+    ost = batch.ost % machine.ost_count
+    order = np.lexsort((batch.arrival, ost))
     bg = np.zeros(machine.ost_count) if background is None else background
     slope = machine.large_write_seek_penalty if large else machine.small_write_seek_penalty
+    bw = machine.ost_bandwidth
     out = np.empty(len(batch))
-    arrival, nbytes, order = lanes.arrival.tolist(), lanes.nbytes.tolist(), lanes.order.tolist()
-    for lane, (start, end) in enumerate(zip(lanes.starts, lanes.ends, strict=True)):
-        vectorized._solve_one_ost(
-            machine.ost_bandwidth,
-            slope,
-            float(bg[lanes.ost[lane]]),
-            arrival,
-            nbytes,
-            order,
-            int(start),
-            int(end),
-            out,
-        )
+    for lane in np.split(order, np.flatnonzero(np.diff(ost[order])) + 1):
+        background_streams = float(bg[ost[lane[0]]])
+        arrivals, sizes = batch.arrival[lane].tolist(), batch.nbytes[lane].tolist()
+        positions = lane.tolist()
+        heap: list[tuple[float, int]] = []
+        t = service = 0.0
+        i = 0
+        while i < len(positions) or heap:
+            if not heap:
+                if arrivals[i] > t:
+                    t = arrivals[i]
+                heapq.heappush(heap, (service + sizes[i], positions[i]))
+                i += 1
+                continue
+            streams = len(heap) + background_streams
+            penalty = 1.0 if streams <= 1.0 else min(1.0 + slope * (streams - 1.0), PENALTY_CAP)
+            rate = bw / (streams * penalty)
+            threshold, pos = heap[0]
+            t_complete = t + (threshold - service) / rate
+            if i < len(positions) and arrivals[i] <= t_complete:
+                service += rate * (arrivals[i] - t)
+                t = arrivals[i]
+                heapq.heappush(heap, (service + sizes[i], positions[i]))
+                i += 1
+            else:
+                service, t = threshold, t_complete
+                heapq.heappop(heap)
+                out[pos] = t
     return out
 
 
@@ -197,6 +234,73 @@ def test_fuzz_lockstep_kernels_bit_identical_to_heap_loop():
         np.testing.assert_allclose(
             got, ref, rtol=1e-9, atol=1e-6, err_msg=f"lockstep case {case} vs reference"
         )
+
+
+NARROW_FUZZ_CASES = 100
+
+
+def _narrow_batch(
+    rng: np.random.Generator, depth: int
+) -> tuple[RequestBatch, np.ndarray | None, bool]:
+    """A staggered batch of max lane depth ``depth`` on fewer than
+    LOCKSTEP_MIN_WIDTH lanes, so below the lockstep width."""
+    lanes = int(rng.integers(1, LOCKSTEP_MIN_WIDTH))
+    counts = rng.integers(1, depth + 1, lanes)
+    counts[0] = depth
+    ost = np.repeat(rng.permutation(KRAKEN.ost_count)[:lanes], counts)
+    return _staggered_batch(rng, ost)
+
+
+# The rate table's never-read zero-stream entry must not divide by zero.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fuzz_narrow_heap_loop_bit_identical_to_oracle():
+    rng = np.random.default_rng(20261018)
+    # Both ends of the depth range, then log-uniform depths in [1, 120].
+    depths = [1, 60, 120, *np.exp(rng.uniform(0.0, np.log(121.0), NARROW_FUZZ_CASES - 3))]
+    for case, depth in enumerate(depths):
+        batch, background, large = _narrow_batch(rng, int(depth))
+        lanes = batch.lanes(KRAKEN.ost_count)
+        assert len(batch) < LOCKSTEP_MIN_WIDTH * int((lanes.ends - lanes.starts).max())
+        got = solve(KRAKEN, batch, background=background, large_writes=large)
+        np.testing.assert_array_equal(
+            got, _heap_loop(KRAKEN, batch, background, large), err_msg=f"narrow case {case}"
+        )
+        ref = solve(KRAKEN, batch, background=background, large_writes=large, backend="reference")
+        np.testing.assert_allclose(
+            got, ref, rtol=1e-9, atol=1e-6, err_msg=f"narrow case {case} vs reference"
+        )
+
+
+def _skewed_batch(rng: np.random.Generator, equal_sizes: bool) -> RequestBatch:
+    """300 one-write lanes plus one 5000-deep lane: narrow, however many lanes."""
+    ost = np.concatenate([np.arange(1, 301), np.zeros(5000, dtype=np.int64)])
+    nbytes = np.full(ost.size, 16 * MB) if equal_sizes else rng.uniform(4 * MB, 64 * MB, ost.size)
+    return RequestBatch(arrival=rng.uniform(0.0, 60.0, ost.size), ost=ost, nbytes=nbytes)
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("background", ["none", "integer", "fractional"])
+@pytest.mark.parametrize("equal_sizes", [True, False], ids=["equal", "mixed"])
+def test_skewed_narrow_batch_bit_identical_to_oracle(equal_sizes, background, large):
+    rng = np.random.default_rng(3)
+    batch = _skewed_batch(rng, equal_sizes)
+    bg = None
+    if background != "none":
+        bg = rng.poisson(1.5, KRAKEN.ost_count).astype(float)
+        if background == "fractional":
+            bg *= rng.uniform(0.0, 1.0, KRAKEN.ost_count)
+    got = solve(KRAKEN, batch, background=bg, large_writes=large)
+    np.testing.assert_array_equal(got, _heap_loop(KRAKEN, batch, bg, large))
+
+
+def test_skewed_narrow_batch_agrees_with_reference():
+    # One reference solve: its 5000-deep lane costs seconds.
+    rng = np.random.default_rng(4)
+    batch = _skewed_batch(rng, equal_sizes=False)
+    bg = rng.poisson(1.5, KRAKEN.ost_count) * rng.uniform(0.0, 1.0, KRAKEN.ost_count)
+    got = solve(KRAKEN, batch, background=bg, large_writes=False)
+    ref = solve(KRAKEN, batch, background=bg, large_writes=False, backend="reference")
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-6)
 
 
 def _kernels_entered(monkeypatch, batch: RequestBatch) -> list[str]:

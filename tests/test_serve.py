@@ -9,6 +9,10 @@ solver.  The overlapping-stream smoke test at the bottom is what the CI
 serve job executes.
 """
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +100,61 @@ def test_request_key_memo_matches_fresh_digest():
     assert first == request_key(
         request.machine, request.batch, request.background, request.large_writes
     )
+
+
+def _layout_v2_key(machine, batch, background, large_writes) -> str:
+    """Key layout v2 spelled out: sorted-key JSON header, the machine's
+    sorted-key JSON, then the arrays as explicit little-endian bytes."""
+    header = {
+        "schema": "repro-serve-key-v2",
+        "large_writes": bool(large_writes),
+        "n": len(batch),
+        "background": background is not None,
+    }
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(json.dumps(dataclasses.asdict(machine), sort_keys=True).encode("utf-8"))
+    digest.update(np.ascontiguousarray(batch.arrival, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(batch.ost % machine.ost_count, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(batch.nbytes, dtype="<f8").tobytes())
+    if background is not None:
+        digest.update(np.ascontiguousarray(background, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_request_key_matches_layout_v2_on_random_cells():
+    # Two machines interleaved and few distinct lengths, so every cached
+    # prefix is reused by later cells: a prefix that kept a previous
+    # cell's bytes would change their keys.
+    rng = np.random.default_rng(20261018)
+    machines = (GRID, resolve_machine("kraken"))
+    for case in range(240):
+        machine = machines[case % 2]
+        osts = machine.ost_count
+        n = int(rng.choice([1, 3, 128]))
+        # OST ids beyond ost_count and negative ones normalise modulo it.
+        fields = (
+            rng.uniform(0.0, 10.0, n),
+            rng.integers(-2 * osts, 3 * osts, n),
+            rng.uniform(0.0, 64 * MB, n),
+        )
+        # A scalar field broadcasts to a stride-0 array of the batch length.
+        arrival, ost, nbytes = (f[0] if rng.random() < 0.2 else f for f in fields)
+        batch = RequestBatch(arrival=arrival, ost=ost, nbytes=nbytes)
+        background = None
+        if rng.random() < 0.5:
+            background = rng.poisson(1.0, osts) * rng.choice([1.0, 0.37])
+        large = bool(rng.random() < 0.5)
+        want = _layout_v2_key(machine, batch, background, large)
+        assert request_key(machine, batch, background, large) == want, case
+        assert SolveRequest(machine, batch, background, large).key() == want, case
+
+
+def test_solve_request_key_is_a_memoized_method():
+    # Tracers wrap ``SolveRequest.key`` on the class, at submit time.
+    assert callable(vars(SolveRequest)["key"])
+    request = _random_request(5, 32)
+    first = request.key()
+    assert request.key() is first
 
 
 # ---------------------------------------------------------------------------
