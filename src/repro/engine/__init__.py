@@ -21,7 +21,7 @@ from .api import (
     solve,
     use_backend,
 )
-from .batching import solve_many
+from .batching import solve_groups, solve_many
 from .interference import NO_INTERFERENCE, Interference
 from .machines import (
     EXASCALE,
@@ -53,6 +53,7 @@ __all__ = [
     "split_by_segment",
     "solve",
     "solve_many",
+    "solve_groups",
     "simulate_writes",
     "backend_names",
     "register_backend",

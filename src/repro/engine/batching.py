@@ -1,20 +1,18 @@
 """Batched solving of independent request batches.
 
 Multi-replication statistics (:mod:`repro.stats`) need the completion
-times of R independently-seeded copies of an iteration.  Solving them one
-:func:`~repro.engine.api.solve` call at a time costs R trips through the
-backend; :func:`solve_many` instead stacks the batches along a *virtual
-OST axis* — batch ``k``'s requests are shifted into OST block
-``[k * ost_count, (k + 1) * ost_count)`` of a machine with
-``len(batches) * ost_count`` OSTs — and solves the whole stack in one
-call.  OSTs are independent servers in every backend, so the stacked
-solve returns exactly what per-batch solving would, while the vectorized
+times of R independently-seeded copies of an iteration, and a composed
+scenario (:mod:`repro.workloads`) those of every iteration.  Solving
+them one :func:`~repro.engine.api.solve` call at a time costs a trip
+through the backend each; :func:`solve_groups` instead stacks them along
+a *virtual OST axis* — contention group ``k``'s requests are shifted
+into OST block ``[k * ost_count, (k + 1) * ost_count)`` of a machine
+with ``len(groups) * ost_count`` OSTs — and solves the whole stack in
+one call.  OSTs are independent servers in every backend, so the stacked
+solve returns exactly what per-group solving would, while the vectorized
 backend gets one wide batch whose lanes it advances together, one numpy
-pass per event, instead of R narrow ones.
-
-The stacking rides on :func:`~repro.engine.requests.merge_batches`: its
-``segments`` tags provide both the per-batch OST shift and the mapping
-that splits the completion times back out per batch.
+pass per event, instead of many narrow ones.  :func:`solve_many` is the
+one-batch-per-group case.
 """
 
 from __future__ import annotations
@@ -26,9 +24,78 @@ import numpy as np
 from ..util import FloatArray
 from .api import solve
 from .machines import Machine
-from .requests import RequestBatch, merge_batches
+from .requests import RequestBatch
 
-__all__ = ["solve_many"]
+__all__ = ["solve_groups", "solve_many"]
+
+
+def solve_groups(
+    machine: Machine,
+    groups: Sequence[Sequence[RequestBatch]],
+    *,
+    backgrounds: Sequence[FloatArray | None] | None = None,
+    large_writes: bool,
+    backend: str | None = None,
+    max_stack: int | None = None,
+) -> list[list[FloatArray]]:
+    """Solve independent contention groups against ``machine`` in one engine call.
+
+    The batches of ``groups[k]`` contend with each other and with
+    ``backgrounds[k]`` (one per-OST array per group, ``None`` for a quiet
+    system), never with another group.  Returns, per group, one
+    completion-time array per member — the same values, bit for bit, as
+    solving the group's :func:`~repro.engine.requests.merge_batches`
+    batch alone on the same backend.
+
+    ``max_stack`` bounds the groups per stack: longer inputs are solved in
+    consecutive chunks (an unbounded serve mega-batch would materialise
+    ``len(groups) * ost_count`` virtual OSTs of background at once).  The
+    groups being independent, chunking cannot change a single output bit.
+    """
+    groups = [list(group) for group in groups]
+    if backgrounds is not None:
+        backgrounds = list(backgrounds)
+        if len(backgrounds) != len(groups):
+            raise ValueError(f"got {len(backgrounds)} backgrounds for {len(groups)} groups")
+    if max_stack is not None:
+        if max_stack < 1:
+            raise ValueError(f"max_stack must be >= 1, got {max_stack}")
+        if len(groups) > max_stack:
+            out: list[list[FloatArray]] = []
+            for start in range(0, len(groups), max_stack):
+                stop = start + max_stack
+                out.extend(
+                    solve_groups(
+                        machine,
+                        groups[start:stop],
+                        backgrounds=None if backgrounds is None else backgrounds[start:stop],
+                        large_writes=large_writes,
+                        backend=backend,
+                    )
+                )
+            return out
+    members = [batch for group in groups for batch in group]
+    if not members:
+        return [[] for _ in groups]
+    # Members stay contiguous and in order, as merge_batches keeps them; no backend reads tags.
+    sizes = [sum(len(batch) for batch in group) for group in groups]
+    ost = np.concatenate([batch.ost for batch in members]) % machine.ost_count
+    ost += np.repeat(np.arange(len(groups)) * machine.ost_count, sizes)
+    stacked = RequestBatch(
+        arrival=np.concatenate([batch.arrival for batch in members]),
+        ost=ost,
+        nbytes=np.concatenate([batch.nbytes for batch in members]),
+    )
+    done = solve(
+        machine.with_overrides(ost_count=len(groups) * machine.ost_count),
+        stacked,
+        background=_stack_backgrounds(machine, backgrounds, len(groups)),
+        large_writes=large_writes,
+        backend=backend,
+    )
+    parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
+    ends = np.cumsum([len(group) for group in groups])
+    return [parts[end - len(group) : end] for group, end in zip(groups, ends, strict=True)]
 
 
 def solve_many(
@@ -40,68 +107,17 @@ def solve_many(
     backend: str | None = None,
     max_stack: int | None = None,
 ) -> list[FloatArray]:
-    """Solve independent batches against ``machine`` in one engine call.
-
-    Every batch sees its own private copy of the file system: batch ``k``
-    contends only with itself and with ``backgrounds[k]`` (one per-OST
-    array per batch, ``None`` for a quiet system).  Returns one
-    completion-time array per batch, in batch order — the same values,
-    bit for bit, as solving each batch alone on the same backend.
-
-    ``max_stack`` bounds how many batches one virtual-OST stack may hold:
-    longer inputs are solved as consecutive chunks of at most that many
-    batches (the serve layer's mega-batches can hold thousands of cells,
-    and an unbounded stack would materialise ``len(batches) * ost_count``
-    virtual OSTs of background in one allocation).  Chunking is a pure
-    function of ``(len(batches), max_stack)`` and — batches being
-    independent — cannot change a single output bit.
-    """
-    batches = list(batches)
-    if not batches:
-        return []
-    if backgrounds is not None:
-        backgrounds = list(backgrounds)
-        if len(backgrounds) != len(batches):
-            raise ValueError(
-                f"got {len(backgrounds)} backgrounds for {len(batches)} batches"
-            )
-    if max_stack is not None:
-        if max_stack < 1:
-            raise ValueError(f"max_stack must be >= 1, got {max_stack}")
-        if len(batches) > max_stack:
-            out: list[FloatArray] = []
-            for start in range(0, len(batches), max_stack):
-                stop = start + max_stack
-                out.extend(
-                    solve_many(
-                        machine,
-                        batches[start:stop],
-                        backgrounds=None if backgrounds is None else backgrounds[start:stop],
-                        large_writes=large_writes,
-                        backend=backend,
-                    )
-                )
-            return out
-    merged, segments = merge_batches(batches)
-    stacked = RequestBatch(
-        arrival=merged.arrival,
-        ost=merged.ost % machine.ost_count + segments * machine.ost_count,
-        nbytes=merged.nbytes,
-        tag=merged.tag,
-    )
-    background = _stack_backgrounds(machine, backgrounds, len(batches))
-    done = solve(
-        machine.with_overrides(ost_count=len(batches) * machine.ost_count),
-        stacked,
-        background=background,
+    """:func:`solve_groups` with one batch per group: one completion-time
+    array per batch, bit-identical to solving each batch alone."""
+    groups = solve_groups(
+        machine,
+        [[batch] for batch in batches],
+        backgrounds=backgrounds,
         large_writes=large_writes,
         backend=backend,
+        max_stack=max_stack,
     )
-    # merge_batches keeps source batches contiguous and in order, so the
-    # per-batch views fall out of the running lengths — no need for
-    # split_by_segment's generic (and O(batches * requests)) masking.
-    bounds = np.cumsum([len(b) for b in batches[:-1]])
-    return np.split(done, bounds)
+    return [group[0] for group in groups]
 
 
 def _stack_backgrounds(

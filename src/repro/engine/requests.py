@@ -6,10 +6,10 @@ kept for tests and ad-hoc use.  The hot path of the I/O models builds a
 fields — so an iteration with thousands of writers costs four numpy
 arrays rather than thousands of Python objects.
 
-:func:`merge_batches` / :func:`split_by_segment` are the multi-application
-primitives: several applications' batches concatenate into one batch over
-the shared OSTs (so their requests genuinely contend inside one solver
-call) and the completion-time array splits back out per application.
+:func:`merge_batches` / :func:`split_by_segment` concatenate several
+applications' batches into one batch over the shared OSTs (so their
+requests contend inside one solver call) and split the completion times
+back out; :func:`~repro.engine.solve_groups` stacks groups the same way.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ class RequestBatch:
     Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length;
     ``tag`` defaults to the position in the batch (``0..n-1``), which is
     also the order of the completion-time array the solvers return.
+    ``arrival``/``ost``/``nbytes`` are read-only views of their inputs.
     Arrivals and sizes must be finite and non-negative; anything else
     raises a :class:`ValueError` naming the field and the first bad
     index, because the backends would otherwise disagree (or never
@@ -104,9 +105,9 @@ class RequestBatch:
         _require("arrival", arrival, arrival >= 0.0, ">= 0")
         _require("nbytes", nbytes, np.isfinite(nbytes) & (nbytes >= 0.0), "finite and >= 0")
         n = max(arrival.size, ost.size, nbytes.size)
-        self.arrival = np.broadcast_to(arrival, (n,))
-        self.ost = np.broadcast_to(ost, (n,))
-        self.nbytes = np.broadcast_to(nbytes, (n,))
+        self.arrival = _read_only(arrival, n)
+        self.ost = _read_only(ost, n)
+        self.nbytes = _read_only(nbytes, n)
         if tag is None:
             self.tag = np.arange(n, dtype=np.int64)
         else:
@@ -205,6 +206,16 @@ class RequestBatch:
 
     def __repr__(self) -> str:
         return f"RequestBatch({len(self)} requests)"
+
+
+def _read_only(values: npt.NDArray[Any], n: int) -> npt.NDArray[Any]:
+    """A read-only length-``n`` view of ``values``; only a scalar pays for
+    ``broadcast_to`` (several microseconds), and any other length raises."""
+    if values.shape != (n,):
+        return np.broadcast_to(values, (n,))
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def _require(field: str, values: FloatArray, ok: npt.NDArray[np.bool_], rule: str) -> None:

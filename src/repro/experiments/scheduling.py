@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from ..engine import Interference, KRAKEN, Machine, RequestBatch, resolve_machine, solve
-from ..util import IntArray
+from ..engine import Interference, KRAKEN, Machine, RequestBatch, resolve_machine, solve_many
+from ..util import FloatArray, IntArray
 from ..io_models import DedicatedCores
 from ..table import Table
 from ..util import GB, MB, replication_seed
@@ -79,25 +79,28 @@ def run_scheduling(
             osts = rng.permutation(nodes) % machine.ost_count
             per_iteration.append((background, osts))
 
-        for policy in ("unscheduled", "scheduled"):
-            walls: list[float] = []
-            for background, osts in per_iteration:
-                if policy == "unscheduled":
-                    # Every dedicated core fires as soon as its data is ready.
-                    batch = RequestBatch(arrival=0.0, ost=osts, nbytes=node_bytes)
-                    done = solve(machine, batch, background=background, large_writes=True)
-                    walls.append(float(done.max()))
-                else:
-                    # Waves of at most wave_size writers, one after the other.
-                    # The scheduler knows the OST placement and spreads each
-                    # OST's writers across waves, so a wave holds at most one
-                    # stream per OST — that balance is what coordination buys.
-                    wall = 0.0
-                    for wave in _balanced_waves(osts, nodes, wave_size):
-                        batch = RequestBatch(arrival=0.0, ost=osts[wave], nbytes=node_bytes)
-                        done = solve(machine, batch, background=background, large_writes=True)
-                        wall += float(done.max())
-                    walls.append(wall)
+        # Unscheduled, every dedicated core fires as soon as its data is
+        # ready.  Scheduled, waves of at most wave_size writers go one after
+        # the other; the scheduler spreads each OST's writers across waves,
+        # so a wave holds at most one stream per OST — that balance is what
+        # coordination buys.  The batches are independent: one stacked solve.
+        waves = [_balanced_waves(osts, nodes, wave_size) for _, osts in per_iteration]
+        batches: list[RequestBatch] = []
+        backgrounds: list[FloatArray | None] = []
+        for (background, osts), iteration_waves in zip(per_iteration, waves, strict=True):
+            for writers in [osts, *(osts[wave] for wave in iteration_waves)]:
+                batches.append(RequestBatch(arrival=0.0, ost=writers, nbytes=node_bytes))
+                backgrounds.append(background)
+        done = iter(solve_many(machine, batches, backgrounds=backgrounds, large_writes=True))
+        policy_walls: dict[str, list[float]] = {"unscheduled": [], "scheduled": []}
+        for iteration_waves in waves:
+            policy_walls["unscheduled"].append(float(next(done).max()))
+            wall = 0.0
+            for _ in iteration_waves:
+                wall += float(next(done).max())
+            policy_walls["scheduled"].append(wall)
+
+        for policy, walls in policy_walls.items():
             wall_mean = float(np.mean(walls))
             row: dict[str, Any] = {
                 "policy": policy,

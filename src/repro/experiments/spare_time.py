@@ -17,6 +17,7 @@ import numpy as np
 
 from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import DedicatedCores
+from ..stats.replication import solve_prepared
 from ..table import Table
 from ..util import MB, replication_seed
 from ._driver import _validate_replications, iteration_period, replication_table
@@ -38,20 +39,25 @@ def run_spare_time(
     approach = DedicatedCores()
     rows: list[tuple[int, dict[str, Any]]] = []
     for ranks in scales:
+        # Replication 0 keeps the experiment's historical [seed, ranks]
+        # stream; further replications shift the seed by name-hash.
+        rngs = [
+            np.random.default_rng([replication_seed(seed, index), ranks])
+            for index in range(replications)
+        ]
+        prepared = [
+            approach.prepare_iteration(machine, ranks, data_per_rank, rng)
+            for rng in rngs
+            for _ in range(iterations)
+        ]
+        results = solve_prepared(machine, prepared)
+        nodes = machine.nodes_for(ranks)
+        # Ingest of the clients' shared-memory copies plus the async write.
+        ingest = approach.node_bytes(machine, ranks, data_per_rank) / machine.shm_bandwidth
         for index in range(replications):
-            # Replication 0 keeps the experiment's historical [seed, ranks]
-            # stream; further replications shift the seed by name-hash.
-            rng = np.random.default_rng([replication_seed(seed, index), ranks])
-            results = [
-                approach.run_iteration(machine, ranks, data_per_rank, rng)
-                for _ in range(iterations)
-            ]
-            nodes = machine.nodes_for(ranks)
-            node_bytes = approach.node_bytes(machine, ranks, data_per_rank)
-            # Ingest of the clients' shared-memory copies plus the async write.
-            ingest = node_bytes / machine.shm_bandwidth
-            busy = ingest + float(np.mean([r.backend_busy_s for r in results]))
-            copy = float(np.mean([r.visible_times.mean() for r in results]))
+            replication = results[index * iterations : (index + 1) * iterations]
+            busy = ingest + float(np.mean([r.backend_busy_s for r in replication]))
+            copy = float(np.mean([r.visible_times.mean() for r in replication]))
             # Backpressure bound: with a compute phase shorter than the core's
             # busy time the idle fraction bottoms out at ~0, never negative.
             period = iteration_period(compute_time, copy, busy)

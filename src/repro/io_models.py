@@ -33,8 +33,8 @@ Every approach also accepts externally supplied per-client *arrivals*
 split an iteration into a :class:`IterationPlan` — the request batch it
 *would* put on the OSTs plus a ``finalize`` closure that turns the solver's
 completion times into the :class:`IterationResult`.  The multi-application
-composer merges several applications' plans into one batch over the shared
-OSTs, solves once, and finalizes each application from its own slice.
+composer solves each iteration's plans as one contention group over the
+shared OSTs and finalizes each application from its own slice.
 
 :meth:`~IOApproach.prepare_iteration` is the same split applied to
 :meth:`~IOApproach.run_iteration` itself: it draws *everything* an

@@ -6,9 +6,11 @@ cross-validated against the reference, so the backend *name* is
 deliberately not part of the identity.  :func:`request_key` digests
 exactly those inputs into a sha256 hex string:
 
-* machine fields serialise as sorted-key JSON (shortest-repr float64
-  round-trips, so the text is deterministic across platforms and
-  process restarts — no salted Python ``hash()`` anywhere);
+* machine fields serialise as sorted-key JSON, each cast to its
+  annotated type, so equal machines (``62914560 == 62914560.0``) give
+  equal text; shortest-repr float64 round-trips, so the text is
+  deterministic across platforms and process restarts — no salted
+  Python ``hash()`` anywhere;
 * batch arrays are fed to the digest as explicit little-endian bytes,
   with OST ids normalised modulo ``machine.ost_count`` first (the
   solvers only ever see the modded id, so ``ost=400`` and ``ost=64`` on
@@ -29,7 +31,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict
+import typing
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,7 +43,7 @@ __all__ = ["KEY_SCHEMA", "request_key"]
 
 #: Bumped whenever the digest layout changes; part of every digest so a
 #: persisted cache from an incompatible layout can never alias a key.
-KEY_SCHEMA = "repro-serve-key-v2"
+KEY_SCHEMA = "repro-serve-key-v3"
 
 
 def _array_bytes(array: np.ndarray, dtype: str) -> bytes:
@@ -50,14 +53,14 @@ def _array_bytes(array: np.ndarray, dtype: str) -> bytes:
 
 @functools.lru_cache(maxsize=64)
 def _machine_json(machine: Machine) -> bytes:
-    """The machine's canonical sorted-key JSON, cached per instance.
+    """The machine's canonical sorted-key JSON, cached per equal machine.
 
-    ``dataclasses.asdict`` deep-copies every field; at thousands of
-    requests per flush that dominated the whole hashing budget, and a
-    service typically sees a handful of distinct (hashable, frozen)
-    machines.
+    The cast makes the text depend on equality alone, as the cache does,
+    so which spelling a process hashed first cannot change a key.
     """
-    return json.dumps(asdict(machine), sort_keys=True).encode("utf-8")
+    types = typing.get_type_hints(Machine)
+    canonical = {f.name: types[f.name](getattr(machine, f.name)) for f in fields(machine)}
+    return json.dumps(canonical, sort_keys=True).encode("utf-8")
 
 
 @functools.lru_cache(maxsize=256)

@@ -30,10 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import Interference, Machine, NO_INTERFERENCE, resolve_machine, solve_many
-from ..io_models import IOApproach, IterationResult, resolve_approach
+from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approach
 from ..util import replication_seed, seed_key
 
-__all__ = ["cell_rng", "replication_rng", "run_replications"]
+__all__ = ["cell_rng", "replication_rng", "run_replications", "solve_prepared"]
 
 
 def cell_rng(seed: int, ranks: int, approach: IOApproach | str) -> np.random.Generator:
@@ -94,6 +94,15 @@ def run_replications(
         for rng in rngs
         for _ in range(iterations)
     ]
+    final = solve_prepared(machine, prepared, backend=backend)
+    return [final[r * iterations : (r + 1) * iterations] for r in range(replications)]
+
+
+def solve_prepared(
+    machine: Machine, prepared: list[PreparedIteration], *, backend: str | None = None
+) -> list[IterationResult]:
+    """Each prepared iteration's result, in order, from one stacked solve per
+    write class: bit for bit what solving each one alone would give."""
     # One approach emits one write class, but group defensively so a
     # custom approach mixing classes still solves correctly.
     results: list[IterationResult | None] = [None] * len(prepared)
@@ -110,4 +119,4 @@ def run_replications(
             results[i] = prepared[i].finalize(times)
     final = [result for result in results if result is not None]
     assert len(final) == len(prepared)
-    return [final[r * iterations : (r + 1) * iterations] for r in range(replications)]
+    return final

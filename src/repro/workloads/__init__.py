@@ -12,8 +12,8 @@ experiment simulated into a vocabulary of *workloads*:
 * :mod:`~repro.workloads.trace` — JSONL record/replay of the generated
   request traces, so a scenario can be pinned and re-run exactly.
 * :mod:`~repro.workloads.compose` — the multi-application composer:
-  merge several workloads into one tagged batch over the shared OSTs,
-  solve once, split per-app completion times back out.
+  every iteration's workloads contend as one group over the shared OSTs,
+  one stacked solve per write class, per-app times split back out.
 
 Experiment E9 (:mod:`repro.experiments.app_interference`) sweeps this
 machinery: background workload intensity x approach, reporting per-app

@@ -148,7 +148,10 @@ class BurstArrivals(ArrivalProcess):
 
     def _rate(self, t: FloatArray, horizon: float, centers: FloatArray) -> FloatArray:
         half = 0.5 * self.burst_width * horizon
-        in_burst = (np.abs(t[:, None] - centers[None, :]) <= half).any(axis=1)
+        # One pass per centre: no (candidates x bursts) matrix.
+        in_burst = np.zeros(t.shape, dtype=bool)
+        for center in centers:
+            in_burst |= np.abs(t - center) <= half
         return np.where(in_burst, self.burst_rate, self.base_rate)
 
     def sample(self, rng: np.random.Generator, n: int, period: float) -> FloatArray:

@@ -2,11 +2,13 @@
 
 :func:`run_composition` runs several :class:`~repro.workloads.spec.Workload`
 applications side by side on one machine: per iteration, each application's
-arrival process generates *when* its clients write, its approach plans the
-request batch it would put on the file system, and all plans merge into one
-tagged :class:`RequestBatch` solved in a single engine call — so the
-applications genuinely contend for the same OSTs — before the completion
-times split back out per application.
+arrival process generates *when* its clients write, and its approach plans
+the request batch it would put on the file system.  Every iteration is
+drawn first; then each write class's iterations are solved in one stacked
+:func:`~repro.engine.solve_groups` call, in which an iteration's batches
+form one contention group — so the applications genuinely contend for the
+same OSTs, and iterations never do — and finally every application's
+plan is finalized from its own completion times.
 
 Modelling decisions:
 
@@ -35,15 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engine import (
-    NO_INTERFERENCE,
-    Interference,
-    Machine,
-    merge_batches,
-    resolve_machine,
-    solve,
-    split_by_segment,
-)
+from ..engine import NO_INTERFERENCE, Interference, Machine, resolve_machine, solve_groups
 from ..io_models import IterationPlan, IterationResult, resolve_approach
 from ..util import FloatArray, seed_key
 from .arrivals import resolve_arrival_process
@@ -120,9 +114,9 @@ def run_composition(
     effective = NO_INTERFERENCE if interference is None else interference
     background_rng = np.random.default_rng([seed, seed_key("composition-background")])
 
+    # Draw every iteration first; each rng keeps its historical draw order.
+    drawn: list[list[IterationPlan]] = []
     trace = Trace(machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine))
-    results: dict[str, list[IterationResult]] = {app: [] for app in apps}
-    completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
     for _ in range(iterations):
         plans: list[IterationPlan] = []
         for workload, approach, process, rng in states:
@@ -132,22 +126,18 @@ def run_composition(
                     machine, workload.ranks, workload.data_per_rank, rng, arrivals
                 )
             )
-        background = effective.sample_background(machine, background_rng)
-        large_writes = all(plan.large_writes for plan in plans)
-        merged, segments = merge_batches([plan.batch for plan in plans])
-        done = solve(
-            machine, merged, background=background, large_writes=large_writes, backend=backend
-        )
+        drawn.append(plans)
         trace.iterations.append(
             TraceIteration(
-                large_writes=large_writes,
-                background=background,
+                large_writes=all(plan.large_writes for plan in plans),
+                background=effective.sample_background(machine, background_rng),
                 batches={app: plan.batch for app, plan in zip(apps, plans, strict=True)},
             )
         )
-        for app, plan, part in zip(
-            apps, plans, split_by_segment(done, segments, len(plans)), strict=True
-        ):
+    results: dict[str, list[IterationResult]] = {app: [] for app in apps}
+    completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
+    for plans, parts in zip(drawn, _solve_trace(machine, trace, backend), strict=True):
+        for app, plan, part in zip(apps, plans, parts, strict=True):
             results[app].append(plan.finalize(part))
             completions[app].append(part)
 
@@ -175,17 +165,25 @@ def replay_trace(
         machine = trace.machine if trace.machine_fields is None else Machine(**trace.machine_fields)
     machine = resolve_machine(machine)
     completions: dict[str, list[FloatArray]] = {app: [] for app in trace.apps}
-    for iteration in trace.iterations:
-        merged, segments = merge_batches([iteration.batches[app] for app in trace.apps])
-        done = solve(
-            machine,
-            merged,
-            background=iteration.background,
-            large_writes=iteration.large_writes,
-            backend=backend,
-        )
-        for app, part in zip(
-            trace.apps, split_by_segment(done, segments, len(trace.apps)), strict=True
-        ):
+    for parts in _solve_trace(machine, trace, backend):
+        for app, part in zip(trace.apps, parts, strict=True):
             completions[app].append(part)
     return completions
+
+
+def _solve_trace(machine: Machine, trace: Trace, backend: str | None) -> list[list[FloatArray]]:
+    """Per iteration, each app's completion times: one stacked solve per
+    write class, in which each iteration's batches form one contention group."""
+    done: list[list[FloatArray]] = [[] for _ in trace.iterations]
+    for large_writes in sorted({iteration.large_writes for iteration in trace.iterations}):
+        index = [i for i, it in enumerate(trace.iterations) if it.large_writes == large_writes]
+        solved = solve_groups(
+            machine,
+            [[trace.iterations[i].batches[app] for app in trace.apps] for i in index],
+            backgrounds=[trace.iterations[i].background for i in index],
+            large_writes=large_writes,
+            backend=backend,
+        )
+        for i, parts in zip(index, solved, strict=True):
+            done[i] = parts
+    return done

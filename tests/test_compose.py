@@ -1,16 +1,39 @@
 """Multi-application composition, trace record/replay, and experiment E9."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from repro.engine import KRAKEN, RequestBatch, merge_batches, split_by_segment
+from repro import io_models
+from repro.engine import (
+    KRAKEN,
+    NO_INTERFERENCE,
+    Interference,
+    RequestBatch,
+    merge_batches,
+    solve,
+    split_by_segment,
+)
 from repro.experiments import check_app_interference_shape, run_app_interference
-from repro.io_models import resolve_approach
-from repro.util import MB
-from repro.workloads import Trace, Workload, replay_trace, run_composition
+from repro.io_models import (
+    DedicatedCores,
+    IOApproach,
+    IterationPlan,
+    IterationResult,
+    resolve_approach,
+)
+from repro.util import MB, seed_key
+from repro.workloads import (
+    Trace,
+    Workload,
+    replay_trace,
+    resolve_arrival_process,
+    run_composition,
+    workload_rng,
+)
 
 FG = Workload(app="sim", ranks=192, data_per_rank=45 * MB, arrival="periodic", approach="damaris")
 BG = Workload(
@@ -148,6 +171,149 @@ def test_mixed_write_classes_use_the_steep_slope():
     assert not both.trace.iterations[0].large_writes
     solo = run_composition(KRAKEN, [FG], 1, period=60.0, seed=0)
     assert solo.trace.iterations[0].large_writes
+
+
+# -- stacked composition vs the per-iteration loop --------------------------
+
+
+class _CoinFlipClass(DedicatedCores):
+    """damaris with its write class drawn per iteration, so one composition
+    solves iterations of both classes."""
+
+    name = "coin-flip-class"
+
+    def plan_iteration(self, machine, ranks, data_per_rank, rng, arrivals=None):
+        plan = super().plan_iteration(machine, ranks, data_per_rank, rng, arrivals)
+        return dataclasses.replace(plan, large_writes=bool(rng.random() < 0.5))
+
+
+class _Silent(IOApproach):
+    """An application that puts nothing on the OSTs."""
+
+    name = "silent"
+
+    def plan_iteration(self, machine, ranks, data_per_rank, rng, arrivals=None):
+        def finalize(done):
+            assert done.size == 0
+            return IterationResult(np.zeros(ranks), 0.0, 0.0, 0.0, 0)
+
+        empty = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+        return IterationPlan(batch=empty, large_writes=True, finalize=finalize)
+
+
+@pytest.fixture
+def extra_approaches(monkeypatch):
+    for approach in (_CoinFlipClass(), _Silent()):
+        monkeypatch.setitem(io_models._APPROACHES, approach.name, approach)
+
+
+def _serial_composition(machine, workloads, iterations, *, period, seed, interference, backend):
+    """The per-iteration loop: merge, solve and split one iteration at a time."""
+    states = [
+        (w, resolve_approach(w.approach), resolve_arrival_process(w.arrival), workload_rng(seed, w))
+        for w in workloads
+    ]
+    effective = NO_INTERFERENCE if interference is None else interference
+    background_rng = np.random.default_rng([seed, seed_key("composition-background")])
+    apps = [w.app for w in workloads]
+    results = {app: [] for app in apps}
+    completions = {app: [] for app in apps}
+    trace = []
+    for _ in range(iterations):
+        plans = []
+        for workload, approach, process, rng in states:
+            arrivals = process.sample(rng, approach.clients(machine, workload.ranks), period)
+            plans.append(
+                approach.plan_iteration(
+                    machine, workload.ranks, workload.data_per_rank, rng, arrivals
+                )
+            )
+        background = effective.sample_background(machine, background_rng)
+        large_writes = all(plan.large_writes for plan in plans)
+        merged, segments = merge_batches([plan.batch for plan in plans])
+        done = solve(
+            machine, merged, background=background, large_writes=large_writes, backend=backend
+        )
+        trace.append((large_writes, background, [plan.batch for plan in plans]))
+        parts = split_by_segment(done, segments, len(plans))
+        for app, plan, part in zip(apps, plans, parts, strict=True):
+            results[app].append(plan.finalize(part))
+            completions[app].append(part)
+    return results, completions, trace
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+_SIM = Workload(app="sim", ranks=96, arrival="periodic", approach="damaris")
+_FPP = Workload(app="writer", ranks=48, arrival="burst", approach="file-per-process")
+#: Case -> (workloads, iterations, interference); built lazily, because the
+#: test-only approaches are registered by a fixture.
+_CASES = {
+    # A damaris foreground beside a small-write contender.
+    "mixed-apps": lambda: ([_SIM, _FPP], 5, None),
+    "one-iteration": lambda: ([_SIM, _FPP], 1, None),
+    # Iterations of both write classes in one composition.
+    "both-classes": lambda: (
+        [
+            _SIM.with_overrides(approach="coin-flip-class"),
+            _SIM.with_overrides(app="peer", arrival="poisson"),
+        ],
+        5,
+        None,
+    ),
+    "default-interference": lambda: (
+        [_SIM.with_overrides(approach="collective", arrival="jittered"), _FPP],
+        5,
+        Interference(),
+    ),
+    "empty-app": lambda: (
+        [_SIM.with_overrides(arrival="poisson"), Workload(app="idle", ranks=8, approach="silent")],
+        5,
+        None,
+    ),
+    "only-empty": lambda: ([Workload(app="idle", ranks=8, approach="silent")], 1, None),
+    # Two periodic apps: identical (all-zero) arrivals on shared OSTs.
+    "identical-arrivals": lambda: ([_SIM, _SIM.with_overrides(app="twin")], 5, None),
+}
+
+
+@pytest.mark.usefixtures("extra_approaches")
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_stacked_composition_equals_the_per_iteration_loop(case, backend):
+    # 12 OSTs, so every iteration's writes contend and no two iterations
+    # finish alike.
+    machine = KRAKEN.with_overrides(ost_count=12)
+    workloads, iterations, interference = _CASES[case]()
+    kwargs = dict(period=60.0, seed=11, interference=interference, backend=backend)
+    out = run_composition(machine, workloads, iterations, **kwargs)
+    results, completions, trace = _serial_composition(machine, workloads, iterations, **kwargs)
+    if case == "both-classes":
+        assert {large for large, _, _ in trace} == {False, True}
+    for app in out.apps:
+        for got, want in zip(out.results[app], results[app], strict=True):
+            _assert_same_arrays(got.visible_times, want.visible_times)
+            assert dataclasses.replace(got, visible_times=None) == dataclasses.replace(
+                want, visible_times=None
+            )
+        for got, want in zip(out.completions[app], completions[app], strict=True):
+            _assert_same_arrays(got, want)
+    assert len(out.trace.iterations) == len(trace)
+    for recorded, (large_writes, background, batches) in zip(
+        out.trace.iterations, trace, strict=True
+    ):
+        assert recorded.large_writes == large_writes
+        _assert_same_arrays(recorded.background, background)
+        for app, batch in zip(out.apps, batches, strict=True):
+            for field in ("arrival", "ost", "nbytes", "tag"):
+                _assert_same_arrays(getattr(recorded.batches[app], field), getattr(batch, field))
+    replayed = replay_trace(out.trace, backend=backend)
+    for app in out.apps:
+        for got, want in zip(replayed[app], out.completions[app], strict=True):
+            _assert_same_arrays(got, want)
 
 
 # -- trace record/replay --------------------------------------------------

@@ -100,6 +100,33 @@ def test_batch_broadcasts_scalars():
     np.testing.assert_array_equal(batch.tag, [0, 1, 2])
 
 
+def test_batch_fields_are_read_only_views():
+    # Full-length inputs are stored as read-only views (broadcast_to costs
+    # several microseconds), scalars as stride-0 broadcasts; either way no
+    # field can be written through the batch.
+    arrival = np.array([0.0, 0.5, 1.0])
+    ost = np.array([1, 2, 3])
+    full = RequestBatch(arrival=arrival, ost=ost, nbytes=np.full(3, MB))
+    scalar = RequestBatch(arrival=0.0, ost=ost, nbytes=MB)
+    for batch in (full, scalar):
+        for name in ("arrival", "ost", "nbytes"):
+            field = getattr(batch, name)
+            assert field.shape == (3,), name
+            assert not field.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 1
+    np.testing.assert_array_equal(full.arrival, arrival)
+    np.testing.assert_array_equal(scalar.arrival, [0.0, 0.0, 0.0])
+    # The caller's arrays stay writable, and the views follow them.
+    arrival[1] = 0.75
+    np.testing.assert_array_equal(full.arrival, [0.0, 0.75, 1.0])
+    # Lengths that neither match nor broadcast still raise.
+    with pytest.raises(ValueError):
+        RequestBatch(arrival=[0.0, 1.0], ost=[1, 2, 3], nbytes=MB)
+    with pytest.raises(ValueError):
+        RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=[MB, MB])
+
+
 def test_batch_rejects_mismatched_tags():
     with pytest.raises(ValueError, match="tag length"):
         RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=MB, tag=[0, 1])

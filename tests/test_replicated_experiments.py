@@ -20,9 +20,16 @@ from repro.experiments import (
     run_variability,
     run_weak_scaling,
 )
-from repro.experiments._driver import run_sweep
-from repro.engine import KRAKEN
-from repro.util import MB
+from repro.experiments._driver import (
+    DEFAULT_INTERFERENCE,
+    iteration_period,
+    replication_table,
+    run_sweep,
+)
+from repro.experiments.scheduling import _balanced_waves
+from repro.engine import KRAKEN, RequestBatch, solve
+from repro.io_models import DedicatedCores
+from repro.util import GB, MB, replication_seed
 
 _KW = dict(ranks=192, iterations=3, data_per_rank=45 * MB, seed=7)
 
@@ -196,6 +203,95 @@ def test_scheduling_replicated():
     assert "throughput_gb_s_ci_lo" in scheduled
     unscheduled = table.where(policy="unscheduled")[0]
     assert scheduled["throughput_gb_s"] > unscheduled["throughput_gb_s"]
+
+
+def _serial_spare_time(machine, scales, *, seed, replications, iterations=3, compute_time=300.0):
+    """E4 as the per-iteration loop: one ``run_iteration`` (one solve) each."""
+    approach = DedicatedCores()
+    rows = []
+    for ranks in scales:
+        ingest = approach.node_bytes(machine, ranks, 45 * MB) / machine.shm_bandwidth
+        for index in range(replications):
+            rng = np.random.default_rng([replication_seed(seed, index), ranks])
+            results = [
+                approach.run_iteration(machine, ranks, 45 * MB, rng) for _ in range(iterations)
+            ]
+            busy = ingest + float(np.mean([r.backend_busy_s for r in results]))
+            copy = float(np.mean([r.visible_times.mean() for r in results]))
+            period = iteration_period(compute_time, copy, busy)
+            row = {
+                "ranks": ranks,
+                "nodes": machine.nodes_for(ranks),
+                "busy_mean_s": busy,
+                "period_s": period,
+                "idle_fraction": 1.0 - busy / period,
+            }
+            rows.append((index, row))
+    return replication_table(rows, ("ranks", "nodes"), replications, seed)
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+def test_spare_time_stack_equals_serial_loop(replications):
+    # 16 OSTs, so the dedicated cores' writes contend and the busy time
+    # depends on the solve, not only on the rng.
+    machine = KRAKEN.with_overrides(ost_count=16)
+    kwargs = dict(seed=5, replications=replications)
+    got = run_spare_time(scales=[144, 576], machine=machine, **kwargs)
+    assert _rows(got) == _rows(_serial_spare_time(machine, [144, 576], **kwargs))
+
+
+def _serial_scheduling(machine, ranks, *, seed, replications, with_interference, iterations=2):
+    """E6 as the per-wave loop: one solve per unscheduled batch and per wave."""
+    wave_size = machine.ost_count
+    nodes = machine.nodes_for(ranks)
+    node_bytes = DedicatedCores().node_bytes(machine, ranks, 45 * MB)
+    interference = DEFAULT_INTERFERENCE if with_interference else None
+    rows = []
+    for index in range(replications):
+        rng = np.random.default_rng([replication_seed(seed, index), ranks, wave_size])
+        per_iteration = []
+        for _ in range(iterations):
+            background = interference.sample_background(machine, rng) if interference else None
+            per_iteration.append((background, rng.permutation(nodes) % machine.ost_count))
+        for policy in ("unscheduled", "scheduled"):
+            walls = []
+            for background, osts in per_iteration:
+                if policy == "unscheduled":
+                    batch = RequestBatch(arrival=0.0, ost=osts, nbytes=node_bytes)
+                    done = solve(machine, batch, background=background, large_writes=True)
+                    walls.append(float(done.max()))
+                    continue
+                wall = 0.0
+                for wave in _balanced_waves(osts, nodes, wave_size):
+                    batch = RequestBatch(arrival=0.0, ost=osts[wave], nbytes=node_bytes)
+                    done = solve(machine, batch, background=background, large_writes=True)
+                    wall += float(done.max())
+                walls.append(wall)
+            mean = float(np.mean(walls))
+            row = {
+                "policy": policy,
+                "ranks": ranks,
+                "writers": nodes,
+                "osts": machine.ost_count,
+                "wave_size": wave_size if policy == "scheduled" else nodes,
+                "io_time_mean_s": mean,
+                "io_time_max_s": float(np.max(walls)),
+                "throughput_gb_s": node_bytes * nodes / mean / GB,
+                "hidden_by_compute": bool(np.max(walls) <= 120.0),
+            }
+            rows.append((index, row))
+    return replication_table(
+        rows, ("policy", "ranks", "writers", "osts", "wave_size"), replications, seed
+    )
+
+
+@pytest.mark.parametrize("with_interference", [False, True])
+@pytest.mark.parametrize("replications", [1, 3])
+def test_scheduling_stack_equals_serial_loop(replications, with_interference):
+    machine = KRAKEN.with_overrides(ost_count=96)
+    kwargs = dict(seed=3, replications=replications, with_interference=with_interference)
+    got = run_scheduling(2304, machine=machine, **kwargs)
+    assert _rows(got) == _rows(_serial_scheduling(machine, 2304, **kwargs))
 
 
 def test_insitu_scaling_replicated():

@@ -12,6 +12,10 @@ serve job executes.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,15 +66,15 @@ def test_request_key_digests_are_pinned():
     batch = _pinned_batch()
     assert (
         request_key(GRID, batch, None, False)
-        == "521fd86542fda6889cf90c70d188b2e18ee2ab8fdb81232d231acb6178f94c1a"
+        == "5b27727f271316435893b46547e8a6b24e5e3cba142178d05f947fb1e13b4ab9"
     )
     assert (
         request_key(GRID, batch, np.zeros(GRID.ost_count), False)
-        == "580edbaecd7a6e00d8ed7f28d99b2f35d3e0c8fc0bff1d2afea120525987c5ee"
+        == "2231753c9f0ec6d2bcd21f24f3292fcd2f25d0a1212b8da61b7e5af12c3b782a"
     )
     assert (
         request_key(GRID, batch, None, True)
-        == "484f0e5717f8f80b396e6484e265b32112e2a5c52e654445e40e6ffb8e97e244"
+        == "c5209a2b3a4baa6409c5c6ecb1f5f5280f02d429ebf88f10bdd09f97eb806de0"
     )
 
 
@@ -102,17 +106,20 @@ def test_request_key_memo_matches_fresh_digest():
     )
 
 
-def _layout_v2_key(machine, batch, background, large_writes) -> str:
-    """Key layout v2 spelled out: sorted-key JSON header, the machine's
-    sorted-key JSON, then the arrays as explicit little-endian bytes."""
+def _layout_v3_key(machine, batch, background, large_writes) -> str:
+    """Key layout v3 spelled out: sorted-key JSON header, the machine's
+    sorted-key JSON with every field as its annotated type, then the
+    arrays as explicit little-endian bytes."""
     header = {
-        "schema": "repro-serve-key-v2",
+        "schema": "repro-serve-key-v3",
         "large_writes": bool(large_writes),
         "n": len(batch),
         "background": background is not None,
     }
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
-    digest.update(json.dumps(dataclasses.asdict(machine), sort_keys=True).encode("utf-8"))
+    casts = {"str": str, "int": int, "float": float}
+    fields = {f.name: casts[f.type](getattr(machine, f.name)) for f in dataclasses.fields(machine)}
+    digest.update(json.dumps(fields, sort_keys=True).encode("utf-8"))
     digest.update(np.ascontiguousarray(batch.arrival, dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(batch.ost % machine.ost_count, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(batch.nbytes, dtype="<f8").tobytes())
@@ -121,14 +128,17 @@ def _layout_v2_key(machine, batch, background, large_writes) -> str:
     return digest.hexdigest()
 
 
-def test_request_key_matches_layout_v2_on_random_cells():
+def test_request_key_matches_layout_v3_on_random_cells():
     # Two machines interleaved and few distinct lengths, so every cached
     # prefix is reused by later cells: a prefix that kept a previous
-    # cell's bytes would change their keys.
+    # cell's bytes would change their keys.  The third machine equals
+    # grid5000 with its integer bandwidth spelled as a float, so it
+    # shares grid5000's cache entries and must share its text too.
     rng = np.random.default_rng(20261018)
-    machines = (GRID, resolve_machine("kraken"))
+    twin = GRID.with_overrides(ost_bandwidth=float(GRID.ost_bandwidth))
+    machines = (GRID, resolve_machine("kraken"), twin)
     for case in range(240):
-        machine = machines[case % 2]
+        machine = machines[case % 3]
         osts = machine.ost_count
         n = int(rng.choice([1, 3, 128]))
         # OST ids beyond ost_count and negative ones normalise modulo it.
@@ -144,9 +154,44 @@ def test_request_key_matches_layout_v2_on_random_cells():
         if rng.random() < 0.5:
             background = rng.poisson(1.0, osts) * rng.choice([1.0, 0.37])
         large = bool(rng.random() < 0.5)
-        want = _layout_v2_key(machine, batch, background, large)
+        want = _layout_v3_key(machine, batch, background, large)
         assert request_key(machine, batch, background, large) == want, case
         assert SolveRequest(machine, batch, background, large).key() == want, case
+
+
+_SPELLING_PROBE = """
+import sys
+from repro.engine import RequestBatch, resolve_machine
+from repro.serve import request_key
+grid = resolve_machine("grid5000")
+twin = grid.with_overrides(ost_bandwidth=float(grid.ost_bandwidth))
+first, second = (grid, twin) if sys.argv[1] == "int" else (twin, grid)
+batch = RequestBatch([0.0, 0.5], [0, 5], [1048576.0, 2097152.0])
+print(request_key(first, batch, None, False), request_key(second, batch, None, False))
+"""
+
+
+def test_request_key_ignores_which_spelling_a_process_hashed_first():
+    # grid5000's bandwidth is an int; an equal machine may spell it as a
+    # float.  The key caches per equal machine, so a process that hashed
+    # one spelling first must give the key a process that hashed the
+    # other first gives: two fresh interpreters, opposite orders.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    keys = set()
+    for first in ("int", "float"):
+        done = subprocess.run(
+            [sys.executable, "-c", _SPELLING_PROBE, first],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        keys.update(done.stdout.split())
+    assert len(keys) == 1, keys
 
 
 def test_solve_request_key_is_a_memoized_method():

@@ -9,7 +9,15 @@ table-reduction layer.
 import numpy as np
 import pytest
 
-from repro.engine import KRAKEN, RequestBatch, solve, solve_many
+from repro.engine import (
+    KRAKEN,
+    RequestBatch,
+    merge_batches,
+    solve,
+    solve_groups,
+    solve_many,
+    split_by_segment,
+)
 from repro.experiments._driver import DEFAULT_INTERFERENCE, cell_rng
 from repro.io_models import resolve_approach
 from repro.stats import (
@@ -206,6 +214,78 @@ def test_solve_many_max_stack_chunking_is_bit_identical():
         )
         for a, b in zip(unchunked, chunked, strict=True):
             np.testing.assert_array_equal(a, b)
+
+
+def _random_member(rng, n, lanes):
+    """A batch of ``n`` writes on ``lanes`` OSTs, with ids beyond ``ost_count``."""
+    if n == 0:
+        return RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+    staggered = rng.random() < 0.7
+    return RequestBatch(
+        arrival=rng.uniform(0.0, 5.0, n) if staggered else rng.uniform(0.0, 1.0),
+        ost=rng.integers(0, lanes, n) + KRAKEN.ost_count * rng.integers(0, 3, n),
+        nbytes=rng.uniform(MB, 64 * MB, n) if rng.random() < 0.5 else 16 * MB,
+    )
+
+
+def _random_groups(seed, lanes):
+    """Contention groups of 1-3 random members, plus an all-empty group and
+    a group with no members; quiet, integer and fractional backgrounds."""
+    rng = np.random.default_rng(seed)
+    groups = [
+        [
+            _random_member(rng, int(rng.choice([0, 1, 60, 200])), lanes)
+            for _ in range(rng.integers(1, 4))
+        ]
+        for _ in range(6)
+    ]
+    groups += [[_random_member(rng, 0, lanes)], []]
+    loads = [None, rng.poisson(1.0, KRAKEN.ost_count) * 1.0, rng.uniform(0, 2.5, KRAKEN.ost_count)]
+    backgrounds = [loads[k % 3] for k in range(len(groups))]
+    return groups, backgrounds
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize(("seed", "lanes"), [(3, 48), (4, KRAKEN.ost_count)])
+def test_solve_groups_equals_each_merged_group_solved_alone(backend, seed, lanes):
+    # The oracle: merge a group's members into one batch, solve it alone
+    # against the group's own background, split the times back out.  On
+    # 48 crowded lanes every solve runs the per-lane heap loop; spread
+    # over all lanes, the stack is wide enough for the lockstep kernel.
+    groups, backgrounds = _random_groups(seed, lanes)
+    want = []
+    for group, background in zip(groups, backgrounds, strict=True):
+        if not group:
+            want.append([])
+            continue
+        merged, segments = merge_batches(group)
+        done = solve(KRAKEN, merged, background=background, large_writes=False, backend=backend)
+        want.append(split_by_segment(done, segments, len(group)))
+    for max_stack in (None, 1, 3):
+        got = solve_groups(
+            KRAKEN,
+            groups,
+            backgrounds=backgrounds,
+            large_writes=False,
+            backend=backend,
+            max_stack=max_stack,
+        )
+        assert len(got) == len(groups)
+        for k, (parts, expected) in enumerate(zip(got, want, strict=True)):
+            assert len(parts) == len(expected), (max_stack, k)
+            for part, truth in zip(parts, expected, strict=True):
+                assert part.dtype == truth.dtype
+                np.testing.assert_array_equal(part, truth, err_msg=f"{max_stack} {k}")
+
+
+def test_solve_groups_edge_cases():
+    assert solve_groups(KRAKEN, [], large_writes=True) == []
+    assert solve_groups(KRAKEN, [[], []], large_writes=True) == [[], []]
+    one = RequestBatch(0.0, 3, 45 * MB)
+    with pytest.raises(ValueError, match="backgrounds"):
+        solve_groups(KRAKEN, [[one]], backgrounds=[None, None], large_writes=True)
+    with pytest.raises(ValueError, match="max_stack"):
+        solve_groups(KRAKEN, [[one]], large_writes=True, max_stack=0)
 
 
 # -- bootstrap -------------------------------------------------------------

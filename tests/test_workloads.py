@@ -87,6 +87,38 @@ def test_burst_concentrates_arrivals():
     assert inside > 0.3, inside
 
 
+def _broadcast_rate(process, t, horizon, centers):
+    """The burst rate from the full (points x bursts) distance matrix."""
+    half = 0.5 * process.burst_width * horizon
+    inside = (np.abs(t[:, None] - centers[None, :]) <= half).any(axis=1)
+    return np.where(inside, process.burst_rate, process.base_rate)
+
+
+@pytest.mark.parametrize("bursts", [1, 5])
+def test_burst_rate_equals_the_broadcast_formula(bursts):
+    process = BurstArrivals(bursts=bursts, burst_width=0.1)
+    horizon = process.window * PERIOD
+    half = 0.5 * process.burst_width * horizon
+    rng = _rng(bursts)
+    random_centers = rng.uniform(0.0, horizon, bursts)
+    # Overlapping bursts: every centre within one half-width of the first.
+    overlapping = random_centers[0] + rng.uniform(-half, half, bursts)
+    for centers in (random_centers, overlapping):
+        # Random points, plus every window's exact edges and their neighbours.
+        edges = np.concatenate([centers - half, centers + half])
+        t = np.concatenate(
+            [
+                rng.uniform(0.0, horizon, 4096),
+                edges,
+                np.nextafter(edges, np.inf),
+                np.nextafter(edges, -np.inf),
+            ]
+        )
+        want = _broadcast_rate(process, t, horizon, centers)
+        np.testing.assert_array_equal(process._rate(t, horizon, centers), want)
+        assert (want == process.burst_rate).any() and (want == process.base_rate).any()
+
+
 def test_burst_is_deterministic_per_stream():
     process = resolve_arrival_process("burst")
     a = process.sample(_rng(11), 100, PERIOD)
