@@ -32,7 +32,6 @@ from .engine import (
     Interference,
     Machine,
     RequestBatch,
-    WriteRequest,
     machine_names,
     register_machine,
     resolve_machine,
@@ -65,7 +64,6 @@ __all__ = [
     "GRID5000",
     "EXASCALE",
     "Interference",
-    "WriteRequest",
     "RequestBatch",
     "Table",
     "Row",

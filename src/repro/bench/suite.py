@@ -235,7 +235,7 @@ def _bench_solve_many_serial() -> tuple[Callable[[], None], float]:
     "micro.merge_batches",
     kind="micro",
     params=_STACK_PARAMS,
-    description="merge 150 replication batches into one tagged batch",
+    description="merge 150 replication batches into one batch",
 )
 def _bench_merge_batches() -> tuple[Callable[[], None], float]:
     batches, _ = _e2_prepared_storm()

@@ -17,7 +17,6 @@ from .api import (
     default_backend,
     register_backend,
     set_default_backend,
-    simulate_writes,
     solve,
     use_backend,
 )
@@ -33,7 +32,7 @@ from .machines import (
     register_machine,
     resolve_machine,
 )
-from .requests import LaneOrder, RequestBatch, WriteRequest, merge_batches, split_by_segment
+from .requests import LaneOrder, RequestBatch, merge_batches, split_by_segment
 
 __all__ = [
     "Machine",
@@ -46,7 +45,6 @@ __all__ = [
     "machine_names",
     "Interference",
     "NO_INTERFERENCE",
-    "WriteRequest",
     "RequestBatch",
     "LaneOrder",
     "merge_batches",
@@ -54,7 +52,6 @@ __all__ = [
     "solve",
     "solve_many",
     "solve_groups",
-    "simulate_writes",
     "backend_names",
     "register_backend",
     "default_backend",

@@ -11,7 +11,7 @@ and tests can pin a backend with the ``backend=`` argument or the
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,12 +19,11 @@ import numpy as np
 from ..util import FloatArray
 from .machines import Machine
 from .reference import solve_reference
-from .requests import RequestBatch, WriteRequest
+from .requests import RequestBatch
 from .vectorized import solve_vectorized
 
 __all__ = [
     "solve",
-    "simulate_writes",
     "backend_names",
     "register_backend",
     "default_backend",
@@ -70,12 +69,14 @@ def set_default_backend(name: str) -> None:
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
     """Temporarily switch the default backend (tests, cross-validation)."""
+    global _default_backend
     previous = _default_backend
     set_default_backend(name)
     try:
         yield
     finally:
-        set_default_backend(previous)
+        # Restored as it was: an unknown REPRO_ENGINE fails at its next use.
+        _default_backend = previous
 
 
 def _resolve_backend(name: str | None) -> Solver:
@@ -83,9 +84,14 @@ def _resolve_backend(name: str | None) -> Solver:
     try:
         return _BACKENDS[key]
     except KeyError:
-        raise ValueError(
-            f"unknown engine backend {key!r}; known: {sorted(_BACKENDS)}"
-        ) from None
+        known = backend_names()
+        if name is None:
+            # set_default_backend validates its input, so an unknown
+            # default can only have come from the environment.
+            raise ValueError(
+                f"REPRO_ENGINE must name a backend {known}, got {_default_backend!r}"
+            ) from None
+        raise ValueError(f"unknown engine backend {key!r}; known: {known}") from None
 
 
 def solve(
@@ -125,24 +131,3 @@ def _checked_background(machine: Machine, background: FloatArray) -> FloatArray:
         raise ValueError(f"background[{index}] must be finite and >= 0, got {background[index]}")
     return background
 
-
-def simulate_writes(
-    machine: Machine,
-    requests: Iterable[WriteRequest] | RequestBatch,
-    *,
-    background: FloatArray | None = None,
-    large_writes: bool,
-    backend: str | None = None,
-) -> dict[int, float]:
-    """Play write requests against the OSTs; return ``tag -> completion time``.
-
-    Compatibility wrapper around :func:`solve` that accepts either a
-    :class:`RequestBatch` or :class:`WriteRequest` objects and returns the
-    seed API's dict keyed by request tag (tags must be unique).
-    """
-    if not isinstance(requests, RequestBatch):
-        requests = RequestBatch.from_requests(requests)
-    done = solve(
-        machine, requests, background=background, large_writes=large_writes, backend=backend
-    )
-    return {int(tag): float(t) for tag, t in zip(requests.tag, done, strict=True)}

@@ -77,7 +77,7 @@ def solve_groups(
     members = [batch for group in groups for batch in group]
     if not members:
         return [[] for _ in groups]
-    # Members stay contiguous and in order, as merge_batches keeps them; no backend reads tags.
+    # Members stay contiguous and in order, as merge_batches keeps them.
     sizes = [sum(len(batch) for batch in group) for group in groups]
     ost = np.concatenate([batch.ost for batch in members]) % machine.ost_count
     ost += np.repeat(np.arange(len(groups)) * machine.ost_count, sizes)

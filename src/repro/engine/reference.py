@@ -10,14 +10,25 @@ with per-byte Python dict churn — correct, slow.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..util import FloatArray
 from .machines import Machine
-from .requests import RequestBatch, WriteRequest
+from .requests import RequestBatch
 
 __all__ = ["solve_reference"]
+
+
+@dataclass(frozen=True)
+class _WriteRequest:
+    """One timed write against one OST; ``tag`` is its batch position."""
+
+    arrival: float
+    ost: int
+    nbytes: float
+    tag: int
 
 
 def solve_reference(
@@ -28,11 +39,11 @@ def solve_reference(
 ) -> FloatArray:
     """Completion time of every request in ``batch``, in batch order."""
     # The event loop keys its bookkeeping by tag, so feed it the batch
-    # position as the tag — positions are unique even when caller tags
-    # are not, and the original loop is preserved untouched below.
-    per_ost: dict[int, list[WriteRequest]] = {}
+    # position as the tag (positions are unique); the original loop is
+    # preserved untouched below.
+    per_ost: dict[int, list[_WriteRequest]] = {}
     for pos in range(len(batch)):
-        req = WriteRequest(
+        req = _WriteRequest(
             arrival=float(batch.arrival[pos]),
             ost=int(batch.ost[pos]) % machine.ost_count,
             nbytes=float(batch.nbytes[pos]),
@@ -51,7 +62,7 @@ def solve_reference(
 
 def _simulate_one_ost(
     machine: Machine,
-    reqs: list[WriteRequest],
+    reqs: list[_WriteRequest],
     background: float,
     large_writes: bool,
 ) -> dict[int, float]:

@@ -1,10 +1,9 @@
 """Write-request containers consumed by the engine backends.
 
-:class:`WriteRequest` is the original one-object-per-write form; it is
-kept for tests and ad-hoc use.  The hot path of the I/O models builds a
-:class:`RequestBatch` instead — a struct-of-arrays over the same four
-fields — so an iteration with thousands of writers costs four numpy
-arrays rather than thousands of Python objects.
+A write is three numbers in the model: when it arrives, which OST it
+hits and how many bytes it carries.  :class:`RequestBatch` holds a batch
+of them as three parallel numpy arrays, so an iteration with thousands
+of writers costs three arrays rather than thousands of Python objects.
 
 :func:`merge_batches` / :func:`split_by_segment` concatenate several
 applications' batches into one batch over the shared OSTs (so their
@@ -14,7 +13,7 @@ back out; :func:`~repro.engine.solve_groups` stacks groups the same way.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,17 +22,7 @@ import numpy.typing as npt
 
 from ..util import FloatArray, IntArray
 
-__all__ = ["WriteRequest", "RequestBatch", "LaneOrder", "merge_batches", "split_by_segment"]
-
-
-@dataclass(frozen=True)
-class WriteRequest:
-    """One timed write against one OST."""
-
-    arrival: float
-    ost: int
-    nbytes: float
-    tag: int
+__all__ = ["RequestBatch", "LaneOrder", "merge_batches", "split_by_segment"]
 
 
 @dataclass(frozen=True)
@@ -60,43 +49,27 @@ class LaneOrder:
     #: The (modded) OST id each lane contends on, one entry per lane.
     ost: IntArray
 
-    @property
-    def lane_count(self) -> int:
-        """Number of occupied OST lanes."""
-        return int(self.starts.size)
-
 
 class RequestBatch:
     """A batch of write requests as parallel numpy arrays.
 
-    Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length;
-    ``tag`` defaults to the position in the batch (``0..n-1``), which is
-    also the order of the completion-time array the solvers return.
-    ``arrival``/``ost``/``nbytes`` are read-only views of their inputs.
+    Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length,
+    and every field is a read-only view of its input.  A request is known
+    by its position in the batch, which is also the order of the
+    completion-time array the solvers return.
     Arrivals and sizes must be finite and non-negative; anything else
     raises a :class:`ValueError` naming the field and the first bad
     index, because the backends would otherwise disagree (or never
     finish) on it.
     """
 
-    __slots__ = ("arrival", "ost", "nbytes", "tag", "_lane_orders")
+    __slots__ = ("arrival", "ost", "nbytes")
 
     arrival: FloatArray
     ost: IntArray
     nbytes: FloatArray
-    tag: IntArray
-    #: ``ost_count -> LaneOrder`` cache; batches are logically immutable,
-    #: so the (sort-dominated) lane grouping is computed once per
-    #: machine width and reused by every subsequent staggered solve.
-    _lane_orders: dict[int, LaneOrder]
 
-    def __init__(
-        self,
-        arrival: npt.ArrayLike,
-        ost: npt.ArrayLike,
-        nbytes: npt.ArrayLike,
-        tag: npt.ArrayLike | None = None,
-    ) -> None:
+    def __init__(self, arrival: npt.ArrayLike, ost: npt.ArrayLike, nbytes: npt.ArrayLike) -> None:
         arrival = np.atleast_1d(np.asarray(arrival, dtype=np.float64))
         ost = np.atleast_1d(np.asarray(ost, dtype=np.int64))
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
@@ -108,27 +81,16 @@ class RequestBatch:
         self.arrival = _read_only(arrival, n)
         self.ost = _read_only(ost, n)
         self.nbytes = _read_only(nbytes, n)
-        if tag is None:
-            self.tag = np.arange(n, dtype=np.int64)
-        else:
-            self.tag = np.atleast_1d(np.asarray(tag, dtype=np.int64))
-            if self.tag.size != n:
-                raise ValueError(f"tag length {self.tag.size} does not match batch length {n}")
-        self._lane_orders = {}
 
     def lanes(self, ost_count: int) -> LaneOrder:
-        """The batch regrouped into per-OST lanes of a width-``ost_count``
-        machine, computed once and cached (batches are immutable)."""
+        """The batch regrouped into per-OST lanes of a width-``ost_count`` machine."""
         if ost_count < 1:
             raise ValueError(f"ost_count must be >= 1, got {ost_count}")
-        cached = self._lane_orders.get(ost_count)
-        if cached is not None:
-            return cached
         ost = self.ost % ost_count
         n = ost.size
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
-            view = LaneOrder(
+            return LaneOrder(
                 order=empty,
                 arrival=np.empty(0, dtype=np.float64),
                 nbytes=np.empty(0, dtype=np.float64),
@@ -136,8 +98,6 @@ class RequestBatch:
                 ends=empty,
                 ost=empty,
             )
-            self._lane_orders[ost_count] = view
-            return view
         # Group by OST with a stable radix sort on the narrowest unsigned
         # dtype that holds the ids (fewer radix passes), then order each
         # lane by arrival with one row-wise stable argsort of a padded
@@ -165,7 +125,7 @@ class RequestBatch:
             padded[cell] = self.arrival[perm]
             by_arrival = np.argsort(padded.reshape(-1, depth), axis=1, kind="stable").ravel()
             order = perm[lane_start + by_arrival[cell]]
-        view = LaneOrder(
+        return LaneOrder(
             order=order,
             arrival=np.ascontiguousarray(self.arrival[order]),
             nbytes=np.ascontiguousarray(self.nbytes[order]),
@@ -173,33 +133,6 @@ class RequestBatch:
             ends=starts + counts,
             ost=ost_sorted[starts],
         )
-        self._lane_orders[ost_count] = view
-        return view
-
-    @classmethod
-    def from_requests(cls, requests: Iterable[WriteRequest]) -> RequestBatch:
-        """Build a batch from :class:`WriteRequest` objects."""
-        requests = list(requests)
-        if not requests:
-            return cls(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
-        return cls(
-            arrival=[r.arrival for r in requests],
-            ost=[r.ost for r in requests],
-            nbytes=[r.nbytes for r in requests],
-            tag=[r.tag for r in requests],
-        )
-
-    def to_requests(self) -> list[WriteRequest]:
-        """The batch as a list of :class:`WriteRequest` objects."""
-        return [
-            WriteRequest(
-                arrival=float(self.arrival[i]),
-                ost=int(self.ost[i]),
-                nbytes=float(self.nbytes[i]),
-                tag=int(self.tag[i]),
-            )
-            for i in range(len(self))
-        ]
 
     def __len__(self) -> int:
         return int(self.arrival.size)
@@ -228,10 +161,10 @@ def _require(field: str, values: FloatArray, ok: npt.NDArray[np.bool_], rule: st
 def merge_batches(batches: Sequence[RequestBatch]) -> tuple[RequestBatch, IntArray]:
     """Concatenate several batches into one over the shared OSTs.
 
-    Returns the merged batch (original tags preserved) plus a parallel
-    ``segments`` array mapping every merged request back to the index of
-    its source batch, so per-source results can be recovered with
-    :func:`split_by_segment`.  Order within each source batch is kept.
+    Returns the merged batch plus a parallel ``segments`` array mapping
+    every merged request back to the index of its source batch, so
+    per-source results can be recovered with :func:`split_by_segment`.
+    Order within each source batch is kept.
     """
     batches = list(batches)
     if not batches:
@@ -240,7 +173,6 @@ def merge_batches(batches: Sequence[RequestBatch]) -> tuple[RequestBatch, IntArr
         arrival=np.concatenate([b.arrival for b in batches]),
         ost=np.concatenate([b.ost for b in batches]),
         nbytes=np.concatenate([b.nbytes for b in batches]),
-        tag=np.concatenate([b.tag for b in batches]),
     )
     segments = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
     return merged, segments

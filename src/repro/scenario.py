@@ -128,13 +128,16 @@ class ScenarioConfig:
             data_per_rank = float(raw_mb) * MB
         except ValueError:
             raise ValueError(f"REPRO_DATA_PER_RANK_MB must be a number, got {raw_mb!r}") from None
+        backend = env.get("REPRO_ENGINE") or None
+        if backend is not None and backend.lower() not in backend_names():
+            raise ValueError(f"REPRO_ENGINE must name a backend {backend_names()}, got {backend!r}")
         return cls(
             machine=resolve_machine(env.get("REPRO_MACHINE", "kraken")),
             ladder=ladder,
             data_per_rank=data_per_rank,
             seed=env_int(env, "REPRO_SEED", default=0, minimum=0),
             full_scale=full_scale,
-            backend=env.get("REPRO_ENGINE") or None,
+            backend=backend,
             replications=env_int(env, "REPRO_REPLICATIONS", default=1),
             workload=Workload.parse(env["REPRO_WORKLOAD"]) if env.get("REPRO_WORKLOAD") else None,
             trace=env.get("REPRO_TRACE") or None,

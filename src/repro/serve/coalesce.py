@@ -27,7 +27,7 @@ from .request import SolveRequest
 
 __all__ = ["Bucket", "coalesce", "solve_buckets"]
 
-#: Default ceiling on how many cells one virtual-OST stack may hold; see
+#: Ceiling on how many cells one virtual-OST stack may hold; see
 #: ``solve_many(max_stack=...)``.  Chunking never changes output bits.
 DEFAULT_MAX_STACK = 512
 
@@ -65,10 +65,7 @@ def coalesce(cells: Iterable[tuple[str, SolveRequest]]) -> list[Bucket]:
 
 
 def solve_buckets(
-    buckets: Sequence[Bucket],
-    *,
-    backend: str | None = None,
-    max_stack: int | None = DEFAULT_MAX_STACK,
+    buckets: Sequence[Bucket], *, backend: str | None = None
 ) -> list[tuple[str, FloatArray]]:
     """Solve every bucket through the stacked engine path.
 
@@ -84,7 +81,7 @@ def solve_buckets(
             backgrounds=[request.background for request in bucket.requests],
             large_writes=bucket.large_writes,
             backend=backend,
-            max_stack=max_stack,
+            max_stack=DEFAULT_MAX_STACK,
         )
         solved.extend(zip(bucket.keys, done, strict=True))
     return solved

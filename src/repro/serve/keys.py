@@ -15,9 +15,6 @@ exactly those inputs into a sha256 hex string:
   with OST ids normalised modulo ``machine.ost_count`` first (the
   solvers only ever see the modded id, so ``ost=400`` and ``ost=64`` on
   a 336-OST machine are the same cell);
-* request tags are *excluded*: they are caller-side identity metadata
-  that never reaches the completion-time arithmetic, and hashing them
-  would split identical cells into distinct cache entries;
 * a ``None`` background hashes as its own marker rather than as a zero
   array — the cache never has to assert that the two spellings solve
   bit-identically on every backend.

@@ -18,8 +18,8 @@ whether it was served without running a solver.  **Determinism:** every
 cell solves independently (``solve_many`` is bit-identical to per-cell
 :func:`~repro.engine.solve` and the cache stores solver output
 verbatim), so the service's results are bit-identical to serial
-per-request solving — for any ``max_stack``, any interleaving of
-submits and flushes, and any request arrival order.
+per-request solving — for any interleaving of submits and flushes and
+any request arrival order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..util import FloatArray
 from .cache import CacheStats, SolveCache
-from .coalesce import DEFAULT_MAX_STACK, coalesce, solve_buckets
+from .coalesce import coalesce, solve_buckets
 from .request import SolveRequest, SolveResponse
 
 __all__ = ["ServiceStats", "SolveService"]
@@ -58,18 +58,9 @@ class ServiceStats:
 class SolveService:
     """Memoized, coalesced solving of request streams."""
 
-    def __init__(
-        self,
-        *,
-        cache: SolveCache | None = None,
-        backend: str | None = None,
-        max_stack: int | None = DEFAULT_MAX_STACK,
-    ) -> None:
-        if max_stack is not None and max_stack < 1:
-            raise ValueError(f"max_stack must be >= 1, got {max_stack}")
-        self._cache = SolveCache() if cache is None else cache
+    def __init__(self, *, backend: str | None = None) -> None:
+        self._cache = SolveCache()
         self._backend = backend
-        self._max_stack = max_stack
         self._pending: list[tuple[str, SolveRequest]] = []
         self._submitted = 0
         self._served = 0
@@ -92,12 +83,6 @@ class SolveService:
         self._submitted += 1
         return key
 
-    def solve(self, request: SolveRequest) -> SolveResponse:
-        """Submit one cell and flush immediately (the whole queue drains)."""
-        key = self.submit(request)
-        responses = {response.key: response for response in self.flush()}
-        return responses[key]
-
     def flush(self) -> list[SolveResponse]:
         """Resolve every queued request; responses in submission order."""
         pending, self._pending = self._pending, []
@@ -118,9 +103,7 @@ class SolveService:
             else:
                 resolved[key] = cached
         if to_solve:
-            solved = solve_buckets(
-                coalesce(to_solve.items()), backend=self._backend, max_stack=self._max_stack
-            )
+            solved = solve_buckets(coalesce(to_solve.items()), backend=self._backend)
             for key, done in solved:
                 resolved[key] = self._cache.put(key, done)
         # Exactly one response per solved cell reports a fresh solve; every

@@ -21,8 +21,8 @@ __all__ = [
 ]
 
 #: The package's array currencies: request times/sizes are float64 arrays,
-#: OST indices and tags are int64 arrays.  Annotation aliases only — at
-#: runtime these are ordinary ``np.ndarray`` objects.
+#: OST indices are int64 arrays.  Annotation aliases only — at runtime
+#: these are ordinary ``np.ndarray`` objects.
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 

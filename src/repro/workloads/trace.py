@@ -2,7 +2,7 @@
 
 A :class:`Trace` pins everything a composed scenario put on the file
 system: the machine's fields, and per iteration each application's
-generated :class:`RequestBatch` (arrival/ost/nbytes/tag), the sampled
+generated :class:`RequestBatch` (arrival/ost/nbytes), the sampled
 per-OST background load, and the write-class flag the merged solve used.
 Saving it as JSON Lines makes a scenario *replayable bit-for-bit* — no
 rng involved on replay — and diffable/greppable by ordinary tools.
@@ -12,8 +12,11 @@ File layout (one JSON object per line)::
     {"type": "header", "version": 1, "machine": ..., "machine_fields": {...}, "period": ...,
      "apps": [...], "iterations": N}
     {"type": "solve", "iteration": 0, "large_writes": true, "background": [...]}
-    {"type": "batch", "iteration": 0, "app": "sim", "arrival": [...], "ost": [...], "nbytes": [...], "tag": [...]}
+    {"type": "batch", "iteration": 0, "app": "sim", "arrival": [...], "ost": [...], "nbytes": [...]}
     ...
+
+A batch line's other keys are ignored, so traces written with a
+per-request ``"tag"`` column still load and replay unchanged.
 
 Python's ``json`` round-trips IEEE-754 doubles exactly (shortest-repr),
 so a replayed solve sees byte-identical inputs.  ``machine_fields`` lets
@@ -105,7 +108,6 @@ class Trace:
                             "arrival": [float(x) for x in batch.arrival],
                             "ost": [int(x) for x in batch.ost],
                             "nbytes": [float(x) for x in batch.nbytes],
-                            "tag": [int(x) for x in batch.tag],
                         },
                     )
         return path
@@ -203,7 +205,6 @@ def _read_record(
             "arrival": np.asarray(record["arrival"], dtype=np.float64),
             "ost": np.asarray(record["ost"], dtype=np.int64),
             "nbytes": np.asarray(record["nbytes"], dtype=np.float64),
-            "tag": np.asarray(record["tag"], dtype=np.int64),
         }
         shapes = {name: column.shape for name, column in columns.items()}
         if any(len(shape) != 1 for shape in shapes.values()) or len(set(shapes.values())) != 1:

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.engine import KRAKEN, Machine, WriteRequest, resolve_machine, simulate_writes
+from repro.engine import KRAKEN, Machine, RequestBatch, resolve_machine, solve
 from repro.util import MB
 
 
@@ -57,33 +57,20 @@ def test_seek_penalty_shape():
 
 
 def test_single_stream_runs_at_full_bandwidth():
-    done = simulate_writes(
-        KRAKEN,
-        [WriteRequest(arrival=0.0, ost=0, nbytes=90 * MB, tag=0)],
-        large_writes=True,
-    )
+    done = solve(KRAKEN, RequestBatch(arrival=0.0, ost=0, nbytes=90 * MB), large_writes=True)
     assert done[0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_sharing_an_ost_is_slower_than_spreading():
-    reqs_shared = [WriteRequest(arrival=0.0, ost=0, nbytes=90 * MB, tag=i) for i in range(4)]
-    reqs_spread = [WriteRequest(arrival=0.0, ost=i, nbytes=90 * MB, tag=i) for i in range(4)]
-    shared = simulate_writes(KRAKEN, reqs_shared, large_writes=True)
-    spread = simulate_writes(KRAKEN, reqs_spread, large_writes=True)
-    assert max(shared.values()) > max(spread.values())
+    shared = solve(KRAKEN, RequestBatch(0.0, [0, 0, 0, 0], 90 * MB), large_writes=True)
+    spread = solve(KRAKEN, RequestBatch(0.0, [0, 1, 2, 3], 90 * MB), large_writes=True)
+    assert max(shared) > max(spread)
     # Interleaving pays a seek penalty on top of the bandwidth split.
-    assert max(shared.values()) > 4.0
+    assert max(shared) > 4.0
 
 
 def test_late_arrival_completes_after_early_one():
-    done = simulate_writes(
-        KRAKEN,
-        [
-            WriteRequest(arrival=0.0, ost=0, nbytes=45 * MB, tag=0),
-            WriteRequest(arrival=10.0, ost=0, nbytes=45 * MB, tag=1),
-        ],
-        large_writes=True,
-    )
+    done = solve(KRAKEN, RequestBatch([0.0, 10.0], 0, 45 * MB), large_writes=True)
     # The first write finishes alone before the second even arrives.
     assert done[0] == pytest.approx(0.5, rel=1e-6)
     assert done[1] == pytest.approx(10.5, rel=1e-6)

@@ -49,17 +49,16 @@ BG = Workload(
 
 
 def test_merge_batches_preserves_order_and_tags():
-    a = RequestBatch(arrival=[0.0, 1.0], ost=[3, 4], nbytes=[MB, 2 * MB], tag=[7, 8])
+    a = RequestBatch(arrival=[0.0, 1.0], ost=[3, 4], nbytes=[MB, 2 * MB])
     b = RequestBatch(arrival=0.5, ost=9, nbytes=3 * MB)
     merged, segments = merge_batches([a, b])
     assert len(merged) == 3
     np.testing.assert_array_equal(segments, [0, 0, 1])
-    np.testing.assert_array_equal(merged.tag, [7, 8, 0])
     np.testing.assert_array_equal(merged.ost, [3, 4, 9])
 
 
 def test_merge_batches_accepts_empty_members():
-    empty = RequestBatch.from_requests([])
+    empty = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
     merged, segments = merge_batches([empty, RequestBatch(0.0, 1, MB)])
     assert len(merged) == 1
     np.testing.assert_array_equal(segments, [1])
@@ -308,7 +307,7 @@ def test_stacked_composition_equals_the_per_iteration_loop(case, backend):
         assert recorded.large_writes == large_writes
         _assert_same_arrays(recorded.background, background)
         for app, batch in zip(out.apps, batches, strict=True):
-            for field in ("arrival", "ost", "nbytes", "tag"):
+            for field in ("arrival", "ost", "nbytes"):
                 _assert_same_arrays(getattr(recorded.batches[app], field), getattr(batch, field))
     replayed = replay_trace(out.trace, backend=backend)
     for app in out.apps:
@@ -333,7 +332,6 @@ def test_trace_round_trips_through_jsonl(tmp_path):
             np.testing.assert_array_equal(recorded.batches[app].arrival, read.batches[app].arrival)
             np.testing.assert_array_equal(recorded.batches[app].nbytes, read.batches[app].nbytes)
             np.testing.assert_array_equal(recorded.batches[app].ost, read.batches[app].ost)
-            np.testing.assert_array_equal(recorded.batches[app].tag, read.batches[app].tag)
 
 
 def test_replay_reproduces_the_live_run_exactly(tmp_path):
@@ -429,6 +427,28 @@ def test_trace_load_rejects_background_not_covering_recorded_osts(tmp_path):
     records[1]["background"] = records[1]["background"][:3]
     _rewrite(path, records)
     _load_fails_at(path, 2, r"background must hold one entry per OST .*\(336\)")
+
+
+def test_trace_batch_lines_hold_three_columns(tmp_path):
+    path, records = _recorded_trace(tmp_path)
+    for record in records[2:]:
+        assert set(record) == {"type", "iteration", "app", "arrival", "ost", "nbytes"}
+    assert len(Trace.load(path)) == 1
+
+
+def test_trace_with_a_tag_column_loads_and_replays_exactly(tmp_path):
+    # Traces used to carry a per-request "tag" column; the reader ignores it.
+    path = tmp_path / "scenario.jsonl"
+    out = run_composition(KRAKEN, [FG, BG], 2, period=60.0, seed=4, trace_path=path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        if record["type"] == "batch":
+            record["tag"] = list(range(len(record["arrival"])))
+    _rewrite(path, records)
+    replayed = replay_trace(Trace.load(path))
+    for app in out.apps:
+        for live, again in zip(out.completions[app], replayed[app], strict=True):
+            np.testing.assert_array_equal(live, again)
 
 
 def test_trace_without_machine_fields_still_loads(tmp_path):

@@ -9,6 +9,11 @@ orderings bit-for-bit across the refactor (golden seed 0).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,10 +23,8 @@ from repro.engine import (
     NO_INTERFERENCE,
     Interference,
     RequestBatch,
-    WriteRequest,
     backend_names,
     default_backend,
-    simulate_writes,
     solve,
     solve_many,
     use_backend,
@@ -65,30 +68,41 @@ def test_unknown_backend_rejected():
         solve(KRAKEN, RequestBatch(0.0, 0, MB), large_writes=True, backend="gpu")
 
 
+def test_unknown_default_backend_names_repro_engine():
+    # An unknown default can only come from REPRO_ENGINE: importing and
+    # pinning a backend must not fail, and the first solve that uses the
+    # default names the variable.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        "from repro.engine import KRAKEN, RequestBatch, solve, use_backend\n"
+        "batch = RequestBatch(0.0, 0, 1.0)\n"
+        "with use_backend('reference'):\n"
+        "    solve(KRAKEN, batch, large_writes=True)\n"
+        "try:\n"
+        "    solve(KRAKEN, batch, large_writes=True)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "REPRO_ENGINE": "Bogus"}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == (
+        f"REPRO_ENGINE must name a backend {backend_names()}, got 'Bogus'"
+    )
+
+
 def test_empty_batch():
+    empty = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
     for backend in ("vectorized", "reference"):
-        done = solve(KRAKEN, RequestBatch.from_requests([]), large_writes=True, backend=backend)
+        done = solve(KRAKEN, empty, large_writes=True, backend=backend)
         assert done.size == 0
 
 
 # -- RequestBatch container ------------------------------------------------
-
-
-def test_empty_batch_round_trips_through_requests():
-    batch = RequestBatch.from_requests([])
-    assert len(batch) == 0
-    assert batch.to_requests() == []
-    again = RequestBatch.from_requests(batch.to_requests())
-    assert len(again) == 0
-    assert again.tag.size == 0
-
-
-def test_batch_round_trips_through_requests():
-    reqs = [
-        WriteRequest(arrival=0.0, ost=3, nbytes=45 * MB, tag=11),
-        WriteRequest(arrival=1.5, ost=7, nbytes=90 * MB, tag=7),
-    ]
-    assert RequestBatch.from_requests(reqs).to_requests() == reqs
 
 
 def test_batch_broadcasts_scalars():
@@ -96,8 +110,6 @@ def test_batch_broadcasts_scalars():
     assert len(batch) == 3
     np.testing.assert_array_equal(batch.arrival, [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(batch.nbytes, [45 * MB] * 3)
-    # Default tags are the batch positions.
-    np.testing.assert_array_equal(batch.tag, [0, 1, 2])
 
 
 def test_batch_fields_are_read_only_views():
@@ -125,11 +137,6 @@ def test_batch_fields_are_read_only_views():
         RequestBatch(arrival=[0.0, 1.0], ost=[1, 2, 3], nbytes=MB)
     with pytest.raises(ValueError):
         RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=[MB, MB])
-
-
-def test_batch_rejects_mismatched_tags():
-    with pytest.raises(ValueError, match="tag length"):
-        RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=MB, tag=[0, 1])
 
 
 def test_batch_rejects_non_finite_arrival():
@@ -203,7 +210,7 @@ def test_lanes_order_equals_lexsort_of_ost_then_arrival(ost_count):
 
 def test_lanes_of_empty_batch():
     lanes = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)).lanes(336)
-    assert lanes.lane_count == 0
+    assert lanes.starts.size == 0
     for column in (lanes.order, lanes.arrival, lanes.nbytes, lanes.starts, lanes.ends, lanes.ost):
         assert column.size == 0
 
@@ -268,11 +275,11 @@ def test_background_contract_covers_every_entry_point():
     background = np.full(KRAKEN.ost_count, np.nan)
     match = r"background\[0\] must be finite"
     with pytest.raises(ValueError, match=match):
-        simulate_writes(KRAKEN, batch, background=background, large_writes=False)
-    with pytest.raises(ValueError, match=match):
         solve_many(KRAKEN, [batch, batch], backgrounds=[background, None], large_writes=False)
+    service = SolveService()
+    service.submit(SolveRequest(KRAKEN, batch, background=background))
     with pytest.raises(ValueError, match=match):
-        SolveService().solve(SolveRequest(KRAKEN, batch, background=background))
+        service.flush()
     # Integer arrays and fractional loads stay accepted.
     quiet = solve(KRAKEN, batch, large_writes=False)
     zeros = np.zeros(KRAKEN.ost_count, dtype=np.int64)
@@ -317,20 +324,10 @@ def test_interference_defaults_and_quiet_model_construct():
     Interference(burst_streams=(4, 4), collective_burst_slowdown=(1.0, 1.0))
 
 
-def test_duplicate_tags_are_solved_per_position():
-    # solve() is positional; caller tags need not be unique.
-    batch = RequestBatch(0.0, [0, 0], [10 * MB, 20 * MB], tag=[5, 5])
+def test_two_writes_on_one_ost_are_solved_per_position():
+    # solve() is positional: equal arrivals on one OST are two requests.
+    batch = RequestBatch(0.0, [0, 0], [10 * MB, 20 * MB])
     _assert_backends_agree(batch, large_writes=True)
-
-
-def test_simulate_writes_dict_wrapper_matches_batch_order():
-    reqs = [
-        WriteRequest(arrival=0.0, ost=3, nbytes=45 * MB, tag=11),
-        WriteRequest(arrival=1.0, ost=3, nbytes=45 * MB, tag=7),
-    ]
-    done = simulate_writes(KRAKEN, reqs, large_writes=True)
-    assert set(done) == {11, 7}
-    assert done[11] < done[7]
 
 
 # -- golden-seed equivalence across workload shapes -----------------------

@@ -80,6 +80,13 @@ def test_invalid_backend_rejected():
         ScenarioConfig(backend="gpu")
 
 
+def test_from_env_names_an_unknown_engine():
+    # `REPRO_ENGINE=bogus python -m repro run e3` reported the backend
+    # without the variable that set it.
+    with pytest.raises(ValueError, match=r"^REPRO_ENGINE must name a backend .*, got 'bogus'$"):
+        ScenarioConfig.from_env({"REPRO_ENGINE": "bogus"})
+
+
 def test_backend_name_case_insensitive():
     # The engine registry lowercases names; the scenario must accept the
     # same spellings (REPRO_ENGINE=Reference) instead of rejecting them.

@@ -81,9 +81,6 @@ def test_request_key_digests_are_pinned():
 def test_request_key_identity_semantics():
     batch = _pinned_batch()
     base = request_key(GRID, batch, None, False)
-    # Tags are caller metadata, not solve inputs: a tagged copy is the same cell.
-    tagged = RequestBatch(batch.arrival, batch.ost, batch.nbytes, np.array([7, 8, 9]))
-    assert request_key(GRID, tagged, None, False) == base
     # OST ids are normalised modulo the machine's OST count.
     shifted = RequestBatch(batch.arrival, batch.ost + GRID.ost_count, batch.nbytes)
     assert request_key(GRID, shifted, None, False) == base
@@ -299,7 +296,8 @@ def test_flush_interleaving_cannot_change_results():
     together = {r.key: r.done for r in one_flush.flush()}
     per_request = SolveService()
     for request in requests:
-        response = per_request.solve(request)
+        per_request.submit(request)
+        (response,) = per_request.flush()
         np.testing.assert_array_equal(response.done, together[response.key])
 
 
