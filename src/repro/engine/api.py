@@ -3,9 +3,11 @@
 Two backends ship by default: ``vectorized`` (numpy, the default) and
 ``reference`` (the seed implementation, kept as ground truth).  The
 active default is ``vectorized`` unless the ``REPRO_ENGINE`` environment
-variable or :func:`set_default_backend` says otherwise; individual calls
-and tests can pin a backend with the ``backend=`` argument or the
-:func:`use_backend` context manager.
+variable or :func:`set_default_backend` says otherwise.  One
+:func:`solve` call can pin a backend with its ``backend=`` argument;
+every layer above it (stacked solves, the replication driver,
+composition, the solve service) follows the default, which
+:func:`use_backend` switches for a scope.
 """
 
 from __future__ import annotations

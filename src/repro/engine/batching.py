@@ -35,8 +35,6 @@ def solve_groups(
     *,
     backgrounds: Sequence[FloatArray | None] | None = None,
     large_writes: bool,
-    backend: str | None = None,
-    max_stack: int | None = None,
 ) -> list[list[FloatArray]]:
     """Solve independent contention groups against ``machine`` in one engine call.
 
@@ -45,35 +43,14 @@ def solve_groups(
     system), never with another group.  Returns, per group, one
     completion-time array per member — the same values, bit for bit, as
     solving the group's :func:`~repro.engine.requests.merge_batches`
-    batch alone on the same backend.
-
-    ``max_stack`` bounds the groups per stack: longer inputs are solved in
-    consecutive chunks (an unbounded serve mega-batch would materialise
-    ``len(groups) * ost_count`` virtual OSTs of background at once).  The
-    groups being independent, chunking cannot change a single output bit.
+    batch alone.  Both solve on the default backend (see
+    :func:`~repro.engine.api.use_backend`).
     """
     groups = [list(group) for group in groups]
     if backgrounds is not None:
         backgrounds = list(backgrounds)
         if len(backgrounds) != len(groups):
             raise ValueError(f"got {len(backgrounds)} backgrounds for {len(groups)} groups")
-    if max_stack is not None:
-        if max_stack < 1:
-            raise ValueError(f"max_stack must be >= 1, got {max_stack}")
-        if len(groups) > max_stack:
-            out: list[list[FloatArray]] = []
-            for start in range(0, len(groups), max_stack):
-                stop = start + max_stack
-                out.extend(
-                    solve_groups(
-                        machine,
-                        groups[start:stop],
-                        backgrounds=None if backgrounds is None else backgrounds[start:stop],
-                        large_writes=large_writes,
-                        backend=backend,
-                    )
-                )
-            return out
     members = [batch for group in groups for batch in group]
     if not members:
         return [[] for _ in groups]
@@ -91,7 +68,6 @@ def solve_groups(
         stacked,
         background=_stack_backgrounds(machine, backgrounds, len(groups)),
         large_writes=large_writes,
-        backend=backend,
     )
     parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
     ends = np.cumsum([len(group) for group in groups])
@@ -104,8 +80,6 @@ def solve_many(
     *,
     backgrounds: Sequence[FloatArray | None] | None = None,
     large_writes: bool,
-    backend: str | None = None,
-    max_stack: int | None = None,
 ) -> list[FloatArray]:
     """:func:`solve_groups` with one batch per group: one completion-time
     array per batch, bit-identical to solving each batch alone."""
@@ -114,8 +88,6 @@ def solve_many(
         [[batch] for batch in batches],
         backgrounds=backgrounds,
         large_writes=large_writes,
-        backend=backend,
-        max_stack=max_stack,
     )
     return [group[0] for group in groups]
 

@@ -73,14 +73,14 @@ class RequestBatch:
         arrival = np.atleast_1d(np.asarray(arrival, dtype=np.float64))
         ost = np.atleast_1d(np.asarray(ost, dtype=np.int64))
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
-        # Checked before broadcasting, so a scalar input costs O(1).
+        n = max(arrival.size, ost.size, nbytes.size)
+        self.arrival = _read_only("arrival", arrival, n)
+        self.ost = _read_only("ost", ost, n)
+        self.nbytes = _read_only("nbytes", nbytes, n)
+        # Values are checked on the 1-D inputs, so a scalar input costs O(1).
         _require("arrival", arrival, np.isfinite(arrival), "finite")
         _require("arrival", arrival, arrival >= 0.0, ">= 0")
         _require("nbytes", nbytes, np.isfinite(nbytes) & (nbytes >= 0.0), "finite and >= 0")
-        n = max(arrival.size, ost.size, nbytes.size)
-        self.arrival = _read_only(arrival, n)
-        self.ost = _read_only(ost, n)
-        self.nbytes = _read_only(nbytes, n)
 
     def lanes(self, ost_count: int) -> LaneOrder:
         """The batch regrouped into per-OST lanes of a width-``ost_count`` machine."""
@@ -141,10 +141,14 @@ class RequestBatch:
         return f"RequestBatch({len(self)} requests)"
 
 
-def _read_only(values: npt.NDArray[Any], n: int) -> npt.NDArray[Any]:
+def _read_only(field: str, values: npt.NDArray[Any], n: int) -> npt.NDArray[Any]:
     """A read-only length-``n`` view of ``values``; only a scalar pays for
-    ``broadcast_to`` (several microseconds), and any other length raises."""
+    ``broadcast_to`` (several microseconds), and any other shape raises."""
     if values.shape != (n,):
+        if values.shape != (1,):
+            raise ValueError(
+                f"RequestBatch {field} must be 1-D with 1 or {n} entries, got shape {values.shape}"
+            )
         return np.broadcast_to(values, (n,))
     view = values.view()
     view.flags.writeable = False

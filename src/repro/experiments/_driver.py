@@ -91,7 +91,6 @@ def run_replicated_approaches(
     replications: int,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
-    batched: bool = True,
 ) -> Iterator[tuple[IOApproach, list[list[IterationResult]]]]:
     """Run a selection of approaches at one scale, R seeded copies each.
 
@@ -99,10 +98,9 @@ def run_replicated_approaches(
     result list per replication.  Replication 0 is the historical stream,
     so a single run is replication 0 of a one-deep stack.  Replications
     solve batched through the engine's stacked
-    :func:`~repro.engine.solve_many` path by default; ``batched=False``
-    keeps the serial ground-truth loop.  ``approaches`` may mix instances
-    and registered names; ``None`` selects the paper's original three.
-    ``interference`` overrides the default model when
+    :func:`~repro.engine.solve_many` path.  ``approaches`` may mix
+    instances and registered names; ``None`` selects the paper's original
+    three.  ``interference`` overrides the default model when
     ``with_interference`` is set (e.g. a scenario's own).
     """
     effective = _effective_interference(with_interference, interference)
@@ -118,7 +116,6 @@ def run_replicated_approaches(
                 seed,
                 replications,
                 interference=effective,
-                batched=batched,
             ),
         )
 
@@ -133,14 +130,13 @@ def run_sweep(
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
     replications: int = 1,
-    batched: bool = True,
 ) -> dict[tuple[int, str], list[list[IterationResult]]]:
     """Run every (scale, approach) cell, keyed by ``(ranks, approach name)``.
 
     Every cell value holds one result list per replication, solved
-    through the stacked engine path unless ``batched`` is off.  The
-    per-cell rng derivation (:func:`cell_rng`) makes every cell
-    independent of which other cells run alongside it.
+    through the stacked engine path.  The per-cell rng derivation
+    (:func:`cell_rng`) makes every cell independent of which other cells
+    run alongside it.
     """
     sweep: dict[tuple[int, str], list[list[IterationResult]]] = {}
     for ranks in scales:
@@ -154,7 +150,6 @@ def run_sweep(
             replications,
             approaches=approaches,
             interference=interference,
-            batched=batched,
         ):
             sweep[(ranks, approach.name)] = reps
     return sweep

@@ -60,7 +60,6 @@ def run_throughput(
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
     replications: int = 1,
-    batched: bool = True,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -76,7 +75,6 @@ def run_throughput(
             replications,
             approaches=approaches,
             interference=interference,
-            batched=batched,
         )
         for index, results in enumerate(reps)
     )

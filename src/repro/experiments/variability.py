@@ -74,7 +74,6 @@ def run_variability(
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
     replications: int = 1,
-    batched: bool = True,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -90,7 +89,6 @@ def run_variability(
             replications,
             approaches=approaches,
             interference=interference,
-            batched=batched,
         )
         for index, results in enumerate(reps)
     )

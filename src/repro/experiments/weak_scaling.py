@@ -74,7 +74,6 @@ def run_weak_scaling(
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
     replications: int = 1,
-    batched: bool = True,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -90,7 +89,6 @@ def run_weak_scaling(
         approaches=approaches,
         interference=interference,
         replications=replications,
-        batched=batched,
     )
     # Per-replication speedups compare same-replication runs, so the
     # reduced speedup column is a genuine paired statistic.

@@ -39,12 +39,13 @@ shared OSTs and finalizes each application from its own slice.
 :meth:`~IOApproach.prepare_iteration` is the same split applied to
 :meth:`~IOApproach.run_iteration` itself: it draws *everything* an
 iteration needs from the rng — in exactly ``run_iteration``'s historical
-order, so random streams never shift — and returns a
-:class:`PreparedIteration` whose batch can be solved now, later, or
-stacked with other replications' batches in one
-:func:`~repro.engine.solve_many` call.  ``run_iteration`` is just
-``prepare -> solve -> finalize``; the replication driver in
-:mod:`repro.stats` prepares R iterations and solves them together.
+order, so random streams never shift — and returns an
+:class:`IterationPlan` that also carries the sampled background.  Its
+batch can be solved now, later, or stacked with other replications'
+batches in one :func:`~repro.engine.solve_many` call.
+``run_iteration`` is just ``prepare -> solve -> finalize``; the
+replication driver in :mod:`repro.stats` prepares R iterations and
+solves them together.
 
 Approaches register themselves by name (:func:`register_approach`), so
 experiments and the CLI can select subsets with strings; the paper's
@@ -71,7 +72,6 @@ from .util import FloatArray, IntArray
 __all__ = [
     "IterationResult",
     "IterationPlan",
-    "PreparedIteration",
     "IOApproach",
     "FilePerProcess",
     "Collective",
@@ -114,31 +114,21 @@ class IterationPlan:
     (in batch order) into the :class:`IterationResult`.  Callers may solve
     the batch alone or merged with other applications' batches — the plan
     does not care who else was contending.
+
+    :meth:`IOApproach.plan_iteration` leaves the background to its caller
+    (the composer samples one per iteration).  A plan from
+    :meth:`IOApproach.prepare_iteration` has consumed *all* the rng draws
+    :meth:`IOApproach.run_iteration` would have, interference background
+    included, so R of them from R replication streams can be solved in
+    one stacked call and finalized individually, bit-identical to running
+    each serially.
     """
 
     batch: RequestBatch
     large_writes: bool
     finalize: Callable[[FloatArray], IterationResult]
-
-
-@dataclass(frozen=True)
-class PreparedIteration:
-    """One fully-drawn iteration, ready to solve.
-
-    Unlike :class:`IterationPlan` (the composition-path split, which
-    leaves background sampling to the caller), a prepared iteration has
-    consumed *all* the rng draws :meth:`IOApproach.run_iteration` would
-    have — interference background included, in the same order — so R
-    prepared iterations from R replication streams can be solved in one
-    stacked :func:`~repro.engine.solve_many` call and finalized
-    individually, bit-identical to running each serially.
-    """
-
-    batch: RequestBatch
-    large_writes: bool
     #: Per-OST background stream count, or ``None`` for a quiet system.
-    background: FloatArray | None
-    finalize: Callable[[FloatArray], IterationResult]
+    background: FloatArray | None = None
 
 
 _EMPTY_BATCH = RequestBatch(
@@ -205,7 +195,7 @@ class IOApproach:
         rng: np.random.Generator,
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
-    ) -> PreparedIteration:
+    ) -> IterationPlan:
         """Draw one iteration's randomness and defer its solve.
 
         The rng draw order is exactly :meth:`run_iteration`'s, so
@@ -243,14 +233,14 @@ class FilePerProcess(IOApproach):
         rng: np.random.Generator,
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
-    ) -> PreparedIteration:
+    ) -> IterationPlan:
         background = interference.sample_background(machine, rng)
         plan = self.plan_iteration(machine, ranks, data_per_rank, rng, arrivals)
-        return PreparedIteration(
+        return IterationPlan(
             batch=plan.batch,
             large_writes=plan.large_writes,
-            background=background,
             finalize=plan.finalize,
+            background=background,
         )
 
     def plan_iteration(
@@ -306,7 +296,7 @@ class Collective(IOApproach):
         rng: np.random.Generator,
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
-    ) -> PreparedIteration:
+    ) -> IterationPlan:
         total = float(ranks) * data_per_rank
         # Synchronisation/shuffle, then the shared-file write at the
         # stripe-lock plateau, slowed further by whatever else the file
@@ -330,12 +320,7 @@ class Collective(IOApproach):
         )
         # The plateau model is analytic — nothing lands on the simulated
         # OSTs, so the prepared batch is empty and the result is fixed.
-        return PreparedIteration(
-            batch=_EMPTY_BATCH,
-            large_writes=True,
-            background=None,
-            finalize=lambda done: result,
-        )
+        return IterationPlan(batch=_EMPTY_BATCH, large_writes=True, finalize=lambda done: result)
 
     def plan_iteration(
         self,
@@ -402,6 +387,7 @@ class DedicatedCores(IOApproach):
         offsets: FloatArray,
         jitter: FloatArray,
         osts: IntArray,
+        background: FloatArray | None,
     ) -> IterationPlan:
         """Assemble the plan from pre-drawn randomness (see run_iteration)."""
         nodes = machine.nodes_for(ranks)
@@ -424,7 +410,9 @@ class DedicatedCores(IOApproach):
                 files_created=nodes,
             )
 
-        return IterationPlan(batch=batch, large_writes=True, finalize=finalize)
+        return IterationPlan(
+            batch=batch, large_writes=True, finalize=finalize, background=background
+        )
 
     def prepare_iteration(
         self,
@@ -434,20 +422,14 @@ class DedicatedCores(IOApproach):
         rng: np.random.Generator,
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
-    ) -> PreparedIteration:
+    ) -> IterationPlan:
         nodes = machine.nodes_for(ranks)
         clients = self.clients(machine, ranks)
         offsets = _as_offsets(arrivals, clients)
         jitter = self._jitter(rng, clients)
         background = interference.sample_background(machine, rng)
         osts = rng.permutation(nodes) % machine.ost_count
-        plan = self._plan(machine, ranks, data_per_rank, offsets, jitter, osts)
-        return PreparedIteration(
-            batch=plan.batch,
-            large_writes=plan.large_writes,
-            background=background,
-            finalize=plan.finalize,
-        )
+        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background)
 
     def plan_iteration(
         self,
@@ -462,7 +444,7 @@ class DedicatedCores(IOApproach):
         offsets = _as_offsets(arrivals, clients)
         jitter = self._jitter(rng, clients)
         osts = rng.permutation(nodes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts)
+        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background=None)
 
 
 class DedicatedNodes(IOApproach):
@@ -519,6 +501,7 @@ class DedicatedNodes(IOApproach):
         offsets: FloatArray,
         jitter: FloatArray,
         osts: IntArray,
+        background: FloatArray | None,
     ) -> IterationPlan:
         """Assemble the plan from pre-drawn randomness (see run_iteration)."""
         forwarders = self.forwarders(machine, ranks)
@@ -546,7 +529,9 @@ class DedicatedNodes(IOApproach):
                 files_created=forwarders,
             )
 
-        return IterationPlan(batch=batch, large_writes=True, finalize=finalize)
+        return IterationPlan(
+            batch=batch, large_writes=True, finalize=finalize, background=background
+        )
 
     def prepare_iteration(
         self,
@@ -556,7 +541,7 @@ class DedicatedNodes(IOApproach):
         rng: np.random.Generator,
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
-    ) -> PreparedIteration:
+    ) -> IterationPlan:
         forwarders = self.forwarders(machine, ranks)
         clients = self.clients(machine, ranks)
         offsets = _as_offsets(arrivals, clients)
@@ -564,13 +549,7 @@ class DedicatedNodes(IOApproach):
         background = interference.sample_background(machine, rng)
         stripes = min(self.stripes, machine.ost_count)
         osts = rng.permutation(forwarders * stripes) % machine.ost_count
-        plan = self._plan(machine, ranks, data_per_rank, offsets, jitter, osts)
-        return PreparedIteration(
-            batch=plan.batch,
-            large_writes=plan.large_writes,
-            background=background,
-            finalize=plan.finalize,
-        )
+        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background)
 
     def plan_iteration(
         self,
@@ -586,7 +565,7 @@ class DedicatedNodes(IOApproach):
         jitter = self._jitter(rng, clients)
         stripes = min(self.stripes, machine.ost_count)
         osts = rng.permutation(forwarders * stripes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts)
+        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background=None)
 
 
 _APPROACHES: dict[str, IOApproach] = {}

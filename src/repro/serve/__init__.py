@@ -11,14 +11,13 @@ arrival order.
 from __future__ import annotations
 
 from .cache import CacheStats, SolveCache
-from .coalesce import DEFAULT_MAX_STACK, Bucket, coalesce, solve_buckets
+from .coalesce import Bucket, coalesce
 from .keys import KEY_SCHEMA, request_key
 from .request import SolveRequest, SolveResponse
 from .service import ServiceStats, SolveService
 from .stream import demo_stream
 
 __all__ = [
-    "DEFAULT_MAX_STACK",
     "KEY_SCHEMA",
     "Bucket",
     "CacheStats",
@@ -30,5 +29,4 @@ __all__ = [
     "coalesce",
     "demo_stream",
     "request_key",
-    "solve_buckets",
 ]

@@ -15,12 +15,13 @@ benchmark's claim.
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
 
 from ..bench.timing import time_once
-from ..engine import backend_names, machine_names, solve
+from ..engine import backend_names, machine_names, solve, use_backend
 from ..table import Table
 from .service import SolveService
 from .stream import demo_stream
@@ -63,14 +64,16 @@ def run_serve(args: argparse.Namespace) -> int:
     stream = demo_stream(
         args.machine, cells=args.cells, passes=args.passes, ranks=args.ranks, seed=args.seed
     )
-    service = SolveService(backend=args.backend)
+    service = SolveService()
 
     def drain() -> list[Any]:
         for request in stream:
             service.submit(request)
         return service.flush()
 
-    elapsed, responses = time_once(drain)
+    # --backend switches the default for the service; the inline side pins it.
+    with nullcontext() if args.backend is None else use_backend(args.backend):
+        elapsed, responses = time_once(drain)
     stats = service.stats
     table = Table()
     table.append(

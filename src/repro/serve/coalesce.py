@@ -6,8 +6,7 @@ machine and a write class (the seek-penalty slope is per solve).  The
 coalescer therefore groups a flush's unsolved cells into
 :class:`Bucket`\\ s keyed by ``(machine, large_writes)`` — machines are
 frozen dataclasses, so the grouping is plain hashing, no names involved
-— and :func:`solve_buckets` dispatches each bucket through one stacked
-call.
+— and the service solves each bucket through stacked calls.
 
 Correctness does not depend on how cells land in buckets: ``solve_many``
 is bit-identical to solving each batch alone, so *any* grouping returns
@@ -18,18 +17,13 @@ driver — now across unrelated requests.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..engine import Machine, solve_many
-from ..util import FloatArray
+from ..engine import Machine
 from .request import SolveRequest
 
-__all__ = ["Bucket", "coalesce", "solve_buckets"]
-
-#: Ceiling on how many cells one virtual-OST stack may hold; see
-#: ``solve_many(max_stack=...)``.  Chunking never changes output bits.
-DEFAULT_MAX_STACK = 512
+__all__ = ["Bucket", "coalesce"]
 
 
 @dataclass(frozen=True)
@@ -63,25 +57,3 @@ def coalesce(cells: Iterable[tuple[str, SolveRequest]]) -> list[Bucket]:
         for (machine, large_writes), members in grouped.items()
     ]
 
-
-def solve_buckets(
-    buckets: Sequence[Bucket], *, backend: str | None = None
-) -> list[tuple[str, FloatArray]]:
-    """Solve every bucket through the stacked engine path.
-
-    Returns ``(key, completion times)`` pairs covering every cell of
-    every bucket — the same values, bit for bit, as one
-    :func:`~repro.engine.solve` call per cell.
-    """
-    solved: list[tuple[str, FloatArray]] = []
-    for bucket in buckets:
-        done = solve_many(
-            bucket.machine,
-            [request.batch for request in bucket.requests],
-            backgrounds=[request.background for request in bucket.requests],
-            large_writes=bucket.large_writes,
-            backend=backend,
-            max_stack=DEFAULT_MAX_STACK,
-        )
-        solved.extend(zip(bucket.keys, done, strict=True))
-    return solved

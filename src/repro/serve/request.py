@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine import Machine, RequestBatch, resolve_machine
+from ..engine.api import _checked_background
 from ..util import FloatArray
 from .keys import request_key
 
@@ -37,7 +38,12 @@ class SolveRequest:
     large_writes: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "machine", resolve_machine(self.machine))
+        machine = resolve_machine(self.machine)
+        object.__setattr__(self, "machine", machine)
+        # Rejected here, as solve() would, so a bad cell never enters a
+        # service queue that holds other cells.
+        if self.background is not None:
+            object.__setattr__(self, "background", _checked_background(machine, self.background))
 
     def key(self) -> str:
         """The canonical content hash of this cell (see :mod:`.keys`).

@@ -11,7 +11,8 @@ and on :meth:`~SolveService.flush` resolves the whole queue:
    O(1) hit the roadmap's overlapping-sweep traffic lives on.
 3. **Coalesced solving.**  The remaining cells are grouped into
    ``(machine, write class)`` buckets and solved inline through the
-   stacked :func:`~repro.engine.solve_many` path.
+   stacked :func:`~repro.engine.solve_many` path, at most
+   ``_MAX_STACK`` cells per stack, on the engine's default backend.
 
 Responses come back in submission order, each carrying the cell key and
 whether it was served without running a solver.  **Determinism:** every
@@ -26,12 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import solve_many
 from ..util import FloatArray
 from .cache import CacheStats, SolveCache
-from .coalesce import coalesce, solve_buckets
+from .coalesce import Bucket, coalesce
 from .request import SolveRequest, SolveResponse
 
 __all__ = ["ServiceStats", "SolveService"]
+
+#: Most cells one stacked solve may hold.  A stack of ``k`` cells is a
+#: machine of ``k * ost_count`` virtual OSTs with a background array as
+#: wide, so an unbounded flush would materialise all of them at once.
+#: The cells are independent: chunking cannot change an output bit.
+_MAX_STACK = 512
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,8 @@ class ServiceStats:
 class SolveService:
     """Memoized, coalesced solving of request streams."""
 
-    def __init__(self, *, backend: str | None = None) -> None:
+    def __init__(self) -> None:
         self._cache = SolveCache()
-        self._backend = backend
         self._pending: list[tuple[str, SolveRequest]] = []
         self._submitted = 0
         self._served = 0
@@ -103,9 +110,9 @@ class SolveService:
             else:
                 resolved[key] = cached
         if to_solve:
-            solved = solve_buckets(coalesce(to_solve.items()), backend=self._backend)
-            for key, done in solved:
-                resolved[key] = self._cache.put(key, done)
+            for bucket in coalesce(to_solve.items()):
+                for key, done in zip(bucket.keys, _solve_bucket(bucket), strict=True):
+                    resolved[key] = self._cache.put(key, done)
         # Exactly one response per solved cell reports a fresh solve; every
         # other response was served from memory (earlier flush or coalesced).
         fresh = dict.fromkeys(to_solve, True)
@@ -130,3 +137,17 @@ class SolveService:
             coalesced=self._coalesced,
             cache=self._cache.stats,
         )
+
+
+def _solve_bucket(bucket: Bucket) -> list[FloatArray]:
+    """Every cell's completion times, in bucket order, ``_MAX_STACK`` cells per stack."""
+    done: list[FloatArray] = []
+    for start in range(0, len(bucket.requests), _MAX_STACK):
+        chunk = bucket.requests[start : start + _MAX_STACK]
+        done += solve_many(
+            bucket.machine,
+            [request.batch for request in chunk],
+            backgrounds=[request.background for request in chunk],
+            large_writes=bucket.large_writes,
+        )
+    return done

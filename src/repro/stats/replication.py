@@ -8,7 +8,8 @@ iteration results.  Two execution paths produce bit-identical output:
 * **serial** (``batched=False``) — the plain loop: replication ``r``
   calls :meth:`~repro.io_models.IOApproach.run_iteration` ``iterations``
   times on its own generator.  This is the ground-truth path (and the
-  baseline the perf guard measures the batched path against).
+  baseline the perf guard measures the batched path against).  No
+  experiment runner chooses between the two: this is the one switch.
 * **batched** (the default) — every replication *prepares* its
   iterations (consuming its rng stream in exactly the serial order),
   then all R × iterations request batches are stacked along the virtual
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import Interference, Machine, NO_INTERFERENCE, resolve_machine, solve_many
-from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approach
+from ..io_models import IOApproach, IterationPlan, IterationResult, resolve_approach
 from ..util import replication_seed, seed_key
 
 __all__ = ["cell_rng", "replication_rng", "run_replications", "solve_prepared"]
@@ -65,7 +66,6 @@ def run_replications(
     *,
     interference: Interference = NO_INTERFERENCE,
     batched: bool = True,
-    backend: str | None = None,
 ) -> list[list[IterationResult]]:
     """Run ``replications`` independently-seeded copies of one cell.
 
@@ -94,13 +94,11 @@ def run_replications(
         for rng in rngs
         for _ in range(iterations)
     ]
-    final = solve_prepared(machine, prepared, backend=backend)
+    final = solve_prepared(machine, prepared)
     return [final[r * iterations : (r + 1) * iterations] for r in range(replications)]
 
 
-def solve_prepared(
-    machine: Machine, prepared: list[PreparedIteration], *, backend: str | None = None
-) -> list[IterationResult]:
+def solve_prepared(machine: Machine, prepared: list[IterationPlan]) -> list[IterationResult]:
     """Each prepared iteration's result, in order, from one stacked solve per
     write class: bit for bit what solving each one alone would give."""
     # One approach emits one write class, but group defensively so a
@@ -113,7 +111,6 @@ def solve_prepared(
             [prepared[i].batch for i in index],
             backgrounds=[prepared[i].background for i in index],
             large_writes=large_writes,
-            backend=backend,
         )
         for i, times in zip(index, done, strict=True):
             results[i] = prepared[i].finalize(times)

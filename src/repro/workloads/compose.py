@@ -85,7 +85,6 @@ def run_composition(
     period: float,
     seed: int = 0,
     interference: Interference | None = None,
-    backend: str | None = None,
     trace_path: str | Path | None = None,
 ) -> CompositionResult:
     """Run several applications' workloads against one shared file system.
@@ -136,7 +135,7 @@ def run_composition(
         )
     results: dict[str, list[IterationResult]] = {app: [] for app in apps}
     completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
-    for plans, parts in zip(drawn, _solve_trace(machine, trace, backend), strict=True):
+    for plans, parts in zip(drawn, _solve_trace(machine, trace), strict=True):
         for app, plan, part in zip(apps, plans, parts, strict=True):
             results[app].append(plan.finalize(part))
             completions[app].append(part)
@@ -150,7 +149,6 @@ def replay_trace(
     trace: Trace | str | Path,
     *,
     machine: Machine | str | None = None,
-    backend: str | None = None,
 ) -> dict[str, list[FloatArray]]:
     """Re-solve a recorded scenario; returns per-app completion times.
 
@@ -165,13 +163,13 @@ def replay_trace(
         machine = trace.machine if trace.machine_fields is None else Machine(**trace.machine_fields)
     machine = resolve_machine(machine)
     completions: dict[str, list[FloatArray]] = {app: [] for app in trace.apps}
-    for parts in _solve_trace(machine, trace, backend):
+    for parts in _solve_trace(machine, trace):
         for app, part in zip(trace.apps, parts, strict=True):
             completions[app].append(part)
     return completions
 
 
-def _solve_trace(machine: Machine, trace: Trace, backend: str | None) -> list[list[FloatArray]]:
+def _solve_trace(machine: Machine, trace: Trace) -> list[list[FloatArray]]:
     """Per iteration, each app's completion times: one stacked solve per
     write class, in which each iteration's batches form one contention group."""
     done: list[list[FloatArray]] = [[] for _ in trace.iterations]
@@ -182,7 +180,6 @@ def _solve_trace(machine: Machine, trace: Trace, backend: str | None) -> list[li
             [[trace.iterations[i].batches[app] for app in trace.apps] for i in index],
             backgrounds=[trace.iterations[i].background for i in index],
             large_writes=large_writes,
-            backend=backend,
         )
         for i, parts in zip(index, solved, strict=True):
             done[i] = parts

@@ -16,6 +16,7 @@ from repro.engine import (
     merge_batches,
     solve,
     split_by_segment,
+    use_backend,
 )
 from repro.experiments import check_app_interference_shape, run_app_interference
 from repro.io_models import (
@@ -287,9 +288,12 @@ def test_stacked_composition_equals_the_per_iteration_loop(case, backend):
     # finish alike.
     machine = KRAKEN.with_overrides(ost_count=12)
     workloads, iterations, interference = _CASES[case]()
-    kwargs = dict(period=60.0, seed=11, interference=interference, backend=backend)
-    out = run_composition(machine, workloads, iterations, **kwargs)
-    results, completions, trace = _serial_composition(machine, workloads, iterations, **kwargs)
+    kwargs = dict(period=60.0, seed=11, interference=interference)
+    with use_backend(backend):
+        out = run_composition(machine, workloads, iterations, **kwargs)
+    results, completions, trace = _serial_composition(
+        machine, workloads, iterations, **kwargs, backend=backend
+    )
     if case == "both-classes":
         assert {large for large, _, _ in trace} == {False, True}
     for app in out.apps:
@@ -309,7 +313,8 @@ def test_stacked_composition_equals_the_per_iteration_loop(case, backend):
         for app, batch in zip(out.apps, batches, strict=True):
             for field in ("arrival", "ost", "nbytes"):
                 _assert_same_arrays(getattr(recorded.batches[app], field), getattr(batch, field))
-    replayed = replay_trace(out.trace, backend=backend)
+    with use_backend(backend):
+        replayed = replay_trace(out.trace)
     for app in out.apps:
         for got, want in zip(replayed[app], out.completions[app], strict=True):
             _assert_same_arrays(got, want)
@@ -360,8 +365,10 @@ def test_replay_agrees_across_engine_backends(tmp_path):
     # backends yields identical per-app completion times.
     path = tmp_path / "scenario.jsonl"
     out = run_composition(KRAKEN, [FG, BG], 2, period=60.0, seed=5, trace_path=path)
-    vec = replay_trace(path, backend="vectorized")
-    ref = replay_trace(path, backend="reference")
+    with use_backend("vectorized"):
+        vec = replay_trace(path)
+    with use_backend("reference"):
+        ref = replay_trace(path)
     for app in out.apps:
         for a, b in zip(vec[app], ref[app], strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-6)

@@ -95,6 +95,59 @@ def test_unknown_default_backend_names_repro_engine():
     )
 
 
+def test_every_layer_above_solve_follows_the_default_backend(monkeypatch):
+    # The backend is chosen in one place, the engine's default: every
+    # stacked path must reach the backend use_backend selects, and none
+    # may pick vectorized by itself.
+    from repro.engine import api, solve_groups
+    from repro.engine.vectorized import solve_vectorized
+    from repro.experiments import run_scheduling, run_spare_time
+    from repro.serve import SolveRequest, SolveService
+    from repro.stats import run_replications
+    from repro.workloads import Workload, replay_trace, run_composition
+
+    solved = []
+
+    def counting(machine, batch, background, large_writes):
+        solved.append(len(batch))
+        return solve_vectorized(machine, batch, background, large_writes)
+
+    def forbidden(*args):
+        raise AssertionError("a layer above solve picked the vectorized backend")
+
+    monkeypatch.setitem(api._BACKENDS, "counting", counting)
+    monkeypatch.setitem(api._BACKENDS, "vectorized", forbidden)
+    batch = RequestBatch(arrival=[0.0, 0.5], ost=[0, 0], nbytes=MB)
+    workloads = [
+        Workload(app="sim", ranks=96, approach="damaris"),
+        Workload(app="bg", ranks=48, arrival="burst", approach="file-per-process"),
+    ]
+
+    def reaches(name, run):
+        before = len(solved)
+        out = run()
+        assert len(solved) > before, name
+        return out
+
+    def flush():
+        service = SolveService()
+        service.submit(SolveRequest(KRAKEN, batch))
+        return service.flush()
+
+    with use_backend("counting"):
+        reaches("solve_groups", lambda: solve_groups(KRAKEN, [[batch, batch]], large_writes=False))
+        reaches("solve_many", lambda: solve_many(KRAKEN, [batch, batch], large_writes=False))
+        cell = ("damaris", KRAKEN, 96, 2, MB, 0, 2)
+        reaches("run_replications", lambda: run_replications(*cell))
+        reaches("serial run_replications", lambda: run_replications(*cell, batched=False))
+        reaches("run_spare_time", lambda: run_spare_time(scales=[96], iterations=1))
+        small = KRAKEN.with_overrides(ost_count=8)
+        reaches("run_scheduling", lambda: run_scheduling(192, small))
+        out = reaches("run_composition", lambda: run_composition(KRAKEN, workloads, 2, period=60.0))
+        reaches("replay_trace", lambda: replay_trace(out.trace))
+        reaches("SolveService.flush", flush)
+
+
 def test_empty_batch():
     empty = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
     for backend in ("vectorized", "reference"):
@@ -137,6 +190,25 @@ def test_batch_fields_are_read_only_views():
         RequestBatch(arrival=[0.0, 1.0], ost=[1, 2, 3], nbytes=MB)
     with pytest.raises(ValueError):
         RequestBatch(arrival=0.0, ost=[1, 2, 3], nbytes=[MB, MB])
+
+
+@pytest.mark.parametrize(
+    ("columns", "message"),
+    [
+        # Each used to fail with numpy's broadcast error, which names no field.
+        (([0.0, 1.0, 2.0], [0, 1], 1.0), r"ost must be 1-D with 1 or 3 entries, got shape \(2,\)"),
+        ((0.0, [0, 1, 2], [MB, MB]), r"nbytes must be 1-D with 1 or 3 entries, got shape \(2,\)"),
+        (([0.0, 1.0], 0, [MB] * 3), r"arrival must be 1-D with 1 or 3 entries, got shape \(2,\)"),
+        ((np.zeros((2, 3)), 0, MB), r"arrival must be 1-D .*, got shape \(2, 3\)"),
+        ((0.0, [[0, 1, 2]], [MB] * 3), r"ost must be 1-D .*, got shape \(1, 3\)"),
+        # A 2-D column with a NaN raised a bare IndexError.
+        ((np.array([[0.0, 1.0, np.nan]]), 0, MB), r"arrival must be 1-D .*, got shape \(1, 3\)"),
+    ],
+    ids=["short-ost", "short-nbytes", "short-arrival", "2d-arrival", "2d-ost", "2d-nan-arrival"],
+)
+def test_batch_names_a_column_of_the_wrong_shape(columns, message):
+    with pytest.raises(ValueError, match="RequestBatch " + message):
+        RequestBatch(*columns)
 
 
 def test_batch_rejects_non_finite_arrival():
@@ -269,17 +341,15 @@ def test_solve_rejects_two_dimensional_background():
 
 
 def test_background_contract_covers_every_entry_point():
-    from repro.serve import SolveRequest, SolveService
+    from repro.serve import SolveRequest
 
     batch = _both_shapes()[0]
     background = np.full(KRAKEN.ost_count, np.nan)
     match = r"background\[0\] must be finite"
     with pytest.raises(ValueError, match=match):
         solve_many(KRAKEN, [batch, batch], backgrounds=[background, None], large_writes=False)
-    service = SolveService()
-    service.submit(SolveRequest(KRAKEN, batch, background=background))
     with pytest.raises(ValueError, match=match):
-        service.flush()
+        SolveRequest(KRAKEN, batch, background=background)
     # Integer arrays and fractional loads stay accepted.
     quiet = solve(KRAKEN, batch, large_writes=False)
     zeros = np.zeros(KRAKEN.ost_count, dtype=np.int64)

@@ -36,6 +36,7 @@ from repro.engine import (
     backend_names,
     merge_batches,
     solve,
+    use_backend,
     vectorized,
 )
 from repro.engine.vectorized import LOCKSTEP_MIN_WIDTH
@@ -371,7 +372,8 @@ def test_trace_record_replay_round_trip(case_seed, tmp_path):
     loaded = Trace.load(tmp_path / "trace.jsonl")
     assert loaded.apps == outcome.apps
     for backend in ("vectorized", "reference"):
-        replayed = replay_trace(loaded, backend=backend)
+        with use_backend(backend):
+            replayed = replay_trace(loaded)
         for app in outcome.apps:
             assert len(replayed[app]) == len(outcome.completions[app])
             for recorded, again in zip(outcome.completions[app], replayed[app], strict=True):

@@ -7,6 +7,8 @@ replication independent of the others and every sweep cell independent
 of the cells beside it.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.experiments import (
     run_variability,
     run_weak_scaling,
 )
+from repro.experiments import _driver
 from repro.experiments._driver import (
     DEFAULT_INTERFERENCE,
     iteration_period,
@@ -29,6 +32,7 @@ from repro.experiments._driver import (
 from repro.experiments.scheduling import _balanced_waves
 from repro.engine import KRAKEN, RequestBatch, solve
 from repro.io_models import DedicatedCores
+from repro.stats import run_replications
 from repro.util import GB, MB, replication_seed
 
 _KW = dict(ranks=192, iterations=3, data_per_rank=45 * MB, seed=7)
@@ -40,6 +44,12 @@ _PAPER_APPROACHES = ("file-per-process", "collective", "damaris")
 
 def _rows(table):
     return [row.as_dict() for row in table]
+
+
+def _use_serial_driver(monkeypatch):
+    """Route every E1-E3 cell through the serial ground-truth loop."""
+    serial = functools.partial(run_replications, batched=False)
+    monkeypatch.setattr(_driver, "run_replications", serial)
 
 
 def test_variability_single_replication_is_the_historical_table():
@@ -67,9 +77,11 @@ def test_variability_single_replication_is_the_historical_table():
     ],
     ids=["e1", "e2", "e3"],
 )
-def test_single_run_stack_equals_serial_ground_truth(runner, scale, with_interference, seed):
+def test_single_run_stack_equals_serial_ground_truth(
+    runner, scale, with_interference, seed, monkeypatch
+):
     # A single run is replication 0 of a one-deep stack; the serial loop
-    # (batched=False) stays its ground truth.
+    # (run_replications(batched=False)) stays its ground truth.
     kwargs = dict(
         **scale,
         iterations=2,
@@ -78,7 +90,9 @@ def test_single_run_stack_equals_serial_ground_truth(runner, scale, with_interfe
         with_interference=with_interference,
         approaches=(*_PAPER_APPROACHES, "dedicated-nodes"),
     )
-    assert _rows(runner(**kwargs)) == _rows(runner(**kwargs, batched=False))
+    stacked = _rows(runner(**kwargs))
+    _use_serial_driver(monkeypatch)
+    assert stacked == _rows(runner(**kwargs))
 
 
 def test_variability_replicated_emits_ci_columns():
@@ -106,9 +120,10 @@ def test_variability_replicated_is_deterministic_and_seed_sensitive():
     assert _rows(a) != _rows(c)
 
 
-def test_variability_batched_equals_serial_table():
-    a = run_variability(**_KW, with_interference=True, replications=3, batched=True)
-    b = run_variability(**_KW, with_interference=True, replications=3, batched=False)
+def test_variability_batched_equals_serial_table(monkeypatch):
+    a = run_variability(**_KW, with_interference=True, replications=3)
+    _use_serial_driver(monkeypatch)
+    b = run_variability(**_KW, with_interference=True, replications=3)
     assert _rows(a) == _rows(b)
 
 
@@ -124,7 +139,7 @@ def test_variability_statistics_check_passes_at_30_replications():
     check_variability_statistics(table, min_replications=30)
 
 
-def test_weak_scaling_replicated_sweep_bit_identical_across_jobs():
+def test_weak_scaling_replicated_sweep_bit_identical_across_jobs(monkeypatch):
     kwargs = dict(
         scales=[144, 288],
         iterations=2,
@@ -133,7 +148,8 @@ def test_weak_scaling_replicated_sweep_bit_identical_across_jobs():
         replications=3,
     )
     stacked = run_weak_scaling(**kwargs)
-    assert _rows(stacked) == _rows(run_weak_scaling(**kwargs, batched=False))
+    _use_serial_driver(monkeypatch)
+    assert _rows(stacked) == _rows(run_weak_scaling(**kwargs))
     row = stacked.where(approach="damaris", ranks=288)[0]
     for suffix in _CI_SUFFIXES:
         assert f"io_phase_mean_s{suffix}" in row, suffix

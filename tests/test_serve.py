@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import RequestBatch, resolve_machine, solve
+from repro.engine import RequestBatch, resolve_machine, solve, solve_many
 from repro.serve import SolveCache, SolveRequest, SolveService, coalesce, demo_stream, request_key
+from repro.serve import service as service_module
 from repro.util import MB
 
 _SETTINGS = dict(deadline=None, max_examples=15)
@@ -288,6 +289,73 @@ def test_cached_responses_identical_to_uncached():
     assert service.stats.solved == len(requests)
 
 
+@pytest.mark.parametrize(
+    ("background", "message"),
+    [
+        (np.full(GRID.ost_count, np.nan), r"background\[0\] must be finite and >= 0, got nan"),
+        (np.full(GRID.ost_count, -1.0), r"background\[0\] must be finite and >= 0, got -1.0"),
+        (np.zeros(3), r"background must hold one entry per OST"),
+    ],
+    ids=["nan", "negative", "wrong-length"],
+)
+def test_bad_background_is_rejected_before_it_can_spoil_a_flush(background, message):
+    # A bad cell once entered the queue, and flush() raised only after
+    # emptying it: the good cell queued beside it was lost.
+    good = _random_request(1, 30)
+    service = SolveService()
+    service.submit(good)
+    with pytest.raises(ValueError, match=message):
+        SolveRequest(GRID, good.batch, background=background)
+    assert service.pending == 1
+    (response,) = service.flush()
+    want = solve(GRID, good.batch, background=good.background, large_writes=good.large_writes)
+    np.testing.assert_array_equal(response.done, want)
+    assert (service.stats.solved, service.stats.cache.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("with_backgrounds", [False, True], ids=["quiet", "backgrounds"])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_flush_chunks_its_stacks_bit_identically(monkeypatch, cap, with_backgrounds):
+    # The service caps every stacked solve; chunking a bucket must not
+    # change a bit of any cell, and every chunk must respect the cap.
+    stacks = []
+
+    def counting_solve_many(machine, batches, **kwargs):
+        stacks.append(len(batches))
+        return solve_many(machine, batches, **kwargs)
+
+    monkeypatch.setattr(service_module, "_MAX_STACK", cap)
+    monkeypatch.setattr(service_module, "solve_many", counting_solve_many)
+    kraken = resolve_machine("kraken")
+    rng = np.random.default_rng(7)
+    requests = []
+    for index in range(7):
+        batch = RequestBatch(
+            arrival=rng.uniform(0.0, 5.0, 80),
+            ost=rng.integers(0, kraken.ost_count, 80),
+            nbytes=rng.uniform(MB, 64 * MB, 80),
+        )
+        background = None
+        if with_backgrounds and index % 3 != 1:
+            background = rng.poisson(1.0, kraken.ost_count) * rng.choice([1.0, 0.37])
+        # Six small-write cells and one large-write cell: two buckets.
+        requests.append(SolveRequest(kraken, batch, background, large_writes=index == 3))
+    service = SolveService()
+    for request in requests:
+        service.submit(request)
+    responses = service.flush()
+    assert stacks == [min(cap, size - start) for size in (6, 1) for start in range(0, size, cap)]
+    for request, response in zip(requests, responses, strict=True):
+        want = solve(
+            kraken,
+            request.batch,
+            background=request.background,
+            large_writes=request.large_writes,
+        )
+        assert response.done.dtype == want.dtype
+        np.testing.assert_array_equal(response.done, want)
+
+
 def test_flush_interleaving_cannot_change_results():
     requests = [_random_request(s, 50) for s in range(5)]
     one_flush = SolveService()
@@ -364,6 +432,20 @@ def test_cli_serve_subcommand_compares_inline(capsys):
     assert code == 0
     assert "bit-identical to inline solving" in out
     assert "requests_per_s" in out
+
+
+def test_cli_serve_backend_scopes_the_service(capsys):
+    # The inline side pins --backend per call, and the two backends differ
+    # in the last bits on these cells, so a match means the service solved
+    # on the chosen backend too; the scope ends with the command.
+    from repro.cli import main
+    from repro.engine import default_backend
+
+    args = ["--cells", "4", "--passes", "2", "--ranks", "24", "--backend", "reference"]
+    code = main(["serve", *args, "--compare-inline"])
+    assert code == 0
+    assert "bit-identical to inline solving" in capsys.readouterr().out
+    assert default_backend() == "vectorized"
 
 
 # ---------------------------------------------------------------------------

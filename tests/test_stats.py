@@ -17,6 +17,7 @@ from repro.engine import (
     solve_groups,
     solve_many,
     split_by_segment,
+    use_backend,
 )
 from repro.experiments._driver import DEFAULT_INTERFERENCE, cell_rng
 from repro.io_models import resolve_approach
@@ -146,9 +147,10 @@ def test_solve_many_matches_per_batch_solving_on_both_backends():
     inputs = [(batches, backgrounds), ([tie] * 4, [None] * 4)]
     for backend in ("vectorized", "reference"):
         for stack, stack_backgrounds in inputs:
-            stacked = solve_many(
-                KRAKEN, stack, backgrounds=stack_backgrounds, large_writes=False, backend=backend
-            )
+            with use_backend(backend):
+                stacked = solve_many(
+                    KRAKEN, stack, backgrounds=stack_backgrounds, large_writes=False
+                )
             for batch, background, done in zip(stack, stack_backgrounds, stacked, strict=True):
                 alone = solve(
                     KRAKEN, batch, background=background, large_writes=False, backend=backend
@@ -192,28 +194,6 @@ def test_solve_many_edge_cases():
         solve_many(KRAKEN, [one], backgrounds=[None, None], large_writes=True)
     with pytest.raises(ValueError, match="shape"):
         solve_many(KRAKEN, [one], backgrounds=[np.zeros(3)], large_writes=True)
-    with pytest.raises(ValueError, match="max_stack"):
-        solve_many(KRAKEN, [one], large_writes=True, max_stack=0)
-
-
-def test_solve_many_max_stack_chunking_is_bit_identical():
-    rng = np.random.default_rng(7)
-    batches = [
-        RequestBatch(
-            arrival=rng.uniform(0.0, 5.0, 80),
-            ost=rng.integers(0, KRAKEN.ost_count, 80),
-            nbytes=rng.uniform(MB, 64 * MB, 80),
-        )
-        for _ in range(7)
-    ]
-    backgrounds = [rng.poisson(1.0, KRAKEN.ost_count).astype(float), None, None] * 2 + [None]
-    unchunked = solve_many(KRAKEN, batches, backgrounds=backgrounds, large_writes=False)
-    for max_stack in (1, 2, 3, 7, 100):
-        chunked = solve_many(
-            KRAKEN, batches, backgrounds=backgrounds, large_writes=False, max_stack=max_stack
-        )
-        for a, b in zip(unchunked, chunked, strict=True):
-            np.testing.assert_array_equal(a, b)
 
 
 def _random_member(rng, n, lanes):
@@ -261,21 +241,14 @@ def test_solve_groups_equals_each_merged_group_solved_alone(backend, seed, lanes
         merged, segments = merge_batches(group)
         done = solve(KRAKEN, merged, background=background, large_writes=False, backend=backend)
         want.append(split_by_segment(done, segments, len(group)))
-    for max_stack in (None, 1, 3):
-        got = solve_groups(
-            KRAKEN,
-            groups,
-            backgrounds=backgrounds,
-            large_writes=False,
-            backend=backend,
-            max_stack=max_stack,
-        )
-        assert len(got) == len(groups)
-        for k, (parts, expected) in enumerate(zip(got, want, strict=True)):
-            assert len(parts) == len(expected), (max_stack, k)
-            for part, truth in zip(parts, expected, strict=True):
-                assert part.dtype == truth.dtype
-                np.testing.assert_array_equal(part, truth, err_msg=f"{max_stack} {k}")
+    with use_backend(backend):
+        got = solve_groups(KRAKEN, groups, backgrounds=backgrounds, large_writes=False)
+    assert len(got) == len(groups)
+    for k, (parts, expected) in enumerate(zip(got, want, strict=True)):
+        assert len(parts) == len(expected), k
+        for part, truth in zip(parts, expected, strict=True):
+            assert part.dtype == truth.dtype
+            np.testing.assert_array_equal(part, truth, err_msg=str(k))
 
 
 def test_solve_groups_edge_cases():
@@ -284,8 +257,6 @@ def test_solve_groups_edge_cases():
     one = RequestBatch(0.0, 3, 45 * MB)
     with pytest.raises(ValueError, match="backgrounds"):
         solve_groups(KRAKEN, [[one]], backgrounds=[None, None], large_writes=True)
-    with pytest.raises(ValueError, match="max_stack"):
-        solve_groups(KRAKEN, [[one]], large_writes=True, max_stack=0)
 
 
 # -- bootstrap -------------------------------------------------------------
