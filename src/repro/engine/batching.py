@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..util import FloatArray
-from .api import solve
+from .api import _checked_background, solve
 from .machines import Machine
 from .requests import RequestBatch
 
@@ -66,7 +66,7 @@ def solve_groups(
     done = solve(
         machine.with_overrides(ost_count=len(groups) * machine.ost_count),
         stacked,
-        background=_stack_backgrounds(machine, backgrounds, len(groups)),
+        background=_stack_backgrounds(machine, backgrounds),
         large_writes=large_writes,
     )
     parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
@@ -93,9 +93,13 @@ def solve_many(
 
 
 def _stack_backgrounds(
-    machine: Machine, backgrounds: Sequence[FloatArray | None] | None, count: int
+    machine: Machine, backgrounds: Sequence[FloatArray | None] | None
 ) -> FloatArray | None:
-    """One per-virtual-OST load array for the stack (``None`` if all quiet)."""
+    """One per-virtual-OST load array for the stack (``None`` if all quiet).
+
+    Each group's background is checked with :func:`solve`'s rule first, so
+    an error names the group as well as the OST.
+    """
     if backgrounds is None or all(bg is None for bg in backgrounds):
         return None
     quiet = np.zeros(machine.ost_count)
@@ -104,11 +108,8 @@ def _stack_backgrounds(
         if bg is None:
             parts.append(quiet)
             continue
-        bg = np.asarray(bg, dtype=np.float64)
-        if bg.shape != (machine.ost_count,):
-            raise ValueError(
-                f"background {index} has shape {bg.shape}, "
-                f"expected ({machine.ost_count},)"
-            )
-        parts.append(bg)
+        try:
+            parts.append(_checked_background(machine, bg))
+        except ValueError as exc:
+            raise ValueError(f"backgrounds[{index}]: {exc}") from None
     return np.concatenate(parts)

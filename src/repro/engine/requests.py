@@ -53,14 +53,15 @@ class LaneOrder:
 class RequestBatch:
     """A batch of write requests as parallel numpy arrays.
 
-    Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length,
-    and every field is a read-only view of its input.  A request is known
-    by its position in the batch, which is also the order of the
+    Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length
+    (numpy's rule, so an empty column beside scalars makes an empty
+    batch), and every field is a read-only view of its input.  A request
+    is known by its position in the batch, which is also the order of the
     completion-time array the solvers return.
-    Arrivals and sizes must be finite and non-negative; anything else
-    raises a :class:`ValueError` naming the field and the first bad
-    index, because the backends would otherwise disagree (or never
-    finish) on it.
+    Arrivals and sizes must be finite and non-negative, and OST ids whole
+    numbers; anything else raises a :class:`ValueError` naming the field
+    and the first bad index, because the backends would otherwise
+    disagree (or never finish) on it, or solve a truncated id.
     """
 
     __slots__ = ("arrival", "ost", "nbytes")
@@ -71,9 +72,10 @@ class RequestBatch:
 
     def __init__(self, arrival: npt.ArrayLike, ost: npt.ArrayLike, nbytes: npt.ArrayLike) -> None:
         arrival = np.atleast_1d(np.asarray(arrival, dtype=np.float64))
-        ost = np.atleast_1d(np.asarray(ost, dtype=np.int64))
+        ost = np.atleast_1d(np.asarray(ost))
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
-        n = max(arrival.size, ost.size, nbytes.size)
+        # A length-1 column stretches to the others' length, 0 included.
+        n = max((c.size for c in (arrival, ost, nbytes) if c.size != 1), default=1)
         self.arrival = _read_only("arrival", arrival, n)
         self.ost = _read_only("ost", ost, n)
         self.nbytes = _read_only("nbytes", nbytes, n)
@@ -81,6 +83,8 @@ class RequestBatch:
         _require("arrival", arrival, np.isfinite(arrival), "finite")
         _require("arrival", arrival, arrival >= 0.0, ">= 0")
         _require("nbytes", nbytes, np.isfinite(nbytes) & (nbytes >= 0.0), "finite and >= 0")
+        if ost.dtype != np.int64:
+            self.ost = _read_only("ost", _whole_ids(ost), n)
 
     def lanes(self, ost_count: int) -> LaneOrder:
         """The batch regrouped into per-OST lanes of a width-``ost_count`` machine."""
@@ -153,6 +157,19 @@ def _read_only(field: str, values: npt.NDArray[Any], n: int) -> npt.NDArray[Any]
     view = values.view()
     view.flags.writeable = False
     return view
+
+
+def _whole_ids(ost: npt.NDArray[Any]) -> IntArray:
+    """``ost`` cast to int64, rejected where the cast would truncate or
+    garble an id (signed integer columns cast exactly)."""
+    if ost.dtype.kind == "u":
+        # numpy infers uint64 for ints from 2**63 up, which int64 wraps.
+        _require("ost", ost, ost <= np.iinfo(np.int64).max, "within the int64 range")
+    elif ost.dtype.kind != "i":
+        ids = ost.astype(np.float64)
+        _require("ost", ids, np.isfinite(ids) & (np.trunc(ids) == ids), "a whole number")
+        _require("ost", ids, np.abs(ids) < 2.0**63, "within the int64 range")
+    return ost.astype(np.int64)
 
 
 def _require(field: str, values: FloatArray, ok: npt.NDArray[np.bool_], rule: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
@@ -25,11 +26,26 @@ __all__ = [
 DEFAULT_INTERFERENCE = Interference()
 
 
-def _validate_replications(replications: int) -> None:
-    """Every experiment runner rejects a non-positive replication count
-    eagerly, instead of silently producing an empty or single-run table."""
+def _validate_arguments(
+    replications: int = 1,
+    *,
+    ranks: int = 1,
+    scales: Sequence[int] = (),
+    compute_time: float = 0.0,
+) -> None:
+    """Every experiment runner rejects, eagerly and by name, an argument no
+    run can use, instead of producing an empty, single-run or meaningless
+    table or failing deep inside the engine."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    if ranks < 1:
+        raise ValueError(f"ranks must be >= 1, got {ranks}")
+    for index, rung in enumerate(scales):
+        if rung < 1:
+            raise ValueError(f"scales[{index}] must be >= 1, got {rung}")
+    # A plain compare, which NaN fails.
+    if not 0.0 <= compute_time < math.inf:
+        raise ValueError(f"compute_time must be finite and >= 0, got {compute_time}")
 
 
 def iteration_period(compute_time: float, visible_s: float, backend_wall_s: float) -> float:

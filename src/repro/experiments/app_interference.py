@@ -20,12 +20,16 @@ Every (intensity, approach) cell is seeded from registry names via the
 crc32 scheme, so a cell's rows do not depend on which other cells run,
 and the foreground's random stream is *shared* across intensities — each
 approach faces the identical foreground under every background level, a
-controlled comparison.
+controlled comparison.  Each replication composes all its cells in one
+:func:`~repro.workloads.run_compositions` call, so each distinct
+application (three foregrounds and two background levels by default) is
+drawn once per seed; each cell still solves alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -35,8 +39,8 @@ from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import IOApproach, resolve_approaches
 from ..table import Table
 from ..util import MB, replication_seed
-from ..workloads import Workload, run_composition
-from ._driver import _validate_replications, iteration_period, replication_table
+from ..workloads import CompositionResult, Workload, run_compositions
+from ._driver import _validate_arguments, iteration_period, replication_table
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -60,74 +64,52 @@ def _default_background(ranks: int, data_per_rank: float) -> Workload:
     )
 
 
+def _foreground(ranks: int, data_per_rank: float, approach: str) -> Workload:
+    """The simulation under test: periodic checkpoints through ``approach``."""
+    return Workload(
+        app="sim",
+        ranks=ranks,
+        data_per_rank=data_per_rank,
+        arrival="periodic",
+        approach=approach,
+    )
+
+
 def _scaled_background(background: Workload, fraction: float) -> Workload | None:
     if fraction <= 0.0:
         return None
     return background.with_overrides(ranks=max(1, round(background.ranks * fraction)))
 
 
-def _cell_rows(
-    machine: Machine,
-    ranks: int,
-    iterations: int,
-    data_per_rank: float,
-    compute_time: float,
-    seed: int,
-    approach_name: str,
+def _row(
     intensity: str,
-    background: Workload,
-    trace_dir: Path | None,
-    replications: int,
-) -> list[tuple[int, dict[str, Any]]]:
-    """The ``(replication, row)`` pairs of one (intensity, approach) cell."""
-    foreground = Workload(
-        app="sim",
-        ranks=ranks,
-        data_per_rank=data_per_rank,
-        arrival="periodic",
-        approach=approach_name,
-    )
-    contender = _scaled_background(background, INTENSITY_LEVELS[intensity])
-    workloads = [foreground] + ([contender] if contender is not None else [])
-    rows: list[tuple[int, dict[str, Any]]] = []
-    for index in range(replications):
-        trace_path: Path | None = None
-        if trace_dir is not None and index == 0:
-            # Replication 0 is the historical stream; its trace is the one
-            # a replay reproduces bit for bit.
-            trace_path = trace_dir / f"e9-{intensity}-{approach_name}.jsonl"
-        outcome = run_composition(
-            machine,
-            workloads,
-            iterations,
-            period=compute_time,
-            seed=replication_seed(seed, index),
-            trace_path=trace_path,
-        )
-        fg = outcome.results["sim"]
-        samples = np.concatenate([r.visible_times for r in fg])
-        phases = [float(r.visible_times.max()) for r in fg]
-        io_mean = float(samples.mean())
-        backend_mean = float(np.mean([r.backend_wall_s for r in fg]))
-        row: dict[str, Any] = {
-            "intensity": intensity,
-            "approach": approach_name,
-            "bg_ranks": contender.ranks if contender is not None else 0,
-            "io_mean_s": io_mean,
-            "io_std_s": float(samples.std()),
-            "io_p99_s": float(np.percentile(samples, 99)),
-            "io_phase_mean_s": float(np.mean(phases)),
-            "backend_wall_mean_s": backend_mean,
-            "iteration_period_s": iteration_period(
-                compute_time, float(np.mean(phases)), backend_mean
-            ),
-        }
-        if contender is not None:
-            bg_samples = np.concatenate([r.visible_times for r in outcome.results[contender.app]])
-            row["bg_io_mean_s"] = float(bg_samples.mean())
-            row["bg_io_p99_s"] = float(np.percentile(bg_samples, 99))
-        rows.append((index, row))
-    return rows
+    approach_name: str,
+    contender: Workload | None,
+    outcome: CompositionResult,
+    compute_time: float,
+) -> dict[str, Any]:
+    """One (intensity, approach) cell's row from one replication's composition."""
+    fg = outcome.results["sim"]
+    samples = np.concatenate([r.visible_times for r in fg])
+    phases = [float(r.visible_times.max()) for r in fg]
+    io_mean = float(samples.mean())
+    backend_mean = float(np.mean([r.backend_wall_s for r in fg]))
+    row: dict[str, Any] = {
+        "intensity": intensity,
+        "approach": approach_name,
+        "bg_ranks": contender.ranks if contender is not None else 0,
+        "io_mean_s": io_mean,
+        "io_std_s": float(samples.std()),
+        "io_p99_s": float(np.percentile(samples, 99)),
+        "io_phase_mean_s": float(np.mean(phases)),
+        "backend_wall_mean_s": backend_mean,
+        "iteration_period_s": iteration_period(compute_time, float(np.mean(phases)), backend_mean),
+    }
+    if contender is not None:
+        bg_samples = np.concatenate([r.visible_times for r in outcome.results[contender.app]])
+        row["bg_io_mean_s"] = float(bg_samples.mean())
+        row["bg_io_p99_s"] = float(np.percentile(bg_samples, 99))
+    return row
 
 
 def run_app_interference(
@@ -152,33 +134,42 @@ def run_app_interference(
     (replication 0's when replicated).
     """
     machine = resolve_machine(machine)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
     for intensity in intensities:
         if intensity not in INTENSITY_LEVELS:
             raise ValueError(f"unknown intensity {intensity!r}; known: {sorted(INTENSITY_LEVELS)}")
     if background is None:
         background = _default_background(ranks, data_per_rank)
-    _validate_replications(replications)
     names = [a.name for a in resolve_approaches(approaches)]
-    traces = None if trace_dir is None else Path(trace_dir)
-    rows = (
-        pair
-        for intensity in intensities
-        for name in names
-        for pair in _cell_rows(
+    labels = [(intensity, name) for intensity in intensities for name in names]
+    contenders = [
+        _scaled_background(background, INTENSITY_LEVELS[intensity]) for intensity, _ in labels
+    ]
+    cells = [
+        [_foreground(ranks, data_per_rank, name)] + ([contender] if contender is not None else [])
+        for (_, name), contender in zip(labels, contenders, strict=True)
+    ]
+    rows: list[list[tuple[int, dict[str, Any]]]] = [[] for _ in cells]
+    for index in range(replications):
+        outcomes = run_compositions(
             machine,
-            ranks,
+            cells,
             iterations,
-            data_per_rank,
-            compute_time,
-            seed,
-            name,
-            intensity,
-            background,
-            traces,
-            replications,
+            period=compute_time,
+            seed=replication_seed(seed, index),
         )
+        for cell_rows, (intensity, name), contender, outcome in zip(
+            rows, labels, contenders, outcomes, strict=True
+        ):
+            if trace_dir is not None and index == 0:
+                # Replication 0 is the historical stream; its traces are
+                # the ones a replay reproduces bit for bit.
+                outcome.trace.save(Path(trace_dir) / f"e9-{intensity}-{name}.jsonl")
+            cell_rows.append((index, _row(intensity, name, contender, outcome, compute_time)))
+    # Rows in (intensity, approach, replication) order, which fixes the CIs.
+    return replication_table(
+        chain.from_iterable(rows), ("intensity", "approach"), replications, seed
     )
-    return replication_table(rows, ("intensity", "approach"), replications, seed)
 
 
 def check_app_interference_shape(table: Table) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from ..engine import KRAKEN, Machine, resolve_machine
 from ..table import Table
 from ..util import replication_seed
-from ._driver import _validate_replications, replication_table
+from ._driver import _validate_arguments, replication_table
 
 __all__ = ["run_insitu_scaling", "run_insitu_backpressure", "check_insitu_shape"]
 
@@ -41,7 +41,7 @@ def run_insitu_scaling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
+    _validate_arguments(replications, scales=scales)
     rows: list[tuple[int, dict[str, Any]]] = []
     for cores in scales:
         for index in range(replications):
@@ -96,6 +96,7 @@ def run_insitu_backpressure(
     proceeds immediately either way.
     """
     machine = resolve_machine(machine)
+    _validate_arguments(compute_time=compute_time)
     copy = NEK_DATA_PER_CORE / machine.shm_bandwidth
     now = 0.0
     core_free_at = 0.0

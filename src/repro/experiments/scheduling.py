@@ -20,7 +20,7 @@ from ..util import FloatArray, IntArray
 from ..io_models import DedicatedCores
 from ..table import Table
 from ..util import GB, MB, replication_seed
-from ._driver import DEFAULT_INTERFERENCE, _validate_replications, replication_table
+from ._driver import DEFAULT_INTERFERENCE, _validate_arguments, replication_table
 
 __all__ = ["run_scheduling", "check_scheduling_shape"]
 
@@ -57,7 +57,7 @@ def run_scheduling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
     if wave_size is None:
         wave_size = machine.ost_count
     nodes = machine.nodes_for(ranks)

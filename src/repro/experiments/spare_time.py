@@ -20,7 +20,7 @@ from ..io_models import DedicatedCores
 from ..stats.replication import solve_prepared
 from ..table import Table
 from ..util import MB, replication_seed
-from ._driver import _validate_replications, iteration_period, replication_table
+from ._driver import _validate_arguments, iteration_period, replication_table
 
 __all__ = ["run_spare_time", "check_spare_time_shape"]
 
@@ -35,7 +35,7 @@ def run_spare_time(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
+    _validate_arguments(replications, scales=scales, compute_time=compute_time)
     approach = DedicatedCores()
     rows: list[tuple[int, dict[str, Any]]] = []
     for ranks in scales:

@@ -19,7 +19,7 @@ from ..io_models import IOApproach, IterationResult
 from ..table import Table
 from ..util import GB, MB
 from ._driver import (
-    _validate_replications,
+    _validate_arguments,
     iteration_period,
     replication_table,
     run_replicated_approaches,
@@ -62,7 +62,7 @@ def run_throughput(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
     rows = (
         (index, _throughput_row(approach.name, ranks, results, compute_time, iterations))
         for approach, reps in run_replicated_approaches(

@@ -29,7 +29,7 @@ from ..io_models import IOApproach, IterationResult
 from ..table import Table
 from ..util import MB
 from ._driver import (
-    _validate_replications,
+    _validate_arguments,
     iteration_period,
     replication_table,
     run_replicated_approaches,
@@ -76,7 +76,7 @@ def run_variability(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
     rows = (
         (index, _variability_row(approach.name, ranks, results, compute_time))
         for approach, reps in run_replicated_approaches(

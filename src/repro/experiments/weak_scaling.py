@@ -20,7 +20,7 @@ from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult, resolve_approaches
 from ..table import Table
 from ..util import MB
-from ._driver import _validate_replications, iteration_period, replication_table, run_sweep
+from ._driver import _validate_arguments, iteration_period, replication_table, run_sweep
 
 __all__ = ["run_weak_scaling", "check_scaling_shape"]
 
@@ -76,8 +76,8 @@ def run_weak_scaling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_replications(replications)
     scales = list(scales)
+    _validate_arguments(replications, scales=scales, compute_time=compute_time)
     names = [a.name for a in resolve_approaches(approaches)]
     sweep = run_sweep(
         machine,

@@ -113,7 +113,9 @@ class IterationPlan:
     ``finalize`` turns the completion times of *exactly those requests*
     (in batch order) into the :class:`IterationResult`.  Callers may solve
     the batch alone or merged with other applications' batches — the plan
-    does not care who else was contending.
+    does not care who else was contending.  The composer finalizes a
+    shared plan once per cell it is solved in, so ``finalize`` must not
+    change what it closes over.
 
     :meth:`IOApproach.plan_iteration` leaves the background to its caller
     (the composer samples one per iteration).  A plan from

@@ -13,7 +13,9 @@ experiment simulated into a vocabulary of *workloads*:
   request traces, so a scenario can be pinned and re-run exactly.
 * :mod:`~repro.workloads.compose` — the multi-application composer:
   every iteration's workloads contend as one group over the shared OSTs,
-  one stacked solve per write class, per-app times split back out.
+  one stacked solve per write class, per-app times split back out;
+  :func:`run_compositions` runs many such cells on one seed, drawing each
+  distinct workload once.
 
 Experiment E9 (:mod:`repro.experiments.app_interference`) sweeps this
 machinery: background workload intensity x approach, reporting per-app
@@ -30,7 +32,13 @@ from .arrivals import (
     register_arrival_process,
     resolve_arrival_process,
 )
-from .compose import CompositionResult, replay_trace, run_composition, workload_rng
+from .compose import (
+    CompositionResult,
+    replay_trace,
+    run_composition,
+    run_compositions,
+    workload_rng,
+)
 from .spec import Workload
 from .trace import Trace, TraceIteration
 
@@ -48,6 +56,7 @@ __all__ = [
     "TraceIteration",
     "CompositionResult",
     "run_composition",
+    "run_compositions",
     "replay_trace",
     "workload_rng",
 ]

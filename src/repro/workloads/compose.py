@@ -10,6 +10,10 @@ form one contention group — so the applications genuinely contend for the
 same OSTs, and iterations never do — and finally every application's
 plan is finalized from its own completion times.
 
+:func:`run_compositions` runs many such compositions ("cells") on one
+seed: each distinct workload is drawn once and shared by the cells that
+hold it, and each cell still solves alone.
+
 Modelling decisions:
 
 * **Write class of a merged solve.**  The engine's seek-penalty slope is
@@ -31,7 +35,7 @@ Modelling decisions:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -44,7 +48,13 @@ from .arrivals import resolve_arrival_process
 from .spec import Workload
 from .trace import Trace, TraceIteration
 
-__all__ = ["CompositionResult", "run_composition", "replay_trace", "workload_rng"]
+__all__ = [
+    "CompositionResult",
+    "run_composition",
+    "run_compositions",
+    "replay_trace",
+    "workload_rng",
+]
 
 
 def workload_rng(seed: int, workload: Workload) -> np.random.Generator:
@@ -96,53 +106,108 @@ def run_composition(
     cross-application contention is the only signal.  When ``trace_path``
     is given the recorded trace is also written there as JSONL.
     """
+    (result,) = run_compositions(
+        machine,
+        [workloads],
+        iterations,
+        period=period,
+        seed=seed,
+        interference=interference,
+    )
+    if trace_path is not None:
+        result.trace.save(trace_path)
+    return result
+
+
+def run_compositions(
+    machine: Machine | str,
+    cells: Sequence[Sequence[Workload]],
+    iterations: int,
+    *,
+    period: float,
+    seed: int = 0,
+    interference: Interference | None = None,
+) -> Iterator[CompositionResult]:
+    """:func:`run_composition` of every cell on one seed, yielded in cell order.
+
+    Each distinct workload is drawn once and its plans are shared by every
+    cell that holds it; the background is drawn once too.  Each cell is
+    then solved alone, so its result is exactly what
+    :func:`run_composition` gives for it.  Arguments are checked, and
+    everything is drawn, before this returns; a cell is solved when its
+    result is taken, on the engine backend in effect then (see
+    :func:`~repro.engine.use_backend`).
+    """
     machine = resolve_machine(machine)
-    workloads = list(workloads)
-    if not workloads:
-        raise ValueError("run_composition needs at least one workload")
-    apps = tuple(w.app for w in workloads)
-    if len(set(apps)) != len(apps):
-        raise ValueError(f"workload app names must be unique, got {apps}")
+    cells = [list(cell) for cell in cells]
+    for cell in cells:
+        if not cell:
+            raise ValueError("a composition needs at least one workload")
+        apps = [w.app for w in cell]
+        if len(set(apps)) != len(apps):
+            raise ValueError(f"workload app names must be unique, got {tuple(apps)}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
-    states = [
-        (w, resolve_approach(w.approach), resolve_arrival_process(w.arrival), workload_rng(seed, w))
-        for w in workloads
-    ]
+    # A workload's generator is a pure function of the seed and its spec,
+    # so one draw per distinct spec serves every cell.
+    distinct = dict.fromkeys(w for cell in cells for w in cell)
+    drawn = {w: _draw(machine, w, iterations, period, seed) for w in distinct}
     effective = NO_INTERFERENCE if interference is None else interference
     background_rng = np.random.default_rng([seed, seed_key("composition-background")])
+    backgrounds = [effective.sample_background(machine, background_rng) for _ in range(iterations)]
+    for background in backgrounds:
+        # Shared by every cell's trace.
+        background.flags.writeable = False
+    return _solve_cells(machine, cells, drawn, backgrounds, period)
 
-    # Draw every iteration first; each rng keeps its historical draw order.
-    drawn: list[list[IterationPlan]] = []
-    trace = Trace(machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine))
+
+def _draw(
+    machine: Machine, workload: Workload, iterations: int, period: float, seed: int
+) -> list[IterationPlan]:
+    """One workload's plan per iteration, in its generator's draw order."""
+    approach = resolve_approach(workload.approach)
+    process = resolve_arrival_process(workload.arrival)
+    rng = workload_rng(seed, workload)
+    clients = approach.clients(machine, workload.ranks)
+    plans: list[IterationPlan] = []
     for _ in range(iterations):
-        plans: list[IterationPlan] = []
-        for workload, approach, process, rng in states:
-            arrivals = process.sample(rng, approach.clients(machine, workload.ranks), period)
-            plans.append(
-                approach.plan_iteration(
-                    machine, workload.ranks, workload.data_per_rank, rng, arrivals
+        arrivals = process.sample(rng, clients, period)
+        plans.append(
+            approach.plan_iteration(machine, workload.ranks, workload.data_per_rank, rng, arrivals)
+        )
+    return plans
+
+
+def _solve_cells(
+    machine: Machine,
+    cells: Sequence[Sequence[Workload]],
+    drawn: dict[Workload, list[IterationPlan]],
+    backgrounds: Sequence[FloatArray],
+    period: float,
+) -> Iterator[CompositionResult]:
+    """Solve and finalize each cell alone from the shared draws."""
+    for cell in cells:
+        apps = tuple(w.app for w in cell)
+        trace = Trace(
+            machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine)
+        )
+        for index, background in enumerate(backgrounds):
+            plans = [drawn[w][index] for w in cell]
+            trace.iterations.append(
+                TraceIteration(
+                    large_writes=all(plan.large_writes for plan in plans),
+                    background=background,
+                    batches={app: plan.batch for app, plan in zip(apps, plans, strict=True)},
                 )
             )
-        drawn.append(plans)
-        trace.iterations.append(
-            TraceIteration(
-                large_writes=all(plan.large_writes for plan in plans),
-                background=effective.sample_background(machine, background_rng),
-                batches={app: plan.batch for app, plan in zip(apps, plans, strict=True)},
-            )
-        )
-    results: dict[str, list[IterationResult]] = {app: [] for app in apps}
-    completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
-    for plans, parts in zip(drawn, _solve_trace(machine, trace), strict=True):
-        for app, plan, part in zip(apps, plans, parts, strict=True):
-            results[app].append(plan.finalize(part))
-            completions[app].append(part)
-
-    if trace_path is not None:
-        trace.save(trace_path)
-    return CompositionResult(apps=apps, results=results, completions=completions, trace=trace)
+        results: dict[str, list[IterationResult]] = {app: [] for app in apps}
+        completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
+        for index, parts in enumerate(_solve_trace(machine, trace)):
+            for workload, part in zip(cell, parts, strict=True):
+                results[workload.app].append(drawn[workload][index].finalize(part))
+                completions[workload.app].append(part)
+        yield CompositionResult(apps=apps, results=results, completions=completions, trace=trace)
 
 
 def replay_trace(

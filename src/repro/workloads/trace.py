@@ -118,8 +118,9 @@ class Trace:
 
         Every malformed record raises a :class:`ValueError` naming the
         file and the line: invalid JSON, a missing key, batch columns of
-        unequal length, or a background that does not cover the recorded
-        machine's OSTs.
+        unequal length, a request value :class:`RequestBatch` rejects
+        (such as a fractional OST id), or a background that does not
+        cover the recorded machine's OSTs.
         """
         path = Path(path)
         header: dict[str, Any] | None = None
@@ -203,7 +204,8 @@ def _read_record(
             )
         columns = {
             "arrival": np.asarray(record["arrival"], dtype=np.float64),
-            "ost": np.asarray(record["ost"], dtype=np.int64),
+            # RequestBatch casts the ids, rejecting any that are not whole.
+            "ost": np.asarray(record["ost"]),
             "nbytes": np.asarray(record["nbytes"], dtype=np.float64),
         }
         shapes = {name: column.shape for name, column in columns.items()}

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.engine import (
     use_backend,
 )
 from repro.experiments import check_app_interference_shape, run_app_interference
+from repro.experiments._driver import iteration_period, replication_table
 from repro.io_models import (
     DedicatedCores,
     IOApproach,
@@ -26,13 +28,15 @@ from repro.io_models import (
     IterationResult,
     resolve_approach,
 )
-from repro.util import MB, seed_key
+from repro.util import MB, replication_seed, seed_key
 from repro.workloads import (
     Trace,
     Workload,
+    arrival_process_names,
     replay_trace,
     resolve_arrival_process,
     run_composition,
+    run_compositions,
     workload_rng,
 )
 
@@ -428,6 +432,14 @@ def test_trace_load_rejects_ragged_batch_columns(tmp_path, keep):
     _load_fails_at(path, 3, r"batch columns must be flat lists of one length")
 
 
+def test_trace_load_rejects_a_fractional_ost_id(tmp_path):
+    # Was cast to int64 on load, so 0.5 replayed as OST 0.
+    path, records = _recorded_trace(tmp_path)
+    records[2]["ost"][0] = 0.5
+    _rewrite(path, records)
+    _load_fails_at(path, 3, r"RequestBatch ost\[0\] must be a whole number, got 0.5")
+
+
 def test_trace_load_rejects_background_not_covering_recorded_osts(tmp_path):
     # Three entries for a 336-OST machine loaded, and failed only at replay.
     path, records = _recorded_trace(tmp_path)
@@ -516,3 +528,198 @@ def test_e9_background_override():
 def test_e9_rejects_unknown_intensity():
     with pytest.raises(ValueError):
         run_app_interference(**_E9_KW, intensities=("extreme",))
+
+
+# -- shared draws: one draw per distinct workload ---------------------------
+
+
+def _assert_same_composition(got, want):
+    """Two CompositionResults agree bit for bit, trace included."""
+    assert got.apps == want.apps
+    for app in want.apps:
+        for a, b in zip(got.results[app], want.results[app], strict=True):
+            _assert_same_arrays(a.visible_times, b.visible_times)
+            assert dataclasses.replace(a, visible_times=None) == dataclasses.replace(
+                b, visible_times=None
+            )
+        for a, b in zip(got.completions[app], want.completions[app], strict=True):
+            _assert_same_arrays(a, b)
+    for field in ("machine", "period", "apps", "machine_fields"):
+        assert getattr(got.trace, field) == getattr(want.trace, field)
+    assert len(got.trace.iterations) == len(want.trace.iterations)
+    for a, b in zip(got.trace.iterations, want.trace.iterations, strict=True):
+        assert a.large_writes == b.large_writes
+        _assert_same_arrays(a.background, b.background)
+        assert list(a.batches) == list(b.batches)
+        for app in b.batches:
+            for field in ("arrival", "ost", "nbytes"):
+                _assert_same_arrays(getattr(a.batches[app], field), getattr(b.batches[app], field))
+
+
+_HALF = FG.with_overrides(data_per_rank=20 * MB)
+#: Cells with workloads shared between them (FG, BG), in either order and
+#: in a repeated cell, and two workloads that differ only in data_per_rank
+#: (FG, _HALF: one app name and generator seed, different draws).
+_SHARED_CELLS = [
+    [FG, BG],
+    [FG],
+    [_HALF, BG.with_overrides(app="peer")],
+    [BG, FG],
+    [FG, BG],
+    [_SIM.with_overrides(approach="collective", arrival="jittered"), _FPP],
+]
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("interference", [None, Interference()], ids=["quiet", "interference"])
+def test_run_compositions_equals_one_composition_per_cell(tmp_path, backend, interference):
+    machine = KRAKEN.with_overrides(ost_count=24)
+    kwargs = dict(period=60.0, seed=9, interference=interference)
+    shared_dir, alone_dir = tmp_path / "shared", tmp_path / "alone"
+    with use_backend(backend):
+        shared = list(run_compositions(machine, _SHARED_CELLS, 3, **kwargs))
+        alone = [
+            run_composition(machine, cell, 3, **kwargs, trace_path=alone_dir / f"{i}.jsonl")
+            for i, cell in enumerate(_SHARED_CELLS)
+        ]
+    for got, want in zip(shared, alone, strict=True):
+        _assert_same_composition(got, want)
+    for i, got in enumerate(shared):
+        got.trace.save(shared_dir / f"{i}.jsonl")
+        assert (shared_dir / f"{i}.jsonl").read_bytes() == (alone_dir / f"{i}.jsonl").read_bytes()
+    # Equal seeds, different data: the two foregrounds' draws must differ.
+    assert not np.array_equal(
+        shared[0].trace.iterations[0].batches["sim"].nbytes,
+        shared[2].trace.iterations[0].batches["sim"].nbytes,
+    )
+
+
+def test_run_compositions_rejects_bad_arguments_eagerly():
+    for cells, message in [
+        ([[FG], []], "needs at least one workload"),
+        ([[FG], [FG, FG]], "app names must be unique"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_compositions(KRAKEN, cells, 1, period=60.0)
+    with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
+        run_compositions(KRAKEN, [[FG]], 0, period=60.0)
+    assert list(run_compositions(KRAKEN, [], 1, period=60.0)) == []
+
+
+def test_shared_backgrounds_are_read_only():
+    first, second = run_compositions(
+        KRAKEN, [[FG], [BG]], 1, period=60.0, interference=Interference()
+    )
+    background = first.trace.iterations[0].background
+    assert background is second.trace.iterations[0].background
+    with pytest.raises(ValueError, match="read-only"):
+        background[0] = 1.0
+
+
+_ALL_APPROACHES = ["file-per-process", "collective", "damaris", "dedicated-nodes"]
+
+
+def _e9_cells_alone(trace_dir, replications, backend):
+    """E9 as the historical loop: each (intensity, approach, replication)
+    cell composed alone, its row built from its own composition."""
+    kw = _E9_KW
+    ranks, data, period = kw["ranks"], kw["data_per_rank"], kw["compute_time"]
+    contender_at = {
+        "off": None,
+        "light": BG.with_overrides(ranks=48, data_per_rank=data),
+        "heavy": BG.with_overrides(ranks=ranks, data_per_rank=data),
+    }
+    rows = []
+    for intensity, contender in contender_at.items():
+        for name in _ALL_APPROACHES:
+            fg = Workload(
+                app="sim", ranks=ranks, data_per_rank=data, arrival="periodic", approach=name
+            )
+            workloads = [fg] + ([contender] if contender is not None else [])
+            for index in range(replications):
+                path = trace_dir / f"e9-{intensity}-{name}.jsonl" if index == 0 else None
+                with use_backend(backend):
+                    out = run_composition(
+                        kw["machine"],
+                        workloads,
+                        kw["iterations"],
+                        period=period,
+                        seed=replication_seed(kw["seed"], index),
+                        trace_path=path,
+                    )
+                sim = out.results["sim"]
+                samples = np.concatenate([r.visible_times for r in sim])
+                phase = float(np.mean([float(r.visible_times.max()) for r in sim]))
+                backend_mean = float(np.mean([r.backend_wall_s for r in sim]))
+                row = {
+                    "intensity": intensity,
+                    "approach": name,
+                    "bg_ranks": 0 if contender is None else contender.ranks,
+                    "io_mean_s": float(samples.mean()),
+                    "io_std_s": float(samples.std()),
+                    "io_p99_s": float(np.percentile(samples, 99)),
+                    "io_phase_mean_s": phase,
+                    "backend_wall_mean_s": backend_mean,
+                    "iteration_period_s": iteration_period(period, phase, backend_mean),
+                }
+                if contender is not None:
+                    bg = np.concatenate([r.visible_times for r in out.results["background"]])
+                    row["bg_io_mean_s"] = float(bg.mean())
+                    row["bg_io_p99_s"] = float(np.percentile(bg, 99))
+                rows.append((index, row))
+    return replication_table(rows, ("intensity", "approach"), replications, kw["seed"])
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("replications", [1, 3])
+def test_e9_equals_each_cell_composed_alone(tmp_path, backend, replications):
+    with use_backend(backend):
+        table = run_app_interference(
+            **_E9_KW,
+            approaches=_ALL_APPROACHES,
+            trace_dir=tmp_path / "runner",
+            replications=replications,
+        )
+    oracle = _e9_cells_alone(tmp_path / "alone", replications, backend)
+    assert [row.as_dict() for row in table] == [row.as_dict() for row in oracle]
+    names = sorted(path.name for path in (tmp_path / "alone").iterdir())
+    assert len(names) == 3 * len(_ALL_APPROACHES)
+    assert sorted(path.name for path in (tmp_path / "runner").iterdir()) == names
+    for name in names:
+        runner = (tmp_path / "runner" / name).read_bytes()
+        assert runner == (tmp_path / "alone" / name).read_bytes(), name
+
+
+def _spy(calls, method, rng_at):
+    """``method``, recording the generator (positional ``rng_at``) of every call."""
+
+    def spied(*args, **kwargs):
+        calls.append(args[rng_at])
+        return method(*args, **kwargs)
+
+    return spied
+
+
+def test_e9_draws_each_application_once_per_replication(monkeypatch):
+    # Three approaches x three intensities compose five distinct
+    # applications: three foregrounds and two background sizes.
+    sampled, planned, backgrounds = [], [], []
+    for name in arrival_process_names():
+        process = resolve_arrival_process(name)
+        monkeypatch.setattr(process, "sample", _spy(sampled, process.sample, 0))
+    for name in ("file-per-process", "collective", "damaris"):
+        approach = resolve_approach(name)
+        monkeypatch.setattr(approach, "plan_iteration", _spy(planned, approach.plan_iteration, 3))
+    monkeypatch.setattr(
+        Interference, "sample_background", _spy(backgrounds, Interference.sample_background, 2)
+    )
+    replications, iterations = 3, _E9_KW["iterations"]
+    run_app_interference(**_E9_KW, replications=replications)
+    # An application's draws all come from its one generator; the lists
+    # keep every generator alive, so ids are not reused.
+    for calls in (sampled, planned):
+        uses = Counter(id(rng) for rng in calls)
+        assert sorted(uses.values()) == [iterations] * (5 * replications)
+    # The composition background: one draw per iteration of each replication.
+    uses = Counter(id(rng) for rng in backgrounds)
+    assert sorted(uses.values()) == [iterations] * replications

@@ -242,6 +242,59 @@ def test_batch_rejects_infinite_nbytes():
         RequestBatch(arrival=[0.0, 0.5], ost=[0, 1], nbytes=np.inf)
 
 
+@pytest.mark.parametrize(
+    ("ost", "message"),
+    [
+        # Silently truncated to [0 1].
+        ([0.5, 1.9], r"ost\[0\] must be a whole number, got 0.5"),
+        # numpy's "cannot convert float NaN to integer", naming no field.
+        ([1.0, np.nan], r"ost\[1\] must be a whole number, got nan"),
+        # OverflowError.
+        ([np.inf, 2.0], r"ost\[0\] must be a whole number, got inf"),
+        # Cast to an arbitrary id.
+        ([3.0, -1e19], r"ost\[1\] must be within the int64 range, got -1e\+19"),
+        # numpy infers uint64 for this, which int64 wraps to -2**63.
+        ([2**63], r"ost\[0\] must be within the int64 range, got 9223372036854775808"),
+        (
+            np.array([1, 2**64 - 1], dtype=np.uint64),
+            r"ost\[1\] must be within the int64 range, got 18446744073709551615",
+        ),
+    ],
+    ids=["fractional", "nan", "inf", "out-of-range", "python-int-past-int64", "uint64"],
+)
+def test_batch_rejects_ost_ids_that_are_not_whole_numbers(ost, message):
+    with pytest.raises(ValueError, match="^RequestBatch " + message + "$"):
+        RequestBatch(arrival=[0.0, 0.0], ost=ost, nbytes=1e6)
+
+
+def test_batch_casts_whole_and_integer_ost_ids_exactly():
+    for ost in ([3.0, 7.0], np.array([3, 7], dtype=np.int32), np.array([3, 7], dtype=np.uint8)):
+        batch = RequestBatch(arrival=0.0, ost=ost, nbytes=MB)
+        assert batch.ost.dtype == np.int64
+        assert not batch.ost.flags.writeable
+        np.testing.assert_array_equal(batch.ost, [3, 7])
+
+
+def test_batch_length_follows_broadcasting():
+    # An empty column beside scalars used to raise "must be 1-D with 1 or 1
+    # entries"; numpy broadcasting makes it an empty batch.
+    for columns in [
+        (np.empty(0), np.empty(0, dtype=int), 1e6),
+        (np.empty(0), 3, 1e6),
+        (0.0, 3, np.empty(0)),
+    ]:
+        batch = RequestBatch(*columns)
+        assert len(batch) == 0
+        for field in (batch.arrival, batch.ost, batch.nbytes):
+            assert field.shape == (0,)
+        for backend in ("vectorized", "reference"):
+            done = solve(KRAKEN, batch, large_writes=True, backend=backend)
+            assert done.shape == (0,)
+    assert len(RequestBatch(0.0, 3, 1e6)) == 1
+    with pytest.raises(ValueError, match=r"arrival must be 1-D with 1 or 2 entries, got shape"):
+        RequestBatch(np.empty(0), [1, 2], 1e6)
+
+
 # -- lane grouping ---------------------------------------------------------
 
 
@@ -355,6 +408,26 @@ def test_background_contract_covers_every_entry_point():
     zeros = np.zeros(KRAKEN.ost_count, dtype=np.int64)
     np.testing.assert_array_equal(solve(KRAKEN, batch, background=zeros, large_writes=False), quiet)
     solve(KRAKEN, batch, background=np.full(KRAKEN.ost_count, 0.5), large_writes=False)
+
+
+def test_stacked_background_error_names_the_group_and_its_ost():
+    # Used to report background[339], the index in the stacked array.
+    batch = _both_shapes()[0]
+    bad = np.zeros(KRAKEN.ost_count)
+    bad[3] = np.nan
+    with pytest.raises(
+        ValueError, match=r"^backgrounds\[1\]: background\[3\] must be finite and >= 0, got nan$"
+    ):
+        solve_many(KRAKEN, [batch, batch], backgrounds=[None, bad], large_writes=True)
+    with pytest.raises(
+        ValueError, match=r"^backgrounds\[2\]: background must hold one entry per OST"
+    ):
+        solve_many(
+            KRAKEN,
+            [batch] * 3,
+            backgrounds=[None, np.zeros(KRAKEN.ost_count), np.zeros(3)],
+            large_writes=True,
+        )
 
 
 _PAIR_RULE = r"a finite \(lo, hi\) pair with 0 <= lo <= hi"

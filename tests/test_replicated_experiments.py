@@ -15,6 +15,7 @@ import pytest
 from repro.experiments import (
     check_variability_statistics,
     run_app_interference,
+    run_insitu_backpressure,
     run_insitu_scaling,
     run_scheduling,
     run_spare_time,
@@ -369,3 +370,42 @@ def test_every_runner_rejects_non_positive_replications():
         run_insitu_scaling(scales=(92,), replications=0)
     with pytest.raises(ValueError, match="replications"):
         run_app_interference(ranks=96, replications=0)
+
+
+_RANKED = [run_variability, run_throughput, run_scheduling, run_app_interference]
+_LADDERS = [run_weak_scaling, run_spare_time, run_insitu_scaling]
+_COMPUTE_TIMED = [
+    functools.partial(run_weak_scaling, scales=(192,)),
+    functools.partial(run_variability, ranks=192),
+    functools.partial(run_throughput, ranks=192),
+    functools.partial(run_spare_time, scales=(192,)),
+    functools.partial(run_scheduling, ranks=192),
+    run_insitu_backpressure,
+    functools.partial(run_app_interference, ranks=192),
+]
+
+
+@pytest.mark.parametrize("ranks", [0, -192])
+@pytest.mark.parametrize("runner", _RANKED, ids=lambda runner: runner.__name__)
+def test_runners_reject_a_rank_count_below_one(runner, ranks):
+    # run_throughput(ranks=0) used to fail inside RequestBatch, naming
+    # neither the argument nor the runner.
+    with pytest.raises(ValueError, match=rf"^ranks must be >= 1, got {ranks}$"):
+        runner(ranks=ranks)
+
+
+@pytest.mark.parametrize("runner", _LADDERS, ids=lambda runner: runner.__name__)
+def test_runners_reject_a_ladder_rung_below_one(runner):
+    with pytest.raises(ValueError, match=r"^scales\[1\] must be >= 1, got 0$"):
+        runner(scales=(192, 0))
+
+
+@pytest.mark.parametrize("compute_time", [-5.0, float("nan"), float("inf")])
+def test_runners_reject_a_negative_or_non_finite_compute_time(compute_time):
+    # run_spare_time(compute_time=-5.0) used to print the compute_time=0.0
+    # table, with an idle fraction of 0.
+    for runner in _COMPUTE_TIMED:
+        with pytest.raises(ValueError, match=r"^compute_time must be finite and >= 0, got "):
+            runner(compute_time=compute_time)
+    # Zero stays accepted.
+    assert run_spare_time(scales=(576,), iterations=1, compute_time=0.0)[0]["idle_fraction"] == 0
