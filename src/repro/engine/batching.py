@@ -44,7 +44,9 @@ def solve_groups(
     completion-time array per member — the same values, bit for bit, as
     solving the group's :func:`~repro.engine.requests.merge_batches`
     batch alone.  Both solve on the default backend (see
-    :func:`~repro.engine.api.use_backend`).
+    :func:`~repro.engine.api.use_backend`).  The stack holds each request
+    column once: a size that every non-empty member broadcasts stays one
+    value, not a copy per request.
     """
     groups = [list(group) for group in groups]
     if backgrounds is not None:
@@ -61,7 +63,7 @@ def solve_groups(
     stacked = RequestBatch(
         arrival=np.concatenate([batch.arrival for batch in members]),
         ost=ost,
-        nbytes=np.concatenate([batch.nbytes for batch in members]),
+        nbytes=_stacked_nbytes(members),
     )
     done = solve(
         machine.with_overrides(ost_count=len(groups) * machine.ost_count),
@@ -90,6 +92,17 @@ def solve_many(
         large_writes=large_writes,
     )
     return [group[0] for group in groups]
+
+
+def _stacked_nbytes(members: Sequence[RequestBatch]) -> FloatArray:
+    """The members' sizes as one column, or as one broadcast value when
+    every non-empty member broadcasts (or is one request of) the same
+    bits, so ``-0.0`` stays apart from ``0.0``: no copy per request."""
+    columns = [batch.nbytes for batch in members if len(batch)]
+    if all(column.strides == (0,) or column.size == 1 for column in columns):
+        if len({column[:1].tobytes() for column in columns}) == 1:
+            return columns[0][:1]
+    return np.concatenate([batch.nbytes for batch in members])
 
 
 def _stack_backgrounds(

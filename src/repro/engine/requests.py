@@ -32,16 +32,17 @@ class LaneOrder:
     The vectorized backend's staggered lane loops consume this view:
     requests sorted by ``(ost % ost_count, arrival)`` — the exact
     ``np.lexsort`` order the per-OST loops have always used — with the
-    sorted columns materialised as contiguous arrays.  Lane ``k``
-    occupies ``[starts[k], ends[k])`` of every sorted array and serves
-    OST ``ost[k]``.
+    sorted columns materialised as contiguous arrays, except that a size
+    the whole batch shares stays the batch's one broadcast value.  Lane
+    ``k`` occupies ``[starts[k], ends[k])`` of every sorted array and
+    serves OST ``ost[k]``.
     """
 
     #: Batch positions in lane order (``out[order[i]]`` scatters back).
     order: IntArray
     #: Arrival times in lane order (contiguous).
     arrival: FloatArray
-    #: Request sizes in lane order (contiguous).
+    #: Request sizes in lane order (contiguous, or one broadcast size).
     nbytes: FloatArray
     #: Per-lane offsets into the sorted arrays.
     starts: IntArray
@@ -90,8 +91,7 @@ class RequestBatch:
         """The batch regrouped into per-OST lanes of a width-``ost_count`` machine."""
         if ost_count < 1:
             raise ValueError(f"ost_count must be >= 1, got {ost_count}")
-        ost = self.ost % ost_count
-        n = ost.size
+        n = self.arrival.size
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
             return LaneOrder(
@@ -106,36 +106,48 @@ class RequestBatch:
         # dtype that holds the ids (fewer radix passes), then order each
         # lane by arrival with one row-wise stable argsort of a padded
         # matrix.  Both sorts are stable, so the order equals
-        # ``np.lexsort((arrival, ost))`` without its full float sort.
-        key = ost.astype(np.min_scalar_type(ost_count - 1))
+        # ``np.lexsort((arrival, ost))`` without its full float sort.  A stack
+        # holds up to ~10^6 requests: free each temporary once it is consumed.
+        key = (self.ost % ost_count).astype(np.min_scalar_type(ost_count - 1))
         perm = np.argsort(key, kind="stable")
-        ost_sorted = ost[perm]
+        key = key[perm]
         is_first = np.empty(n, dtype=bool)
         is_first[0] = True
-        np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
+        np.not_equal(key[1:], key[:-1], out=is_first[1:])
         starts = np.flatnonzero(is_first)
+        ost = key[starts].astype(np.int64)
+        del key, is_first
         counts = np.diff(starts, append=n)
         depth = int(counts.max())
         if starts.size * depth > 4 * n:
             # A few deep lanes among many shallow ones: the padded matrix
             # would dwarf the batch, so sort the flat columns instead.
-            order = np.lexsort((self.arrival, ost))
+            order = np.lexsort((self.arrival, self.ost % ost_count))
         else:
             # Flat (lane, slot) cell of every request in OST-sorted order;
             # the inf padding sorts after every (finite) arrival.
-            lane_start = np.repeat(starts, counts)
-            cell = np.arange(n) - lane_start + np.repeat(np.arange(starts.size) * depth, counts)
+            cell = np.repeat(np.arange(starts.size) * depth - starts, counts)
+            cell += np.arange(n)
             padded = np.full(starts.size * depth, np.inf)
             padded[cell] = self.arrival[perm]
             by_arrival = np.argsort(padded.reshape(-1, depth), axis=1, kind="stable").ravel()
-            order = perm[lane_start + by_arrival[cell]]
+            del padded
+            # Slot s of lane k takes the lane's s-th arrival: its column in
+            # the sorted row plus the lane's start.
+            by_arrival = by_arrival[cell]
+            del cell
+            by_arrival += np.repeat(starts, counts)
+            order = perm[by_arrival]
+            del perm, by_arrival
+        # A shared size stays one broadcast value: nothing to regroup.
+        nbytes = self.nbytes if self.nbytes.strides == (0,) else self.nbytes[order]
         return LaneOrder(
             order=order,
-            arrival=np.ascontiguousarray(self.arrival[order]),
-            nbytes=np.ascontiguousarray(self.nbytes[order]),
+            arrival=self.arrival[order],
+            nbytes=nbytes,
             starts=starts,
             ends=starts + counts,
-            ost=ost_sorted[starts],
+            ost=ost,
         )
 
     def __len__(self) -> int:

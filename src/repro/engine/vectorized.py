@@ -92,7 +92,8 @@ def _solve_simultaneous(
     bg_per_ost: FloatArray,
 ) -> FloatArray:
     n = ost.size
-    order = np.lexsort((nbytes, ost))
+    # A broadcast size ties every request of an OST: the stable OST sort is the lexsort order.
+    order = np.argsort(ost, kind="stable") if nbytes.strides == (0,) else np.lexsort((nbytes, ost))
     ost_sorted = ost[order]
     sizes = nbytes[order]
 

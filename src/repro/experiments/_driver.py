@@ -32,14 +32,17 @@ def _validate_arguments(
     ranks: int = 1,
     scales: Sequence[int] = (),
     compute_time: float = 0.0,
+    iterations: int = 1,
+    wave_size: int = 1,
 ) -> None:
     """Every experiment runner rejects, eagerly and by name, an argument no
     run can use, instead of producing an empty, single-run or meaningless
     table or failing deep inside the engine."""
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if ranks < 1:
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
+    for name, count in dict(
+        replications=replications, ranks=ranks, iterations=iterations, wave_size=wave_size
+    ).items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     for index, rung in enumerate(scales):
         if rung < 1:
             raise ValueError(f"scales[{index}] must be >= 1, got {rung}")

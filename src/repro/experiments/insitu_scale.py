@@ -41,7 +41,7 @@ def run_insitu_scaling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, scales=scales)
+    _validate_arguments(replications, scales=scales, iterations=iterations)
     rows: list[tuple[int, dict[str, Any]]] = []
     for cores in scales:
         for index in range(replications):
@@ -96,7 +96,7 @@ def run_insitu_backpressure(
     proceeds immediately either way.
     """
     machine = resolve_machine(machine)
-    _validate_arguments(compute_time=compute_time)
+    _validate_arguments(compute_time=compute_time, iterations=iterations)
     copy = NEK_DATA_PER_CORE / machine.shm_bandwidth
     now = 0.0
     core_free_at = 0.0

@@ -57,9 +57,15 @@ def run_scheduling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
     if wave_size is None:
         wave_size = machine.ost_count
+    _validate_arguments(
+        replications,
+        ranks=ranks,
+        compute_time=compute_time,
+        iterations=iterations,
+        wave_size=wave_size,
+    )
     nodes = machine.nodes_for(ranks)
     node_bytes = DedicatedCores().node_bytes(machine, ranks, data_per_rank)
     total_bytes = node_bytes * nodes

@@ -35,7 +35,9 @@ def run_spare_time(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, scales=scales, compute_time=compute_time)
+    _validate_arguments(
+        replications, scales=scales, compute_time=compute_time, iterations=iterations
+    )
     approach = DedicatedCores()
     rows: list[tuple[int, dict[str, Any]]] = []
     for ranks in scales:

@@ -62,7 +62,7 @@ def run_throughput(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time, iterations=iterations)
     rows = (
         (index, _throughput_row(approach.name, ranks, results, compute_time, iterations))
         for approach, reps in run_replicated_approaches(

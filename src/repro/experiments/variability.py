@@ -76,7 +76,7 @@ def run_variability(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time)
+    _validate_arguments(replications, ranks=ranks, compute_time=compute_time, iterations=iterations)
     rows = (
         (index, _variability_row(approach.name, ranks, results, compute_time))
         for approach, reps in run_replicated_approaches(

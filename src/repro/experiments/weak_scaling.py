@@ -77,7 +77,9 @@ def run_weak_scaling(
 ) -> Table:
     machine = resolve_machine(machine)
     scales = list(scales)
-    _validate_arguments(replications, scales=scales, compute_time=compute_time)
+    _validate_arguments(
+        replications, scales=scales, compute_time=compute_time, iterations=iterations
+    )
     names = [a.name for a in resolve_approaches(approaches)]
     sweep = run_sweep(
         machine,

@@ -139,9 +139,10 @@ _EMPTY_BATCH = RequestBatch(
 
 
 def _as_offsets(arrivals: npt.ArrayLike | None, n: int) -> FloatArray:
-    """Validate externally supplied per-client arrival offsets."""
+    """Validate externally supplied per-client arrival offsets; none means
+    every client starts at 0, one broadcast zero rather than ``n`` of them."""
     if arrivals is None:
-        return np.zeros(n)
+        return np.broadcast_to(0.0, (n,))
     offsets = np.asarray(arrivals, dtype=np.float64)
     if offsets.shape != (n,):
         raise ValueError(f"arrivals shape {offsets.shape} does not match {n} clients")

@@ -22,6 +22,8 @@ it; the dedicated ``bench-perf`` job stays strict).
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.bench import PerfWarning, assert_speedup, measure, resolve_benchmark
@@ -93,6 +95,16 @@ def test_perf_strict_escape_hatch_downgrades_to_warning(monkeypatch):
     monkeypatch.setenv("REPRO_PERF_STRICT", "0")
     with pytest.warns(PerfWarning, match="escape-hatch demo"):
         assert_speedup(2.0, 1.0, ratio=1.0, label="escape-hatch demo")
+
+
+def test_perf_strict_escape_hatch_survives_the_suite_warning_filters(monkeypatch):
+    # The suite turns RuntimeWarnings into errors, and PerfWarning is one:
+    # without its own filter, REPRO_PERF_STRICT=0 would fail the run anyway.
+    # No pytest.warns here, since that installs a filter of its own.
+    monkeypatch.setenv("REPRO_PERF_STRICT", "0")
+    with warnings.catch_warnings(record=True) as caught:
+        assert_speedup(2.0, 1.0, ratio=1.0, label="escape hatch under the suite filters")
+    assert [warning.category for warning in caught] == [PerfWarning]
 
 
 def test_perf_strict_default_raises(monkeypatch):

@@ -133,3 +133,10 @@ def test_ci_bench_smoke_runs_the_replicated_benchmarks():
     assert len(steps) == 1, "bench-smoke needs one step with 30 replications"
     assert "python -m pytest -x -q benchmarks/" in steps[0]
     assert 'REPRO_FULL_SCALE: "1"' in steps[0]
+
+
+def test_pytest_fails_on_runtime_warnings():
+    # numpy reports NaN reductions and divides by zero as RuntimeWarnings;
+    # every pytest job must fail on them, not print them beside a pass.
+    options = _pyproject()["tool"]["pytest"]["ini_options"]
+    assert "error::RuntimeWarning" in options["filterwarnings"]

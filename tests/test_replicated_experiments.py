@@ -409,3 +409,37 @@ def test_runners_reject_a_negative_or_non_finite_compute_time(compute_time):
             runner(compute_time=compute_time)
     # Zero stays accepted.
     assert run_spare_time(scales=(576,), iterations=1, compute_time=0.0)[0]["idle_fraction"] == 0
+
+
+_ITERATED = [
+    functools.partial(run_spare_time, scales=(192,)),
+    functools.partial(run_scheduling, ranks=192),
+    functools.partial(run_insitu_scaling, scales=(92,)),
+    run_insitu_backpressure,
+]
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+@pytest.mark.parametrize(
+    "runner", _ITERATED, ids=["spare_time", "scheduling", "insitu_scaling", "insitu_backpressure"]
+)
+def test_runners_reject_an_iteration_count_below_one(runner, iterations):
+    # run_spare_time and run_insitu_scaling used to return NaN rows,
+    # run_insitu_backpressure a negative ideal compute time, and
+    # run_scheduling a bare "zero-size array" error.
+    with pytest.raises(ValueError, match=rf"^iterations must be >= 1, got {iterations}$"):
+        runner(iterations=iterations)
+
+
+@pytest.mark.parametrize("wave_size", [0, -3])
+def test_scheduling_rejects_a_wave_size_below_one(wave_size):
+    # wave_size=0 used to fail with a bare "range() arg 3 must not be zero".
+    with pytest.raises(ValueError, match=rf"^wave_size must be >= 1, got {wave_size}$"):
+        run_scheduling(ranks=192, wave_size=wave_size)
+
+
+def test_app_interference_rejects_a_zero_compute_time():
+    # Its arrivals spread over the compute phase; zero used to fail in the
+    # arrival sampler with a message naming no argument.
+    with pytest.raises(ValueError, match=r"^compute_time must be > 0, got 0.0$"):
+        run_app_interference(ranks=192, compute_time=0.0)

@@ -196,6 +196,67 @@ def test_solve_many_edge_cases():
         solve_many(KRAKEN, [one], backgrounds=[np.zeros(3)], large_writes=True)
 
 
+@pytest.mark.parametrize(
+    ("span", "spread"),
+    [(3 * KRAKEN.ost_count, 2.0), (8, 2.0), (3 * KRAKEN.ost_count, 0.0)],
+    ids=["lockstep", "per-lane-heap", "simultaneous"],
+)
+def test_solve_many_keeps_a_shared_size_one_value(monkeypatch, span, spread):
+    """Members that each broadcast one size stack without n copies of it.
+
+    The stacked batch and its lane order keep ``nbytes`` zero-stride
+    (strides ``(8,)`` when the stack concatenated every member's column,
+    ``(0,)`` since), skipping empty members such as the collective's
+    analytic plan.  The completion times equal, bit for bit, those of the
+    same members with materialised ``np.full`` size columns, whether the
+    lanes run in lockstep, on ``span`` = 8 OSTs one heap loop each, or,
+    when every request arrives at once, through the simultaneous solve.
+    """
+    import repro.engine.batching as batching
+
+    rng = np.random.default_rng(5)
+    arrivals = [rng.uniform(0.0, spread, n) for n in (600, 0, 600, 1)]
+    osts = [rng.integers(0, span, a.size) for a in arrivals]
+
+    def members(size_column):
+        return [
+            RequestBatch(a, o, size_column(a.size)) for a, o in zip(arrivals, osts, strict=True)
+        ]
+
+    seen = {}
+
+    def spying_solve(machine, batch, **kwargs):
+        seen["batch"] = batch
+        return solve(machine, batch, **kwargs)
+
+    lanes = RequestBatch.lanes
+
+    def spying_lanes(self, ost_count):
+        seen["lanes"] = lanes(self, ost_count)
+        return seen["lanes"]
+
+    monkeypatch.setattr(batching, "solve", spying_solve)
+    monkeypatch.setattr(RequestBatch, "lanes", spying_lanes)
+    for backend in ("vectorized", "reference"):
+        seen.clear()
+        with use_backend(backend):
+            shared = solve_many(KRAKEN, members(lambda n: 45 * MB), large_writes=False)
+            assert seen["batch"].nbytes.strides == (0,)
+            if backend == "vectorized" and spread:
+                assert seen["lanes"].nbytes.strides == (0,)
+            full = solve_many(KRAKEN, members(lambda n: np.full(n, 45 * MB)), large_writes=False)
+            assert seen["batch"].nbytes.strides == (8,)
+        for got, want in zip(shared, full, strict=True):
+            np.testing.assert_array_equal(got, want)
+    # Sizes that differ, in value or only in sign, stay one column each.
+    for sizes in ([MB, 2 * MB], [0.0, -0.0]):
+        batches = [RequestBatch(arrivals[0], osts[0], size) for size in sizes]
+        solve_many(KRAKEN, batches, large_writes=False)
+        want = np.repeat(sizes, arrivals[0].size)
+        np.testing.assert_array_equal(seen["batch"].nbytes, want)
+        assert np.signbit(seen["batch"].nbytes).tolist() == np.signbit(want).tolist()
+
+
 def _random_member(rng, n, lanes):
     """A batch of ``n`` writes on ``lanes`` OSTs, with ids beyond ``ost_count``."""
     if n == 0:
