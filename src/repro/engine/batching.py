@@ -7,17 +7,18 @@ them one :func:`~repro.engine.api.solve` call at a time costs a trip
 through the backend each; :func:`solve_groups` instead stacks them along
 a *virtual OST axis* — contention group ``k``'s requests are shifted
 into OST block ``[k * ost_count, (k + 1) * ost_count)`` of a machine
-with ``len(groups) * ost_count`` OSTs — and solves the whole stack in
-one call.  OSTs are independent servers in every backend, so the stacked
-solve returns exactly what per-group solving would, while the vectorized
-backend gets one wide batch whose lanes it advances together, one numpy
-pass per event, instead of many narrow ones.  :func:`solve_many` is the
-one-batch-per-group case.
+with ``len(groups) * ost_count`` OSTs — and solves stacks of up to
+``_MAX_STACK_UNITS`` requests plus virtual OSTs per engine call, so
+every caller's working set stays bounded.  OSTs are independent servers
+in every backend, so a stacked solve returns exactly what per-group
+solving would, while the vectorized backend gets wide batches whose
+lanes it advances together, one numpy pass per event.
+:func:`solve_many` is the one-batch-per-group case.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +29,13 @@ from .requests import RequestBatch
 
 __all__ = ["solve_groups", "solve_many"]
 
+#: Most units one engine call may hold.  A group costs its requests plus
+#: ``ost_count``, its block of virtual OSTs, which sets the width of the
+#: stacked background and of the per-OST arrays.  A group over the cap
+#: gets a call of its own and is never split.  The groups are
+#: independent, so how they share calls cannot change an output bit.
+_MAX_STACK_UNITS = 1 << 17
+
 
 def solve_groups(
     machine: Machine,
@@ -36,44 +44,36 @@ def solve_groups(
     backgrounds: Sequence[FloatArray | None] | None = None,
     large_writes: bool,
 ) -> list[list[FloatArray]]:
-    """Solve independent contention groups against ``machine`` in one engine call.
+    """Solve independent contention groups against ``machine``, stacked.
 
     The batches of ``groups[k]`` contend with each other and with
     ``backgrounds[k]`` (one per-OST array per group, ``None`` for a quiet
     system), never with another group.  Returns, per group, one
     completion-time array per member — the same values, bit for bit, as
     solving the group's :func:`~repro.engine.requests.merge_batches`
-    batch alone.  Both solve on the default backend (see
-    :func:`~repro.engine.api.use_backend`).  The stack holds each request
-    column once: a size that every non-empty member broadcasts stays one
-    value, not a copy per request.
+    batch alone.  Consecutive groups share an engine call of at most
+    ``_MAX_STACK_UNITS`` requests plus virtual OSTs, and every background
+    is checked before the first call.  Both solve on the default backend
+    (see :func:`~repro.engine.api.use_backend`).  A stack holds each
+    request column once: a size that every non-empty member broadcasts
+    stays one value, not a copy per request.
     """
     groups = [list(group) for group in groups]
-    if backgrounds is not None:
-        backgrounds = list(backgrounds)
-        if len(backgrounds) != len(groups):
-            raise ValueError(f"got {len(backgrounds)} backgrounds for {len(groups)} groups")
-    members = [batch for group in groups for batch in group]
-    if not members:
-        return [[] for _ in groups]
-    # Members stay contiguous and in order, as merge_batches keeps them.
+    if backgrounds is None:
+        backgrounds = [None] * len(groups)
+    elif len(backgrounds) != len(groups):
+        raise ValueError(f"got {len(backgrounds)} backgrounds for {len(groups)} groups")
+    checked: list[FloatArray | None] = []
+    for k, bg in enumerate(backgrounds):
+        try:  # solve's rule, so an error names the group as well as the OST
+            checked.append(None if bg is None else _checked_background(machine, bg))
+        except ValueError as exc:
+            raise ValueError(f"backgrounds[{k}]: {exc}") from None
     sizes = [sum(len(batch) for batch in group) for group in groups]
-    ost = np.concatenate([batch.ost for batch in members]) % machine.ost_count
-    ost += np.repeat(np.arange(len(groups)) * machine.ost_count, sizes)
-    stacked = RequestBatch(
-        arrival=np.concatenate([batch.arrival for batch in members]),
-        ost=ost,
-        nbytes=_stacked_nbytes(members),
-    )
-    done = solve(
-        machine.with_overrides(ost_count=len(groups) * machine.ost_count),
-        stacked,
-        background=_stack_backgrounds(machine, backgrounds),
-        large_writes=large_writes,
-    )
-    parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
-    ends = np.cumsum([len(group) for group in groups])
-    return [parts[end - len(group) : end] for group, end in zip(groups, ends, strict=True)]
+    solved: list[list[FloatArray]] = []
+    for chunk in _chunks(sizes, machine.ost_count):
+        solved += _solve_stack(machine, groups[chunk], sizes[chunk], checked[chunk], large_writes)
+    return solved
 
 
 def solve_many(
@@ -94,6 +94,47 @@ def solve_many(
     return [group[0] for group in groups]
 
 
+def _chunks(sizes: Sequence[int], ost_count: int) -> Iterator[slice]:
+    """Runs of consecutive groups within the cap, or of one group over it."""
+    start = units = 0
+    for k, size in enumerate(sizes):
+        if k > start and units + size + ost_count > _MAX_STACK_UNITS:
+            yield slice(start, k)
+            start, units = k, 0
+        units += size + ost_count
+    yield slice(start, len(sizes))
+
+
+def _solve_stack(
+    machine: Machine,
+    groups: list[list[RequestBatch]],
+    sizes: list[int],
+    backgrounds: list[FloatArray | None],
+    large_writes: bool,
+) -> list[list[FloatArray]]:
+    """One engine call for ``groups``, stacked on their virtual OST blocks."""
+    members = [batch for group in groups for batch in group]
+    if not members:
+        return [[] for _ in groups]
+    # Members stay contiguous and in order, as merge_batches keeps them.
+    ost = np.concatenate([batch.ost for batch in members]) % machine.ost_count
+    ost += np.repeat(np.arange(len(groups)) * machine.ost_count, sizes)
+    stacked = RequestBatch(
+        arrival=np.concatenate([batch.arrival for batch in members]),
+        ost=ost,
+        nbytes=_stacked_nbytes(members),
+    )
+    done = solve(
+        machine.with_overrides(ost_count=len(groups) * machine.ost_count),
+        stacked,
+        background=_stack_backgrounds(machine, backgrounds),
+        large_writes=large_writes,
+    )
+    parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
+    ends = np.cumsum([len(group) for group in groups])
+    return [parts[end - len(group) : end] for group, end in zip(groups, ends, strict=True)]
+
+
 def _stacked_nbytes(members: Sequence[RequestBatch]) -> FloatArray:
     """The members' sizes as one column, or as one broadcast value when
     every non-empty member broadcasts (or is one request of) the same
@@ -106,23 +147,10 @@ def _stacked_nbytes(members: Sequence[RequestBatch]) -> FloatArray:
 
 
 def _stack_backgrounds(
-    machine: Machine, backgrounds: Sequence[FloatArray | None] | None
+    machine: Machine, backgrounds: Sequence[FloatArray | None]
 ) -> FloatArray | None:
-    """One per-virtual-OST load array for the stack (``None`` if all quiet).
-
-    Each group's background is checked with :func:`solve`'s rule first, so
-    an error names the group as well as the OST.
-    """
-    if backgrounds is None or all(bg is None for bg in backgrounds):
+    """One per-virtual-OST load array for the stack (``None`` if all quiet)."""
+    if all(bg is None for bg in backgrounds):
         return None
     quiet = np.zeros(machine.ost_count)
-    parts: list[FloatArray] = []
-    for index, bg in enumerate(backgrounds):
-        if bg is None:
-            parts.append(quiet)
-            continue
-        try:
-            parts.append(_checked_background(machine, bg))
-        except ValueError as exc:
-            raise ValueError(f"backgrounds[{index}]: {exc}") from None
-    return np.concatenate(parts)
+    return np.concatenate([quiet if bg is None else bg for bg in backgrounds])

@@ -6,13 +6,14 @@ machine and a write class (the seek-penalty slope is per solve).  The
 coalescer therefore groups a flush's unsolved cells into
 :class:`Bucket`\\ s keyed by ``(machine, large_writes)`` — machines are
 frozen dataclasses, so the grouping is plain hashing, no names involved
-— and the service solves each bucket through stacked calls.
+— and the service solves each bucket with one ``solve_many`` call, which
+splits a large bucket into engine calls of bounded size itself.
 
 Correctness does not depend on how cells land in buckets: ``solve_many``
 is bit-identical to solving each batch alone, so *any* grouping returns
-the same bytes per cell.  Grouping only saves per-call overhead — one
-stacked solve per bucket instead of one per cell, as in the replication
-driver — now across unrelated requests.
+the same bytes per cell.  Grouping only saves per-call overhead — a few
+wide engine calls per bucket instead of one per cell, as in the
+replication driver — now across unrelated requests.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ and on :meth:`~SolveService.flush` resolves the whole queue:
    served straight from the :class:`~repro.serve.cache.SolveCache` — the
    O(1) hit the roadmap's overlapping-sweep traffic lives on.
 3. **Coalesced solving.**  The remaining cells are grouped into
-   ``(machine, write class)`` buckets and solved inline through the
-   stacked :func:`~repro.engine.solve_many` path, at most
-   ``_MAX_STACK`` cells per stack, on the engine's default backend.
+   ``(machine, write class)`` buckets, and each bucket is solved inline
+   by one stacked :func:`~repro.engine.solve_many` call on the engine's
+   default backend, which bounds the size of every engine call itself.
 
 Responses come back in submission order, each carrying the cell key and
 whether it was served without running a solver.  **Determinism:** every
@@ -30,16 +30,10 @@ from dataclasses import dataclass
 from ..engine import solve_many
 from ..util import FloatArray
 from .cache import CacheStats, SolveCache
-from .coalesce import Bucket, coalesce
+from .coalesce import coalesce
 from .request import SolveRequest, SolveResponse
 
 __all__ = ["ServiceStats", "SolveService"]
-
-#: Most cells one stacked solve may hold.  A stack of ``k`` cells is a
-#: machine of ``k * ost_count`` virtual OSTs with a background array as
-#: wide, so an unbounded flush would materialise all of them at once.
-#: The cells are independent: chunking cannot change an output bit.
-_MAX_STACK = 512
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,13 @@ class SolveService:
                 resolved[key] = cached
         if to_solve:
             for bucket in coalesce(to_solve.items()):
-                for key, done in zip(bucket.keys, _solve_bucket(bucket), strict=True):
+                solved = solve_many(
+                    bucket.machine,
+                    [request.batch for request in bucket.requests],
+                    backgrounds=[request.background for request in bucket.requests],
+                    large_writes=bucket.large_writes,
+                )
+                for key, done in zip(bucket.keys, solved, strict=True):
                     resolved[key] = self._cache.put(key, done)
         # Exactly one response per solved cell reports a fresh solve; every
         # other response was served from memory (earlier flush or coalesced).
@@ -138,16 +138,3 @@ class SolveService:
             cache=self._cache.stats,
         )
 
-
-def _solve_bucket(bucket: Bucket) -> list[FloatArray]:
-    """Every cell's completion times, in bucket order, ``_MAX_STACK`` cells per stack."""
-    done: list[FloatArray] = []
-    for start in range(0, len(bucket.requests), _MAX_STACK):
-        chunk = bucket.requests[start : start + _MAX_STACK]
-        done += solve_many(
-            bucket.machine,
-            [request.batch for request in chunk],
-            backgrounds=[request.background for request in chunk],
-            large_writes=bucket.large_writes,
-        )
-    return done

@@ -13,9 +13,10 @@ iteration results.  Two execution paths produce bit-identical output:
 * **batched** (the default) — every replication *prepares* its
   iterations (consuming its rng stream in exactly the serial order),
   then all R × iterations request batches are stacked along the virtual
-  OST axis and solved in one :func:`~repro.engine.solve_many` call, and
-  finally each prepared iteration is finalized from its own slice.
-  Python touches each iteration once; numpy crunches the whole stack.
+  OST axis and handed to one :func:`~repro.engine.solve_many` call, which
+  solves them in engine calls of bounded size, and finally each prepared
+  iteration is finalized from its own slice.  Python touches each
+  iteration once; numpy crunches the stack a few wide calls at a time.
 
 Seeding: replication ``r`` of a cell draws from
 ``cell_rng(replication_seed(seed, r), ranks, approach)`` — the same
@@ -70,7 +71,7 @@ def run_replications(
     """Run ``replications`` independently-seeded copies of one cell.
 
     Returns ``replications`` lists of ``iterations`` results.  The
-    batched path stacks every replication's request batches into one
+    batched path hands every replication's request batches to one
     :func:`~repro.engine.solve_many` call; its output is bit-identical
     to the serial path (which remains available as ground truth).
     """
@@ -99,8 +100,9 @@ def run_replications(
 
 
 def solve_prepared(machine: Machine, prepared: list[IterationPlan]) -> list[IterationResult]:
-    """Each prepared iteration's result, in order, from one stacked solve per
-    write class: bit for bit what solving each one alone would give."""
+    """Each prepared iteration's result, in order, from one ``solve_many``
+    call per write class, which caps the size of each engine call: bit for
+    bit what solving each iteration alone would give."""
     # One approach emits one write class, but group defensively so a
     # custom approach mixing classes still solves correctly.
     results: list[IterationResult | None] = [None] * len(prepared)

@@ -468,6 +468,42 @@ def test_stacked_background_error_names_the_group_and_its_ost():
         )
 
 
+def test_stacked_background_error_past_the_first_engine_call_names_its_group(monkeypatch):
+    # With one group per engine call, a bad background must still be named
+    # by its group's index in the whole stack, not in its own call, and
+    # must stop the stack before any backend runs.
+    import repro.engine.batching as batching
+
+    calls = []
+
+    def spying_solve(machine, batch, **kwargs):
+        calls.append(machine.ost_count // KRAKEN.ost_count)
+        return solve(machine, batch, **kwargs)
+
+    monkeypatch.setattr(batching, "_MAX_STACK_UNITS", 1)
+    monkeypatch.setattr(batching, "solve", spying_solve)
+    batch = _both_shapes()[0]
+    quiet = np.zeros(KRAKEN.ost_count)
+    bad = np.zeros(KRAKEN.ost_count)
+    bad[3] = np.nan
+    with pytest.raises(
+        ValueError, match=r"^backgrounds\[2\]: background\[3\] must be finite and >= 0, got nan$"
+    ):
+        solve_many(KRAKEN, [batch] * 3, backgrounds=[None, quiet, bad], large_writes=True)
+    with pytest.raises(
+        ValueError, match=r"^backgrounds\[3\]: background must hold one entry per OST"
+    ):
+        batching.solve_groups(
+            KRAKEN,
+            [[batch, batch], [], [batch], [batch]],
+            backgrounds=[quiet, None, None, np.zeros(3)],
+            large_writes=True,
+        )
+    assert calls == []
+    solve_many(KRAKEN, [batch] * 3, backgrounds=[None, quiet, None], large_writes=True)
+    assert calls == [1, 1, 1]
+
+
 _PAIR_RULE = r"a finite \(lo, hi\) pair with 0 <= lo <= hi"
 
 

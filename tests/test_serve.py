@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import RequestBatch, resolve_machine, solve, solve_many
+import repro.engine.batching as batching
+from repro.engine import RequestBatch, resolve_machine, solve
 from repro.serve import SolveCache, SolveRequest, SolveService, coalesce, demo_stream, request_key
-from repro.serve import service as service_module
 from repro.util import MB
 
 _SETTINGS = dict(deadline=None, max_examples=15)
@@ -316,17 +316,19 @@ def test_bad_background_is_rejected_before_it_can_spoil_a_flush(background, mess
 @pytest.mark.parametrize("with_backgrounds", [False, True], ids=["quiet", "backgrounds"])
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_flush_chunks_its_stacks_bit_identically(monkeypatch, cap, with_backgrounds):
-    # The service caps every stacked solve; chunking a bucket must not
-    # change a bit of any cell, and every chunk must respect the cap.
-    stacks = []
-
-    def counting_solve_many(machine, batches, **kwargs):
-        stacks.append(len(batches))
-        return solve_many(machine, batches, **kwargs)
-
-    monkeypatch.setattr(service_module, "_MAX_STACK", cap)
-    monkeypatch.setattr(service_module, "solve_many", counting_solve_many)
+    # A flush makes one solve_many call per bucket, and the engine caps
+    # each call it makes: chunking a bucket must not change a bit of any
+    # cell, and every engine call must respect the cap.
     kraken = resolve_machine("kraken")
+    units = cap * (80 + kraken.ost_count)  # ``cap`` cells of 80 writes
+    calls = []
+
+    def counting_solve(machine, batch, **kwargs):
+        calls.append((len(batch), machine.ost_count))
+        return solve(machine, batch, **kwargs)
+
+    monkeypatch.setattr(batching, "_MAX_STACK_UNITS", units)
+    monkeypatch.setattr(batching, "solve", counting_solve)
     rng = np.random.default_rng(7)
     requests = []
     for index in range(7):
@@ -344,7 +346,9 @@ def test_flush_chunks_its_stacks_bit_identically(monkeypatch, cap, with_backgrou
     for request in requests:
         service.submit(request)
     responses = service.flush()
+    stacks = [osts // kraken.ost_count for _, osts in calls]
     assert stacks == [min(cap, size - start) for size in (6, 1) for start in range(0, size, cap)]
+    assert all(n + osts <= units for n, osts in calls)
     for request, response in zip(requests, responses, strict=True):
         want = solve(
             kraken,
