@@ -18,7 +18,9 @@ lanes it advances together, one numpy pass per event.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, pairwise
+from typing import TypeVar
 
 import numpy as np
 
@@ -27,7 +29,9 @@ from .api import _checked_background, solve
 from .machines import Machine
 from .requests import RequestBatch
 
-__all__ = ["solve_groups", "solve_many"]
+__all__ = ["solve_groups", "solve_many", "stack_chunks"]
+
+_T = TypeVar("_T")
 
 #: Most units one engine call may hold.  A group costs its requests plus
 #: ``ost_count``, its block of virtual OSTs, which sets the width of the
@@ -71,8 +75,9 @@ def solve_groups(
             raise ValueError(f"backgrounds[{k}]: {exc}") from None
     sizes = [sum(len(batch) for batch in group) for group in groups]
     solved: list[list[FloatArray]] = []
-    for chunk in _chunks(sizes, machine.ost_count):
-        solved += _solve_stack(machine, groups[chunk], sizes[chunk], checked[chunk], large_writes)
+    for run in stack_chunks(range(len(groups)), lambda k: sizes[k], machine.ost_count):
+        part = slice(run[0], run[-1] + 1)
+        solved += _solve_stack(machine, groups[part], sizes[part], checked[part], large_writes)
     return solved
 
 
@@ -94,15 +99,25 @@ def solve_many(
     return [group[0] for group in groups]
 
 
-def _chunks(sizes: Sequence[int], ost_count: int) -> Iterator[slice]:
-    """Runs of consecutive groups within the cap, or of one group over it."""
-    start = units = 0
-    for k, size in enumerate(sizes):
-        if k > start and units + size + ost_count > _MAX_STACK_UNITS:
-            yield slice(start, k)
-            start, units = k, 0
-        units += size + ost_count
-    yield slice(start, len(sizes))
+def stack_chunks(
+    items: Iterable[_T], requests: Callable[[_T], int], ost_count: int
+) -> Iterator[list[_T]]:
+    """Runs of consecutive ``items`` that share one engine call: within
+    ``_MAX_STACK_UNITS``, or one item over it.  An item costs its
+    ``requests`` plus ``ost_count``, its block of virtual OSTs.  Items are
+    drawn only as a run fills, so a caller that streams them holds one
+    engine call's items, not the whole stack."""
+    chunk: list[_T] = []
+    units = 0
+    for item in items:
+        cost = requests(item) + ost_count
+        if chunk and units + cost > _MAX_STACK_UNITS:
+            yield chunk
+            chunk, units = [], 0
+        chunk.append(item)
+        units += cost
+    if chunk:
+        yield chunk
 
 
 def _solve_stack(
@@ -130,7 +145,8 @@ def _solve_stack(
         background=_stack_backgrounds(machine, backgrounds),
         large_writes=large_writes,
     )
-    parts = np.split(done, np.cumsum([len(batch) for batch in members[:-1]]))
+    bounds = pairwise(accumulate((len(batch) for batch in members), initial=0))
+    parts = [done[start:end] for start, end in bounds]
     ends = np.cumsum([len(group) for group in groups])
     return [parts[end - len(group) : end] for group, end in zip(groups, ends, strict=True)]
 

@@ -94,40 +94,49 @@ def _solve_simultaneous(
     n = ost.size
     # A broadcast size ties every request of an OST: the stable OST sort is the lexsort order.
     order = np.argsort(ost, kind="stable") if nbytes.strides == (0,) else np.lexsort((nbytes, ost))
+    # A stacked flush holds up to ~10^5 requests: free each temporary once consumed.
     ost_sorted = ost[order]
-    sizes = nbytes[order]
-
     is_first = np.empty(n, dtype=bool)
     is_first[0] = True
     np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
-    group_id = np.cumsum(is_first) - 1
     group_start = np.flatnonzero(is_first)
-    counts = np.diff(np.append(group_start, n))
-    pos = np.arange(n) - group_start[group_id]
+    bg = bg_per_ost[ost_sorted[group_start], None]
+    del ost_sorted, is_first
+    counts = np.diff(group_start, append=n)
 
     groups = counts.size
     depth = int(counts.max())
-    sizes_padded = np.zeros((groups, depth), dtype=np.float64)
-    sizes_padded[group_id, pos] = sizes
+    # Flat (group, slot) cell of every request in sorted order.
+    cell = np.repeat(np.arange(groups) * depth - group_start, counts)
+    cell += np.arange(n)
+    sizes_padded = np.zeros(groups * depth, dtype=np.float64)
+    sizes_padded[cell] = nbytes[0] if nbytes.strides == (0,) else nbytes[order]
     # Within a group the smallest remaining stream finishes first, so the
     # extra service every survivor needs between consecutive completions is
     # the difference of the size-sorted requests.
-    steps = np.diff(sizes_padded, axis=1, prepend=0.0)
+    steps = np.diff(sizes_padded.reshape(groups, depth), axis=1, prepend=0.0)
+    del sizes_padded
 
     remaining = counts[:, None] - np.arange(depth)[None, :]
     valid = remaining >= 1
-    streams = np.where(valid, remaining, 1.0) + bg_per_ost[ost_sorted[group_start], None]
-    dt = np.where(valid, steps / _per_stream_rate(bw, slope, streams), 0.0)
+    streams = np.where(valid, remaining, 1.0)
+    del remaining
+    streams += bg
+    steps /= _per_stream_rate(bw, slope, streams)
+    del streams
+    dt = np.where(valid, steps, 0.0)
+    del steps, valid
     # Fold t0 into the first segment so the cumsum accumulates in the
     # exact order the scalar lane loops do (t0 + dt0) + dt1 + ...; the
     # simultaneous path is then bit-identical to per-lane event solving,
     # which solve_many's stacked solves rely on when cells with different
     # flush times share one batch.
     dt[:, 0] += float(t0)
-    finish = np.cumsum(dt, axis=1)
+    finish = np.cumsum(dt, axis=1).ravel()
+    del dt
 
     out = np.empty(n, dtype=np.float64)
-    out[order] = finish[group_id, pos]
+    out[order] = finish[cell]
     return out
 
 

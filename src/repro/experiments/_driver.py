@@ -15,7 +15,6 @@ from ..util import seed_key
 
 __all__ = [
     "run_replicated_approaches",
-    "run_sweep",
     "replication_table",
     "cell_rng",
     "approach_seed_key",
@@ -30,20 +29,28 @@ def _validate_arguments(
     replications: int = 1,
     *,
     ranks: int = 1,
-    scales: Sequence[int] = (),
+    scales: Sequence[int] | None = None,
+    approaches: Sequence[IOApproach | str] | None = None,
+    intensities: Sequence[str] | None = None,
     compute_time: float = 0.0,
     iterations: int = 1,
     wave_size: int = 1,
 ) -> None:
     """Every experiment runner rejects, eagerly and by name, an argument no
     run can use, instead of producing an empty, single-run or meaningless
-    table or failing deep inside the engine."""
+    table or failing deep inside the engine.  ``None`` is no selection
+    (``approaches=None`` is the paper's three); an empty one is an error."""
     for name, count in dict(
         replications=replications, ranks=ranks, iterations=iterations, wave_size=wave_size
     ).items():
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    for index, rung in enumerate(scales):
+    for name, selection in dict(
+        scales=scales, approaches=approaches, intensities=intensities
+    ).items():
+        if selection is not None and len(selection) == 0:
+            raise ValueError(f"{name} must not be empty")
+    for index, rung in enumerate(scales or ()):
         if rung < 1:
             raise ValueError(f"scales[{index}] must be >= 1, got {rung}")
     # A plain compare, which NaN fails.
@@ -110,65 +117,31 @@ def run_replicated_approaches(
     replications: int,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
-) -> Iterator[tuple[IOApproach, list[list[IterationResult]]]]:
+) -> Iterator[tuple[IOApproach, int, list[IterationResult]]]:
     """Run a selection of approaches at one scale, R seeded copies each.
 
-    Yields ``(approach, replications)`` where the inner value holds one
-    result list per replication.  Replication 0 is the historical stream,
-    so a single run is replication 0 of a one-deep stack.  Replications
-    solve batched through the engine's stacked
-    :func:`~repro.engine.solve_many` path.  ``approaches`` may mix
-    instances and registered names; ``None`` selects the paper's original
-    three.  ``interference`` overrides the default model when
+    Yields ``(approach, replication, results)``, one iteration result
+    list per replication, cell by cell.  Replication 0 is the historical
+    stream, so a single run is replication 0 of a one-deep stack.
+    Replications solve batched through the engine's stacked
+    :func:`~repro.engine.solve_many` path, and each cell's results are
+    dropped before the next cell is solved, so a sweep whose caller
+    reduces as it goes holds one cell's results.  ``approaches`` may mix
+    instances and registered names; ``None`` selects the paper's
+    original three.  ``interference`` overrides the default model when
     ``with_interference`` is set (e.g. a scenario's own).
     """
     effective = _effective_interference(with_interference, interference)
     for approach in resolve_approaches(approaches):
-        yield (
+        reps = run_replications(
             approach,
-            run_replications(
-                approach,
-                machine,
-                ranks,
-                iterations,
-                data_per_rank,
-                seed,
-                replications,
-                interference=effective,
-            ),
-        )
-
-
-def run_sweep(
-    machine: Machine,
-    scales: Sequence[int],
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    with_interference: bool,
-    approaches: Sequence[IOApproach | str] | None = None,
-    interference: Interference | None = None,
-    replications: int = 1,
-) -> dict[tuple[int, str], list[list[IterationResult]]]:
-    """Run every (scale, approach) cell, keyed by ``(ranks, approach name)``.
-
-    Every cell value holds one result list per replication, solved
-    through the stacked engine path.  The per-cell rng derivation
-    (:func:`cell_rng`) makes every cell independent of which other cells
-    run alongside it.
-    """
-    sweep: dict[tuple[int, str], list[list[IterationResult]]] = {}
-    for ranks in scales:
-        for approach, reps in run_replicated_approaches(
             machine,
             ranks,
             iterations,
             data_per_rank,
             seed,
-            with_interference,
             replications,
-            approaches=approaches,
-            interference=interference,
-        ):
-            sweep[(ranks, approach.name)] = reps
-    return sweep
+            interference=effective,
+        )
+        yield from ((approach, index, results) for index, results in enumerate(reps))
+        del reps

@@ -134,7 +134,14 @@ def run_app_interference(
     (replication 0's when replicated).
     """
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time, iterations=iterations)
+    _validate_arguments(
+        replications,
+        ranks=ranks,
+        approaches=approaches,
+        intensities=intensities,
+        compute_time=compute_time,
+        iterations=iterations,
+    )
     if compute_time <= 0.0:
         # Foreground and contender arrivals spread over the compute phase.
         raise ValueError(f"compute_time must be > 0, got {compute_time}")

@@ -41,6 +41,7 @@ def run_insitu_scaling(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
+    scales = list(scales)
     _validate_arguments(replications, scales=scales, iterations=iterations)
     rows: list[tuple[int, dict[str, Any]]] = []
     for cores in scales:

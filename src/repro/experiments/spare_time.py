@@ -11,6 +11,7 @@ with scale and the idle fraction holds up across the ladder.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,7 @@ def run_spare_time(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
+    scales = list(scales)
     _validate_arguments(
         replications, scales=scales, compute_time=compute_time, iterations=iterations
     )
@@ -47,17 +49,18 @@ def run_spare_time(
             np.random.default_rng([replication_seed(seed, index), ranks])
             for index in range(replications)
         ]
-        prepared = [
+        plans = (
             approach.prepare_iteration(machine, ranks, data_per_rank, rng)
             for rng in rngs
             for _ in range(iterations)
-        ]
-        results = solve_prepared(machine, prepared)
+        )
+        results = solve_prepared(machine, plans)
         nodes = machine.nodes_for(ranks)
         # Ingest of the clients' shared-memory copies plus the async write.
         ingest = approach.node_bytes(machine, ranks, data_per_rank) / machine.shm_bandwidth
         for index in range(replications):
-            replication = results[index * iterations : (index + 1) * iterations]
+            # One replication's results at a time: the rows read only their means.
+            replication = list(islice(results, iterations))
             busy = ingest + float(np.mean([r.backend_busy_s for r in replication]))
             copy = float(np.mean([r.visible_times.mean() for r in replication]))
             # Backpressure bound: with a compute phase shorter than the core's

@@ -62,10 +62,16 @@ def run_throughput(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time, iterations=iterations)
+    _validate_arguments(
+        replications,
+        ranks=ranks,
+        approaches=approaches,
+        compute_time=compute_time,
+        iterations=iterations,
+    )
     rows = (
         (index, _throughput_row(approach.name, ranks, results, compute_time, iterations))
-        for approach, reps in run_replicated_approaches(
+        for approach, index, results in run_replicated_approaches(
             machine,
             ranks,
             iterations,
@@ -76,7 +82,6 @@ def run_throughput(
             approaches=approaches,
             interference=interference,
         )
-        for index, results in enumerate(reps)
     )
     return replication_table(rows, ("approach", "ranks"), replications, seed)
 

@@ -76,10 +76,16 @@ def run_variability(
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
-    _validate_arguments(replications, ranks=ranks, compute_time=compute_time, iterations=iterations)
+    _validate_arguments(
+        replications,
+        ranks=ranks,
+        approaches=approaches,
+        compute_time=compute_time,
+        iterations=iterations,
+    )
     rows = (
         (index, _variability_row(approach.name, ranks, results, compute_time))
-        for approach, reps in run_replicated_approaches(
+        for approach, index, results in run_replicated_approaches(
             machine,
             ranks,
             iterations,
@@ -90,7 +96,6 @@ def run_variability(
             approaches=approaches,
             interference=interference,
         )
-        for index, results in enumerate(reps)
     )
     return replication_table(rows, ("approach", "ranks"), replications, seed)
 

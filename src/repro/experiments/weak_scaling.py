@@ -11,7 +11,7 @@ scale — the paper's ≈3.5x figure for Damaris at 9216 ranks.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -20,47 +20,36 @@ from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult, resolve_approaches
 from ..table import Table
 from ..util import MB
-from ._driver import _validate_arguments, iteration_period, replication_table, run_sweep
+from ._driver import (
+    _validate_arguments,
+    iteration_period,
+    replication_table,
+    run_replicated_approaches,
+)
 
 __all__ = ["run_weak_scaling", "check_scaling_shape"]
 
 
-def _scaling_rows(
-    sweep: Mapping[tuple[int, str], Sequence[IterationResult]],
-    scales: Sequence[int],
-    names: Sequence[str],
+def _scaling_row(
+    name: str,
+    ranks: int,
+    results: Sequence[IterationResult],
     iterations: int,
     compute_time: float,
-) -> list[dict[str, Any]]:
-    """Rows of one (replication of a) sweep, speedup baselines included."""
-    out: list[dict[str, Any]] = []
-    for ranks in scales:
-        rows: list[dict[str, Any]] = []
-        for name in names:
-            results = sweep[(ranks, name)]
-            phases = [float(r.visible_times.max()) for r in results]
-            phase_mean = float(np.mean(phases))
-            backend_mean = float(np.mean([r.backend_wall_s for r in results]))
-            period = iteration_period(compute_time, phase_mean, backend_mean)
-            rows.append(
-                {
-                    "approach": name,
-                    "ranks": ranks,
-                    "io_phase_mean_s": phase_mean,
-                    "io_phase_max_s": float(np.max(phases)),
-                    "run_time_s": iterations * period,
-                    "files_created": results[0].files_created,
-                }
-            )
-        # Speedup relative to collective I/O at the same scale (when it ran).
-        collective_run = next(
-            (r["run_time_s"] for r in rows if r["approach"] == "collective"), None
-        )
-        for row in rows:
-            if collective_run is not None:
-                row["speedup_vs_collective"] = collective_run / row["run_time_s"]
-            out.append(row)
-    return out
+) -> dict[str, Any]:
+    """One replication of one cell as its row, speedup aside."""
+    phases = [float(r.visible_times.max()) for r in results]
+    phase_mean = float(np.mean(phases))
+    backend_mean = float(np.mean([r.backend_wall_s for r in results]))
+    period = iteration_period(compute_time, phase_mean, backend_mean)
+    return {
+        "approach": name,
+        "ranks": ranks,
+        "io_phase_mean_s": phase_mean,
+        "io_phase_max_s": float(np.max(phases)),
+        "run_time_s": iterations * period,
+        "files_created": results[0].files_created,
+    }
 
 
 def run_weak_scaling(
@@ -78,27 +67,44 @@ def run_weak_scaling(
     machine = resolve_machine(machine)
     scales = list(scales)
     _validate_arguments(
-        replications, scales=scales, compute_time=compute_time, iterations=iterations
+        replications,
+        scales=scales,
+        approaches=approaches,
+        compute_time=compute_time,
+        iterations=iterations,
     )
     names = [a.name for a in resolve_approaches(approaches)]
-    sweep = run_sweep(
-        machine,
-        scales,
-        iterations,
-        data_per_rank,
-        seed,
-        with_interference,
-        approaches=approaches,
-        interference=interference,
-        replications=replications,
-    )
+    # Each replication of a cell shrinks to its row as it arrives, so the
+    # sweep holds one cell's per-client times at a time.
+    cells: dict[tuple[int, str, int], dict[str, Any]] = {}
+    for ranks in scales:
+        for approach, index, results in run_replicated_approaches(
+            machine,
+            ranks,
+            iterations,
+            data_per_rank,
+            seed,
+            with_interference,
+            replications,
+            approaches=approaches,
+            interference=interference,
+        ):
+            row = _scaling_row(approach.name, ranks, results, iterations, compute_time)
+            cells[(ranks, approach.name, index)] = row
     # Per-replication speedups compare same-replication runs, so the
     # reduced speedup column is a genuine paired statistic.
     rows: list[tuple[int, dict[str, Any]]] = []
     for index in range(replications):
-        cut = {key: reps[index] for key, reps in sweep.items()}
-        for row in _scaling_rows(cut, scales, names, iterations, compute_time):
-            rows.append((index, row))
+        for ranks in scales:
+            cut = [cells[(ranks, name, index)] for name in names]
+            # Speedup relative to collective I/O at the same scale (when it ran).
+            collective_run = next(
+                (r["run_time_s"] for r in cut if r["approach"] == "collective"), None
+            )
+            for row in cut:
+                if collective_run is not None:
+                    row = {**row, "speedup_vs_collective": collective_run / row["run_time_s"]}
+                rows.append((index, row))
     return replication_table(rows, ("approach", "ranks"), replications, seed)
 
 

@@ -11,12 +11,14 @@ iteration results.  Two execution paths produce bit-identical output:
   baseline the perf guard measures the batched path against).  No
   experiment runner chooses between the two: this is the one switch.
 * **batched** (the default) — every replication *prepares* its
-  iterations (consuming its rng stream in exactly the serial order),
-  then all R × iterations request batches are stacked along the virtual
-  OST axis and handed to one :func:`~repro.engine.solve_many` call, which
-  solves them in engine calls of bounded size, and finally each prepared
-  iteration is finalized from its own slice.  Python touches each
-  iteration once; numpy crunches the stack a few wide calls at a time.
+  iterations (consuming its rng stream in exactly the serial order) as
+  a stream, and :func:`solve_prepared` stacks them along the virtual OST
+  axis one engine call's worth at a time: it draws plans until the next
+  would overflow the call, solves those through
+  :func:`~repro.engine.solve_many`, finalizes each from its own slice
+  and drops them before drawing more.  A run holds one engine call's
+  plans, not R replications'; numpy crunches the stack a few wide calls
+  at a time.
 
 Seeding: replication ``r`` of a cell draws from
 ``cell_rng(replication_seed(seed, r), ranks, approach)`` — the same
@@ -29,9 +31,13 @@ matter how replications are batched.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import groupby
+
 import numpy as np
 
 from ..engine import Interference, Machine, NO_INTERFERENCE, resolve_machine, solve_many
+from ..engine.batching import stack_chunks
 from ..io_models import IOApproach, IterationPlan, IterationResult, resolve_approach
 from ..util import replication_seed, seed_key
 
@@ -71,9 +77,9 @@ def run_replications(
     """Run ``replications`` independently-seeded copies of one cell.
 
     Returns ``replications`` lists of ``iterations`` results.  The
-    batched path hands every replication's request batches to one
-    :func:`~repro.engine.solve_many` call; its output is bit-identical
-    to the serial path (which remains available as ground truth).
+    batched path streams every replication's prepared iterations through
+    :func:`solve_prepared`; its output is bit-identical to the serial
+    path (which remains available as ground truth).
     """
     machine = resolve_machine(machine)
     approach = resolve_approach(approach)
@@ -90,32 +96,34 @@ def run_replications(
             ]
             for rng in rngs
         ]
-    prepared = [
+    plans = (
         approach.prepare_iteration(machine, ranks, data_per_rank, rng, interference)
         for rng in rngs
         for _ in range(iterations)
-    ]
-    final = solve_prepared(machine, prepared)
+    )
+    final = list(solve_prepared(machine, plans))
     return [final[r * iterations : (r + 1) * iterations] for r in range(replications)]
 
 
-def solve_prepared(machine: Machine, prepared: list[IterationPlan]) -> list[IterationResult]:
-    """Each prepared iteration's result, in order, from one ``solve_many``
-    call per write class, which caps the size of each engine call: bit for
-    bit what solving each iteration alone would give."""
-    # One approach emits one write class, but group defensively so a
-    # custom approach mixing classes still solves correctly.
-    results: list[IterationResult | None] = [None] * len(prepared)
-    for large_writes in sorted({p.large_writes for p in prepared}):
-        index = [i for i, p in enumerate(prepared) if p.large_writes == large_writes]
-        done = solve_many(
-            machine,
-            [prepared[i].batch for i in index],
-            backgrounds=[prepared[i].background for i in index],
-            large_writes=large_writes,
-        )
-        for i, times in zip(index, done, strict=True):
-            results[i] = prepared[i].finalize(times)
-    final = [result for result in results if result is not None]
-    assert len(final) == len(prepared)
-    return final
+def solve_prepared(machine: Machine, plans: Iterable[IterationPlan]) -> Iterator[IterationResult]:
+    """Each plan's result, in order: bit for bit what solving each
+    iteration alone would give.
+
+    Plans are drawn one engine call's worth at a time, by the packing
+    rule of :func:`~repro.engine.batching.stack_chunks`, and each such
+    chunk is solved through one ``solve_many`` call: for plans of one
+    write class, the engine calls of one ``solve_many`` over the whole
+    stream.  A class change starts a new chunk.  A call's plans are
+    dropped before the next call's are drawn, and results are made as
+    the caller takes them.
+    """
+    for large_writes, run in groupby(plans, key=lambda plan: plan.large_writes):
+        for chunk in stack_chunks(run, lambda plan: len(plan.batch), machine.ost_count):
+            done = solve_many(
+                machine,
+                [plan.batch for plan in chunk],
+                backgrounds=[plan.background for plan in chunk],
+                large_writes=large_writes,
+            )
+            yield from (plan.finalize(times) for plan, times in zip(chunk, done, strict=True))
+            del chunk, done

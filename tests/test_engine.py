@@ -29,9 +29,10 @@ from repro.engine import (
     solve,
     solve_many,
     use_backend,
+    vectorized,
 )
 from repro.experiments import run_throughput, run_weak_scaling
-from repro.io_models import APPROACHES, FilePerProcess
+from repro.io_models import APPROACHES, DedicatedCores, FilePerProcess
 from repro.util import MB
 
 
@@ -376,6 +377,41 @@ def test_lane_grouping_of_a_replicated_stack_holds_few_request_columns():
     assert peak / (8 * len(stack)) < 6.0
     assert lanes.nbytes.strides == (0,)
     _assert_lanes_are_lexsort(stack, width)
+
+
+def test_simultaneous_solve_of_a_replicated_flush_holds_few_request_columns():
+    """The simultaneous cumsum's traced peak above its inputs, in columns
+    of n x 8 B, its output included.
+
+    The stack is 90 dedicated-core iterations of 9216 ranks on kraken, 768
+    node flushes each over 90 x 336 virtual OSTs with one shared size: E4's
+    full-ladder top scale at 30 replications, its largest engine call.
+    Measured with numpy 2.4: 16.1 columns when every temporary lived to
+    the end of the call and the shared size was gathered into a column of
+    copies; 10.1 with each temporary freed once consumed.
+    """
+    plans = [
+        DedicatedCores().plan_iteration(KRAKEN, 9216, 45 * MB, np.random.default_rng(seed))
+        for seed in range(90)
+    ]
+    ost = np.concatenate([plan.batch.ost + k * KRAKEN.ost_count for k, plan in enumerate(plans)])
+    nbytes = np.broadcast_to(plans[0].batch.nbytes[:1], ost.shape)
+    background = np.zeros(len(plans) * KRAKEN.ost_count)
+    bw, slope = KRAKEN.ost_bandwidth, KRAKEN.large_write_seek_penalty
+    # Under PYTHONTRACEMALLOC tracing is already on: measure from a reset
+    # peak, and leave the caller's tracing running.
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        done = vectorized._solve_simultaneous(bw, slope, ost, 0.0, nbytes, background)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (8 * ost.size) < 12.0
+    assert done.shape == ost.shape
 
 
 # -- the background contract ----------------------------------------------

@@ -17,6 +17,10 @@
   per-batch rate table; they must be bit-identical to the same oracle.
   The oracle groups lanes and computes every rate on its own, so it
   shares no code with the kernels it checks.
+* **Simultaneous cumsum fuzz** — equal-arrival batches (shared and mixed
+  sizes, size ties, ``-0.0`` beside ``0.0``, zero sizes, fractional
+  background) take the padded-matrix cumsum and must be bit-identical to
+  the same oracle, signed zeros included.
 * **Trace record/replay round trip** — a random multi-application
   workload is recorded, saved, reloaded, and replayed; the replay must
   reproduce the recorded per-app completion times exactly on both
@@ -302,6 +306,47 @@ def test_skewed_narrow_batch_agrees_with_reference():
     got = solve(KRAKEN, batch, background=bg, large_writes=False)
     ref = solve(KRAKEN, batch, background=bg, large_writes=False, backend="reference")
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-6)
+
+
+SIMULTANEOUS_FUZZ_CASES = 100
+
+
+def _simultaneous_batch(rng: np.random.Generator) -> tuple[RequestBatch, np.ndarray | None, bool]:
+    """An equal-arrival batch over few or many OSTs (deep or shallow lanes)."""
+    n = int(rng.integers(1, 500))
+    ost = rng.integers(0, int(rng.choice([1, 3, 48, KRAKEN.ost_count])), n)
+    arrival = float(rng.choice([0.0, rng.uniform(0.0, 50.0)]))
+    if rng.random() < 0.3:
+        # One shared size, as every approach writes per iteration.
+        nbytes = np.broadcast_to(float(rng.choice([0.0, -0.0, rng.uniform(MB, 90 * MB)])), n)
+    else:
+        # Few distinct sizes, so sizes tie within a lane; zeros of both signs.
+        palette = [0.0, -0.0, *rng.uniform(0.1 * MB, 128 * MB, 4)]
+        nbytes = np.array(palette)[rng.integers(0, len(palette), n)]
+    background = None
+    if rng.random() < 0.7:
+        background = rng.poisson(1.5, KRAKEN.ost_count) * rng.uniform(0.0, 1.0, KRAKEN.ost_count)
+    batch = RequestBatch(arrival=arrival, ost=ost, nbytes=nbytes)
+    return batch, background, bool(rng.random() < 0.5)
+
+
+def test_fuzz_simultaneous_cumsum_bit_identical_to_heap_loop():
+    rng = np.random.default_rng(20261019)
+    kernel = vectorized._solve_simultaneous
+    for case in range(SIMULTANEOUS_FUZZ_CASES):
+        batch, background, large = _simultaneous_batch(rng)
+        slope = KRAKEN.large_write_seek_penalty if large else KRAKEN.small_write_seek_penalty
+        bg = np.zeros(KRAKEN.ost_count) if background is None else background
+        got = kernel(KRAKEN.ost_bandwidth, slope, batch.ost, batch.arrival[0], batch.nbytes, bg)
+        want = _heap_loop(KRAKEN, batch, background, large)
+        # Bit patterns, so a -0.0 against a 0.0 fails too.
+        np.testing.assert_array_equal(
+            got.view(np.int64), want.view(np.int64), err_msg=f"simultaneous case {case}"
+        )
+        # solve dispatches an equal-arrival batch to this kernel.
+        np.testing.assert_array_equal(
+            solve(KRAKEN, batch, background=background, large_writes=large), got
+        )
 
 
 def _kernels_entered(monkeypatch, batch: RequestBatch) -> list[str]:

@@ -28,7 +28,6 @@ from repro.experiments._driver import (
     DEFAULT_INTERFERENCE,
     iteration_period,
     replication_table,
-    run_sweep,
 )
 from repro.experiments.scheduling import _balanced_waves
 from repro.engine import KRAKEN, RequestBatch, solve
@@ -170,24 +169,17 @@ def test_weak_scaling_single_replication_unchanged():
         assert row["io_phase_mean_s"] == pytest.approx(io_phase_mean_s, rel=1e-9), approach
 
 
-def test_run_sweep_replicated_cells_independent_of_partitioning():
-    kwargs = dict(
-        machine=KRAKEN,
-        scales=[144, 288],
-        iterations=2,
-        data_per_rank=45 * MB,
-        seed=0,
-        with_interference=True,
-        replications=2,
-    )
-    both = run_sweep(**kwargs)
-    assert set(both) == {(ranks, name) for ranks in (144, 288) for name in _PAPER_APPROACHES}
-    alone = {**run_sweep(**{**kwargs, "scales": [144]}), **run_sweep(**{**kwargs, "scales": [288]})}
-    for key in both:
-        for rep_a, rep_b in zip(both[key], alone[key], strict=True):
-            for a, b in zip(rep_a, rep_b, strict=True):
-                np.testing.assert_array_equal(a.visible_times, b.visible_times)
-                assert a.backend_wall_s == b.backend_wall_s
+def test_weak_scaling_replicated_cells_independent_of_partitioning():
+    # Each cell reduces to its rows as it returns; no cell's rows (nor their
+    # CIs) may depend on which other scales run alongside it.
+    kwargs = dict(iterations=2, seed=0, with_interference=True, replications=2)
+    both = _rows(run_weak_scaling(scales=[144, 288], **kwargs))
+    assert {(row["ranks"], row["approach"]) for row in both} == {
+        (ranks, name) for ranks in (144, 288) for name in _PAPER_APPROACHES
+    }
+    alone = _rows(run_weak_scaling(scales=[144], **kwargs))
+    alone += _rows(run_weak_scaling(scales=[288], **kwargs))
+    assert both == alone
 
 
 def test_throughput_replicated():
@@ -400,6 +392,15 @@ def test_runners_reject_a_ladder_rung_below_one(runner):
         runner(scales=(192, 0))
 
 
+@pytest.mark.parametrize("runner", _LADDERS, ids=lambda runner: runner.__name__)
+def test_ladder_runners_read_scales_from_any_iterable(runner):
+    # E4 and E7 used to exhaust a generator while validating it and then
+    # return an empty table.
+    assert len(runner(scales=(rung for rung in (192,)), iterations=1)) > 0
+    with pytest.raises(ValueError, match=r"^scales must not be empty$"):
+        runner(scales=iter(()))
+
+
 @pytest.mark.parametrize("compute_time", [-5.0, float("nan"), float("inf")])
 def test_runners_reject_a_negative_or_non_finite_compute_time(compute_time):
     # run_spare_time(compute_time=-5.0) used to print the compute_time=0.0
@@ -443,3 +444,30 @@ def test_app_interference_rejects_a_zero_compute_time():
     # arrival sampler with a message naming no argument.
     with pytest.raises(ValueError, match=r"^compute_time must be > 0, got 0.0$"):
         run_app_interference(ranks=192, compute_time=0.0)
+
+
+_EMPTY_SELECTIONS = [
+    (run_weak_scaling, dict(scales=[]), "scales"),
+    (run_spare_time, dict(scales=[]), "scales"),
+    (run_insitu_scaling, dict(scales=()), "scales"),
+    (run_weak_scaling, dict(scales=(192,), approaches=[]), "approaches"),
+    (run_variability, dict(ranks=192, approaches=[]), "approaches"),
+    (run_throughput, dict(ranks=192, approaches=()), "approaches"),
+    (run_app_interference, dict(ranks=192, approaches=[]), "approaches"),
+    (run_app_interference, dict(ranks=192, intensities=()), "intensities"),
+]
+
+
+@pytest.mark.parametrize(
+    ("runner", "kwargs", "name"),
+    _EMPTY_SELECTIONS,
+    ids=[f"{runner.__name__}-{name}" for runner, _, name in _EMPTY_SELECTIONS],
+)
+def test_runners_reject_an_empty_selection(runner, kwargs, name):
+    # Each used to return an empty table.
+    with pytest.raises(ValueError, match=rf"^{name} must not be empty$"):
+        runner(**kwargs)
+    # approaches=None is no selection: it still means the paper's three.
+    if name == "approaches":
+        table = runner(**{**kwargs, name: None, "iterations": 1})
+        assert {row["approach"] for row in table} == set(_PAPER_APPROACHES)
