@@ -11,13 +11,11 @@ from ..io_models import IOApproach, IterationResult, resolve_approaches
 from ..stats import reduce_replications
 from ..stats.replication import cell_rng, run_replications
 from ..table import Table
-from ..util import seed_key
 
 __all__ = [
     "run_replicated_approaches",
     "replication_table",
     "cell_rng",
-    "approach_seed_key",
     "iteration_period",
     "DEFAULT_INTERFERENCE",
 ]
@@ -67,16 +65,6 @@ def iteration_period(compute_time: float, visible_s: float, backend_wall_s: floa
     the backend wall time.
     """
     return max(compute_time + visible_s, backend_wall_s)
-
-
-def approach_seed_key(name: str) -> int:
-    """Stable integer identity of an approach for rng derivation.
-
-    A CRC of the approach *name* — not its position in the selection — so
-    adding, removing or reordering approaches can never silently shift an
-    existing experiment's random stream.
-    """
-    return seed_key(name)
 
 
 def replication_table(

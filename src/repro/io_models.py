@@ -29,23 +29,22 @@ backend did, so the experiment runners in :mod:`repro.experiments` can
 derive phase means, aggregate throughput, idle fractions and run times.
 
 Every approach also accepts externally supplied per-client *arrivals*
-(offsets into the iteration, generated by :mod:`repro.workloads`), and can
-split an iteration into a :class:`IterationPlan` — the request batch it
-*would* put on the OSTs plus a ``finalize`` closure that turns the solver's
-completion times into the :class:`IterationResult`.  The multi-application
-composer solves each iteration's plans as one contention group over the
-shared OSTs and finalizes each application from its own slice.
-
-:meth:`~IOApproach.prepare_iteration` is the same split applied to
-:meth:`~IOApproach.run_iteration` itself: it draws *everything* an
-iteration needs from the rng — in exactly ``run_iteration``'s historical
-order, so random streams never shift — and returns an
-:class:`IterationPlan` that also carries the sampled background.  Its
-batch can be solved now, later, or stacked with other replications'
-batches in one :func:`~repro.engine.solve_many` call.
-``run_iteration`` is just ``prepare -> solve -> finalize``; the
-replication driver in :mod:`repro.stats` prepares R iterations and
-solves them together.
+(offsets into the iteration, generated by :mod:`repro.workloads`), and
+splits an iteration at the engine boundary into an :class:`IterationPlan`:
+the request batch it puts on the OSTs plus a ``finalize`` closure that
+turns the solver's completion times into the :class:`IterationResult`.
+An approach states its iteration once, in its draw routine ``_draw``,
+which takes every rng draw in the approach's historical order so random
+streams never shift.  :meth:`~IOApproach.prepare_iteration` runs it for an
+iteration alone, background included, so ``run_iteration`` is
+``prepare -> solve -> finalize`` and the replication driver in
+:mod:`repro.stats` can stack R prepared batches in one
+:func:`~repro.engine.solve_many` call.  :meth:`~IOApproach.plan_iteration`
+runs it for composition and leaves the background to the composer, which
+samples one per iteration and solves every application's plan as one
+contention group over the shared OSTs.  Collective I/O overrides both
+instead: alone it is an analytic plateau with a slowdown draw, composed it
+is striped streams on the OSTs.
 
 Approaches register themselves by name (:func:`register_approach`), so
 experiments and the CLI can select subsets with strings; the paper's
@@ -67,7 +66,7 @@ from .engine import (
     RequestBatch,
     solve,
 )
-from .util import FloatArray, IntArray
+from .util import FloatArray
 
 __all__ = [
     "IterationResult",
@@ -117,8 +116,9 @@ class IterationPlan:
     shared plan once per cell it is solved in, so ``finalize`` must not
     change what it closes over.
 
-    :meth:`IOApproach.plan_iteration` leaves the background to its caller
-    (the composer samples one per iteration).  A plan from
+    A plan from :meth:`IOApproach.plan_iteration` leaves the background
+    to its caller (the composer samples one per iteration), and its
+    ``background`` is ``None``.  A plan from
     :meth:`IOApproach.prepare_iteration` has consumed *all* the rng draws
     :meth:`IOApproach.run_iteration` would have, interference background
     included, so R of them from R replication streams can be solved in
@@ -160,8 +160,15 @@ def _group_arrivals(offsets: FloatArray, groups: int) -> FloatArray:
     return np.array([float(c.max()) if c.size else 0.0 for c in np.array_split(offsets, groups)])
 
 
+def _background(
+    interference: Interference | None, machine: Machine, rng: np.random.Generator
+) -> FloatArray | None:
+    """The iteration's background, or ``None`` when the caller samples it."""
+    return None if interference is None else interference.sample_background(machine, rng)
+
+
 class IOApproach:
-    """Common interface of the I/O strategies."""
+    """Common interface of the I/O strategies; an approach implements ``_draw``."""
 
     name: str = "?"
 
@@ -199,13 +206,13 @@ class IOApproach:
         interference: Interference = NO_INTERFERENCE,
         arrivals: npt.ArrayLike | None = None,
     ) -> IterationPlan:
-        """Draw one iteration's randomness and defer its solve.
+        """Draw one iteration alone, background included, and defer its solve.
 
         The rng draw order is exactly :meth:`run_iteration`'s, so
         preparing R iterations from R replication streams and solving
         their batches stacked reproduces R serial runs bit for bit.
         """
-        raise NotImplementedError
+        return self._draw(machine, ranks, data_per_rank, rng, arrivals, interference)
 
     def plan_iteration(
         self,
@@ -215,7 +222,29 @@ class IOApproach:
         rng: np.random.Generator,
         arrivals: npt.ArrayLike | None = None,
     ) -> IterationPlan:
-        raise NotImplementedError
+        """Draw one iteration for composition; the caller samples the background."""
+        return self._draw(machine, ranks, data_per_rank, rng, arrivals, None)
+
+    def _draw(
+        self,
+        machine: Machine,
+        ranks: int,
+        data_per_rank: float,
+        rng: np.random.Generator,
+        arrivals: npt.ArrayLike | None,
+        interference: Interference | None,
+    ) -> IterationPlan:
+        """The approach's one draw routine: every rng draw of an iteration.
+
+        With ``interference=None`` the caller samples the background and
+        the plan's is ``None``.  Otherwise the routine samples it at the
+        approach's own point in the draw order, which never moves: every
+        experiment's random streams depend on it.
+        """
+        raise NotImplementedError(
+            f"approach {self.name!r} ({type(self).__name__}) must implement "
+            "_draw(machine, ranks, data_per_rank, rng, arrivals, interference)"
+        )
 
     @staticmethod
     def _jitter(rng: np.random.Generator, n: int) -> FloatArray:
@@ -228,32 +257,16 @@ class FilePerProcess(IOApproach):
 
     name = "file-per-process"
 
-    def prepare_iteration(
+    def _draw(
         self,
         machine: Machine,
         ranks: int,
         data_per_rank: float,
         rng: np.random.Generator,
-        interference: Interference = NO_INTERFERENCE,
-        arrivals: npt.ArrayLike | None = None,
+        arrivals: npt.ArrayLike | None,
+        interference: Interference | None,
     ) -> IterationPlan:
-        background = interference.sample_background(machine, rng)
-        plan = self.plan_iteration(machine, ranks, data_per_rank, rng, arrivals)
-        return IterationPlan(
-            batch=plan.batch,
-            large_writes=plan.large_writes,
-            finalize=plan.finalize,
-            background=background,
-        )
-
-    def plan_iteration(
-        self,
-        machine: Machine,
-        ranks: int,
-        data_per_rank: float,
-        rng: np.random.Generator,
-        arrivals: npt.ArrayLike | None = None,
-    ) -> IterationPlan:
+        background = _background(interference, machine, rng)
         offsets = _as_offsets(arrivals, ranks)
         # The metadata server serialises the create storm; rank i's write
         # can only start once it has arrived and its create has been serviced.
@@ -274,7 +287,9 @@ class FilePerProcess(IOApproach):
                 files_created=ranks,
             )
 
-        return IterationPlan(batch=batch, large_writes=False, finalize=finalize)
+        return IterationPlan(
+            batch=batch, large_writes=False, finalize=finalize, background=background
+        )
 
 
 class Collective(IOApproach):
@@ -382,18 +397,21 @@ class DedicatedCores(IOApproach):
         nodes = machine.nodes_for(ranks)
         return (self.clients(machine, ranks) / nodes) * data_per_rank
 
-    def _plan(
+    def _draw(
         self,
         machine: Machine,
         ranks: int,
         data_per_rank: float,
-        offsets: FloatArray,
-        jitter: FloatArray,
-        osts: IntArray,
-        background: FloatArray | None,
+        rng: np.random.Generator,
+        arrivals: npt.ArrayLike | None,
+        interference: Interference | None,
     ) -> IterationPlan:
-        """Assemble the plan from pre-drawn randomness (see run_iteration)."""
         nodes = machine.nodes_for(ranks)
+        clients = self.clients(machine, ranks)
+        offsets = _as_offsets(arrivals, clients)
+        jitter = self._jitter(rng, clients)
+        background = _background(interference, machine, rng)
+        osts = rng.permutation(nodes) % machine.ost_count
         # Visible cost: the node-local shared-memory copy. Independent of
         # scale and of the file system's state.
         copy = data_per_rank / machine.shm_bandwidth
@@ -416,38 +434,6 @@ class DedicatedCores(IOApproach):
         return IterationPlan(
             batch=batch, large_writes=True, finalize=finalize, background=background
         )
-
-    def prepare_iteration(
-        self,
-        machine: Machine,
-        ranks: int,
-        data_per_rank: float,
-        rng: np.random.Generator,
-        interference: Interference = NO_INTERFERENCE,
-        arrivals: npt.ArrayLike | None = None,
-    ) -> IterationPlan:
-        nodes = machine.nodes_for(ranks)
-        clients = self.clients(machine, ranks)
-        offsets = _as_offsets(arrivals, clients)
-        jitter = self._jitter(rng, clients)
-        background = interference.sample_background(machine, rng)
-        osts = rng.permutation(nodes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background)
-
-    def plan_iteration(
-        self,
-        machine: Machine,
-        ranks: int,
-        data_per_rank: float,
-        rng: np.random.Generator,
-        arrivals: npt.ArrayLike | None = None,
-    ) -> IterationPlan:
-        nodes = machine.nodes_for(ranks)
-        clients = self.clients(machine, ranks)
-        offsets = _as_offsets(arrivals, clients)
-        jitter = self._jitter(rng, clients)
-        osts = rng.permutation(nodes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background=None)
 
 
 class DedicatedNodes(IOApproach):
@@ -496,18 +482,22 @@ class DedicatedNodes(IOApproach):
         forwarders = self.forwarders(machine, ranks)
         return (self.clients(machine, ranks) / forwarders) * data_per_rank
 
-    def _plan(
+    def _draw(
         self,
         machine: Machine,
         ranks: int,
         data_per_rank: float,
-        offsets: FloatArray,
-        jitter: FloatArray,
-        osts: IntArray,
-        background: FloatArray | None,
+        rng: np.random.Generator,
+        arrivals: npt.ArrayLike | None,
+        interference: Interference | None,
     ) -> IterationPlan:
-        """Assemble the plan from pre-drawn randomness (see run_iteration)."""
         forwarders = self.forwarders(machine, ranks)
+        clients = self.clients(machine, ranks)
+        offsets = _as_offsets(arrivals, clients)
+        jitter = self._jitter(rng, clients)
+        background = _background(interference, machine, rng)
+        stripes = min(self.stripes, machine.ost_count)
+        osts = rng.permutation(forwarders * stripes) % machine.ost_count
         group_bytes = self.group_bytes(machine, ranks, data_per_rank)
         # Visible cost: the group's data draining through the forwarder's
         # NIC.  Scale-independent (fixed group size), file-system
@@ -516,7 +506,6 @@ class DedicatedNodes(IOApproach):
         # Backend: each forwarder writes its group's data — once the
         # group's last client has arrived — as one file striped over a
         # handful of OSTs, overlapped with the next compute phase.
-        stripes = min(self.stripes, machine.ost_count)
         group_arrival = _group_arrivals(offsets, forwarders)
         batch = RequestBatch(
             arrival=np.repeat(group_arrival, stripes), ost=osts, nbytes=group_bytes / stripes
@@ -536,48 +525,14 @@ class DedicatedNodes(IOApproach):
             batch=batch, large_writes=True, finalize=finalize, background=background
         )
 
-    def prepare_iteration(
-        self,
-        machine: Machine,
-        ranks: int,
-        data_per_rank: float,
-        rng: np.random.Generator,
-        interference: Interference = NO_INTERFERENCE,
-        arrivals: npt.ArrayLike | None = None,
-    ) -> IterationPlan:
-        forwarders = self.forwarders(machine, ranks)
-        clients = self.clients(machine, ranks)
-        offsets = _as_offsets(arrivals, clients)
-        jitter = self._jitter(rng, clients)
-        background = interference.sample_background(machine, rng)
-        stripes = min(self.stripes, machine.ost_count)
-        osts = rng.permutation(forwarders * stripes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background)
-
-    def plan_iteration(
-        self,
-        machine: Machine,
-        ranks: int,
-        data_per_rank: float,
-        rng: np.random.Generator,
-        arrivals: npt.ArrayLike | None = None,
-    ) -> IterationPlan:
-        forwarders = self.forwarders(machine, ranks)
-        clients = self.clients(machine, ranks)
-        offsets = _as_offsets(arrivals, clients)
-        jitter = self._jitter(rng, clients)
-        stripes = min(self.stripes, machine.ost_count)
-        osts = rng.permutation(forwarders * stripes) % machine.ost_count
-        return self._plan(machine, ranks, data_per_rank, offsets, jitter, osts, background=None)
-
 
 _APPROACHES: dict[str, IOApproach] = {}
 
 
-def register_approach(approach: IOApproach, *, replace_existing: bool = False) -> IOApproach:
+def register_approach(approach: IOApproach) -> IOApproach:
     """Register ``approach`` under its name; returns it."""
     key = approach.name.lower()
-    if not replace_existing and key in _APPROACHES:
+    if key in _APPROACHES:
         raise ValueError(f"approach {approach.name!r} is already registered")
     _APPROACHES[key] = approach
     return approach

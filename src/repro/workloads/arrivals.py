@@ -172,12 +172,10 @@ class BurstArrivals(ArrivalProcess):
 _PROCESSES: dict[str, ArrivalProcess] = {}
 
 
-def register_arrival_process(
-    process: ArrivalProcess, *, replace_existing: bool = False
-) -> ArrivalProcess:
+def register_arrival_process(process: ArrivalProcess) -> ArrivalProcess:
     """Register ``process`` under its name; returns it."""
     key = process.name.lower()
-    if not replace_existing and key in _PROCESSES:
+    if key in _PROCESSES:
         raise ValueError(f"arrival process {process.name!r} is already registered")
     _PROCESSES[key] = process
     return process

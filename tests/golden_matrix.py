@@ -88,7 +88,7 @@ def cli_cells() -> Iterator[tuple[str, list[str]]]:
                     yield " ".join(args), ["run", *args, "--format", "json", "--check"]
 
 
-def _run_cell(experiment: str, argv: list[str]) -> tuple[int, dict[str, list[Record]]]:
+def _run_cell(argv: list[str]) -> tuple[int, dict[str, list[Record]]]:
     """A cell's exit status and its tables, parsed from what it prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -97,23 +97,24 @@ def _run_cell(experiment: str, argv: list[str]) -> tuple[int, dict[str, list[Rec
         except AssertionError:
             # A failed --check: the command exits 1 after printing the table.
             status = 1
-    names = [spec.name for spec in EXPERIMENTS[experiment]]
+    names = [spec.name for spec in EXPERIMENTS[argv[1]]]
     text = out.getvalue()
     if len(names) == 1:
         bodies = [text]
     else:
-        # Several tables print as "# <name>" lines, each before its JSON.
+        # Several tables print as "# <name>" lines, each before its JSON;
+        # a failed check stops the command before the next table prints.
         parts = re.split(r"^# (\S+)\n", text, flags=re.MULTILINE)
-        if parts[0] or parts[1::2] != names:
+        headers, bodies = parts[1::2], parts[2::2]
+        if parts[0] or headers != names[: len(headers)]:
             raise AssertionError(f"unexpected table headers in {argv}: {text[:200]!r}")
-        bodies = parts[2::2]
-    tables = {name: json.loads(body) for name, body in zip(names, bodies, strict=True)}
+    tables = {name: json.loads(body) for name, body in zip(names, bodies, strict=False)}
     return status, tables
 
 
 def cli_records() -> Iterator[Record]:
     for cell, argv in cli_cells():
-        status, tables = _run_cell(argv[1], argv)
+        status, tables = _run_cell(argv)
         yield {"path": [cell], "values": {"status": status}}
         for table, rows in tables.items():
             dropped = HOST_TIMED.get(table, ())
@@ -191,7 +192,6 @@ def _flatten(records: list[Record]) -> dict[Key, Any]:
             if isinstance(value, list):
                 for i, item in enumerate(value):
                     flat[(*path, column, i)] = item
-                flat[(*path, column, "len")] = len(value)
             else:
                 flat[(*path, column)] = value
     return flat
@@ -211,34 +211,32 @@ def _where(key: Key) -> str:
 
 
 def compare(golden: list[Record], now: list[Record]) -> list[str]:
-    """Every difference between two record lists, one line each, and the
-    largest absolute and relative float difference as the last lines;
-    empty when they are equal."""
+    """Every difference between two record lists, one line each, then a
+    count and the largest absolute and relative float difference; empty
+    when they are equal."""
     want, got = _flatten(golden), _flatten(now)
     lines: list[str] = []
     worst_abs: tuple[float, Key | None] = (0.0, None)
     worst_rel: tuple[float, Key | None] = (0.0, None)
     for key, expected in want.items():
-        if key not in got:
-            lines.append(f"{_where(key)}: golden {expected!r}, now missing")
+        actual = got.get(key)
+        if key in got and _same(expected, actual):
             continue
-        actual = got[key]
-        if _same(expected, actual):
-            continue
-        lines.append(f"{_where(key)}: golden {expected!r}, now {actual!r}")
+        now_text = repr(actual) if key in got else "<missing>"
+        lines.append(f"{_where(key)}: golden {expected!r}, now {now_text}")
         if isinstance(expected, float) and isinstance(actual, float):
             diff = abs(expected - actual)
-            scale = max(abs(expected), abs(actual))
             if math.isfinite(diff) and diff > worst_abs[0]:
                 worst_abs = (diff, key)
-            if math.isfinite(diff) and diff / scale > worst_rel[0]:
-                worst_rel = (diff / scale, key)
-    lines.extend(f"{_where(key)}: golden missing, now {got[key]!r}" for key in got if key not in want)
+            rel = diff / max(abs(expected), abs(actual))
+            if math.isfinite(rel) and rel > worst_rel[0]:
+                worst_rel = (rel, key)
+    new = [key for key in got if key not in want]
+    lines.extend(f"{_where(key)}: golden <missing>, now {got[key]!r}" for key in new)
     if lines:
-        moved = len(lines)
-        lines.append(f"{moved} of {len(want)} golden values moved or are missing/new")
+        lines.append(f"{len(lines) - len(new)} of {len(want)} golden values moved, {len(new)} new")
         for label, (size, key) in (("absolute", worst_abs), ("relative", worst_rel)):
-            at = f" at {_where(key)}" if key is not None else ""
+            at = "" if key is None else f" at {_where(key)}"
             lines.append(f"largest {label} float difference: {size:.3e}{at}")
     return lines
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import KRAKEN
 from repro.experiments import run_throughput
-from repro.experiments._driver import approach_seed_key, cell_rng
+from repro.experiments._driver import cell_rng
 from repro.io_models import (
     APPROACHES,
     DEFAULT_APPROACH_NAMES,
@@ -17,6 +17,7 @@ from repro.io_models import (
     resolve_approaches,
 )
 from repro.util import MB
+from repro.util import seed_key as approach_seed_key
 
 
 def test_registry_contains_all_four():
