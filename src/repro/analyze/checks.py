@@ -10,6 +10,8 @@ suppression comment::
     rng = np.random.default_rng()  # repro: allow[DET001]
 
 Several rules may be listed, comma-separated: ``# repro: allow[DET001,DET004]``.
+A DET005 suppression must say why the line's bits cannot depend on the
+host, after the bracket; without a reason it silences nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = ["check_source", "suppressed_lines", "FILE_RULE_IDS"]
 
 #: The rule ids implemented here (file-scoped; project rules live in
 #: :mod:`repro.analyze.project`).
-FILE_RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "INV003", "INV004")
+FILE_RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "DET005", "INV003", "INV004")
 
 #: Files blessed to construct random generators: the seeding helpers
 #: themselves.  Matched against the analyzer-relative posix path.
@@ -71,7 +73,14 @@ _TIME_ATTRS = frozenset(
 #: ``datetime.<attr>()`` / ``date.<attr>()`` constructors that read the clock.
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
+#: numpy ufuncs whose float64 loop numpy picks by CPU feature and which
+#: are not correctly rounded, so their bits can differ between hosts.
+_TRANSCENDENTAL_UFUNCS = frozenset(
+    "exp exp2 expm1 log log2 log10 log1p logaddexp logaddexp2 power float_power cbrt "
+    "sin cos tan arcsin arccos arctan arctan2 sinh cosh tanh arcsinh arccosh arctanh".split()
+)
+
+_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\](.*)")
 
 
 def suppressed_lines(source: str) -> dict[int, frozenset[str]]:
@@ -80,7 +89,9 @@ def suppressed_lines(source: str) -> dict[int, frozenset[str]]:
     for lineno, line in enumerate(source.splitlines(), start=1):
         match = _ALLOW_RE.search(line)
         if match:
-            ids = frozenset(part.strip() for part in match.group(1).split(",") if part.strip())
+            named = (part.strip() for part in match.group(1).split(","))
+            reason = match.group(2).strip()
+            ids = frozenset(i for i in named if i and (reason or i != "DET005"))
             if ids:
                 out[lineno] = ids
     return out
@@ -139,12 +150,21 @@ class _FileChecker(ast.NodeVisitor):
             )
         )
 
-    # -- DET001 / DET002 / INV003 / INV004: calls ------------------------
+    # -- DET001 / DET002 / DET005 / INV003 / INV004: calls ---------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attr_chain(node.func)
         self._check_random_call(node, chain)
         self._check_clock_call(node, chain)
+        root, _, attr = chain.partition(".")
+        if root in {"np", "numpy"} and attr in _TRANSCENDENTAL_UFUNCS:
+            self._report(
+                "DET005",
+                node,
+                f"{chain} picks its float64 loop by CPU feature, so its bits can "
+                "depend on the host; use the math module on scalars or a "
+                "Generator sampler, or '# repro: allow[DET005] <reason>'",
+            )
         if chain == "print":
             self._report("INV004", node, "print() in library code; return a Table or raise")
         if chain.endswith("object.__setattr__") and self._in_frozen_method():

@@ -30,9 +30,10 @@ def add_analyze_parser(sub: "argparse._SubParsersAction[Any]") -> argparse.Argum
         description=(
             "Static analysis for the package's reproducibility contract: "
             "unseeded rngs, wall-clock reads, unordered iteration, float "
-            "equality, undocumented registry entries, frozen-dataclass "
-            "mutation and stray prints.  Suppress a finding, sparingly, "
-            "with a same-line '# repro: allow[RULE-ID]' comment."
+            "equality, host-dependent numpy transcendentals, undocumented "
+            "registry entries, frozen-dataclass mutation and stray prints.  "
+            "Suppress a finding, sparingly, with a same-line "
+            "'# repro: allow[RULE-ID]' comment."
         ),
     )
     analyze.add_argument(

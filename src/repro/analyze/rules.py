@@ -163,6 +163,21 @@ register_rule(
 
 register_rule(
     Rule(
+        id="DET005",
+        title="numpy transcendental ufunc in deterministic code",
+        rationale=(
+            "numpy picks the float64 loop of exp, log, power, sin, ... by CPU "
+            "feature, and the loops round differently (np.log2(3242) on "
+            "AVX-512), so results would depend on the host.  Use math on "
+            "scalars or a Generator sampler (rng.lognormal), or allow the line "
+            "with the reason its bits cannot differ."
+        ),
+        scopes=("library",),
+    )
+)
+
+register_rule(
+    Rule(
         id="GEN001",
         title="file does not parse",
         rationale=(

@@ -29,13 +29,13 @@ __all__ = ["RequestBatch", "LaneOrder", "merge_batches", "split_by_segment"]
 class LaneOrder:
     """A batch's requests regrouped into contiguous per-OST lanes.
 
-    The vectorized backend's staggered lane loops consume this view:
-    requests sorted by ``(ost % ost_count, arrival)`` — the exact
-    ``np.lexsort`` order the per-OST loops have always used — with the
-    sorted columns materialised as contiguous arrays, except that a size
-    the whole batch shares stays the batch's one broadcast value.  Lane
-    ``k`` occupies ``[starts[k], ends[k])`` of every sorted array and
-    serves OST ``ost[k]``.
+    Every vectorized solve consumes this view: requests sorted by
+    ``(ost % ost_count, arrival)`` — the exact ``np.lexsort`` order the
+    per-OST loops have always used — with the sorted columns
+    materialised as contiguous arrays, except that a size the whole
+    batch shares stays the batch's one broadcast value.  Lane ``k``
+    occupies ``[starts[k], ends[k])`` of every sorted array and serves
+    OST ``ost[k]``.
     """
 
     #: Batch positions in lane order (``out[order[i]]`` scatters back).
@@ -88,7 +88,7 @@ class RequestBatch:
             self.ost = _read_only("ost", _whole_ids(ost), n)
 
     def lanes(self, ost_count: int) -> LaneOrder:
-        """The batch regrouped into per-OST lanes of a width-``ost_count`` machine."""
+        """Per-OST lanes of a width-``ost_count`` machine: what every vectorized solve sweeps."""
         if ost_count < 1:
             raise ValueError(f"ost_count must be >= 1, got {ost_count}")
         n = self.arrival.size

@@ -3,27 +3,24 @@
 Same model as the reference backend — every OST is an egalitarian
 processor-sharing server whose ``n`` active streams (plus background)
 each progress at ``bandwidth / (streams * seek_penalty(streams))`` — but
-solved without per-byte Python dict churn:
+solved without per-byte Python dict churn, by one event model for every
+batch: an event loop in *virtual service time*.  The cumulative
+per-stream service ``S(t)`` is monotone, so a request arriving at ``a``
+with ``b`` bytes completes exactly when ``S`` reaches ``S(a) + b``.
+Keeping those thresholds replaces the reference backend's scan of every
+active stream per event, with no remaining-bytes bookkeeping.
 
-* **Simultaneous arrivals** (dedicated-core flushes, scheduling waves):
-  within an OST the stream with the least bytes finishes first, so the
-  completion times are a cumulative sum over the size-sorted requests
-  with a per-segment rate that only depends on how many streams remain.
-  That cumsum is evaluated for *all OSTs at once* on a padded
-  ``(osts, depth)`` matrix — one numpy pass for the whole batch.
-* **Staggered arrivals** (the file-per-process create storm): an event
-  loop in *virtual service time*.  The cumulative per-stream service
-  ``S(t)`` is monotone, so a request arriving at ``a`` with ``b`` bytes
-  completes exactly when ``S`` reaches ``S(a) + b``.  Keeping those
-  thresholds replaces the reference backend's scan of every active
-  stream per event, with no remaining-bytes bookkeeping.  A batch that
-  averages at least :data:`LOCKSTEP_MIN_WIDTH` requests per pass runs in
-  *lockstep*: each numpy pass advances every OST lane by one event, with
-  a FIFO pointer for equal sizes and a row-wise min over a padded
-  ``(lanes, depth)`` threshold matrix for mixed sizes.  Narrower batches
-  run a min-heap loop per lane, O(k log k) per OST, that reads its rates
-  from one per-batch table of the same formula.  Both apply the same
-  arithmetic in the same order, so their results are bit-identical.
+Every batch is grouped into per-OST lanes by
+:meth:`~repro.engine.requests.RequestBatch.lanes`, whether its requests
+arrive at once (dedicated-core flushes, scheduling waves) or staggered
+(the file-per-process create storm).  A batch that averages at least
+:data:`LOCKSTEP_MIN_WIDTH` requests per pass runs in *lockstep*: each
+numpy pass advances every OST lane by one event, with a FIFO pointer for
+equal sizes and a row-wise min over a padded ``(lanes, depth)``
+threshold matrix for mixed sizes.  Narrower batches run a min-heap loop
+per lane, O(k log k) per OST, that reads its rates from one per-batch
+table of the same formula.  All three apply the same arithmetic in the
+same order, so their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,18 +29,18 @@ import heapq
 
 import numpy as np
 
-from ..util import FloatArray, IntArray
+from ..util import FloatArray
 from .machines import Machine, PENALTY_CAP
 from .requests import LaneOrder, RequestBatch
 
 __all__ = ["solve_vectorized", "LOCKSTEP_MIN_WIDTH"]
 
-#: Minimum average number of requests per pass before a staggered batch
-#: is solved in lockstep (one event per OST lane per numpy pass) instead
-#: of by the scalar per-lane heap loop.  Lockstep needs up to two passes
-#: per request of the deepest lane, so the gate is ``n >= width * depth``:
-#: a lane count alone would send one deep lane plus many shallow ones
-#: into hundreds of near-empty passes.
+#: Minimum average number of requests per pass before a batch is solved
+#: in lockstep (one event per OST lane per numpy pass) instead of by the
+#: scalar per-lane heap loop.  Lockstep needs up to two passes per request
+#: of the deepest lane, so the gate is ``n >= width * depth``: a lane
+#: count alone would send one deep lane plus many shallow ones into
+#: hundreds of near-empty passes.
 LOCKSTEP_MIN_WIDTH = 128
 
 
@@ -61,92 +58,13 @@ def solve_vectorized(
         bg_per_ost = np.asarray(background, dtype=np.float64)
     else:
         bg_per_ost = np.zeros(machine.ost_count, dtype=np.float64)
+    bw = machine.ost_bandwidth
     slope = (
         machine.large_write_seek_penalty
         if large_writes
         else machine.small_write_seek_penalty
     )
-    arrival = batch.arrival
-    if np.all(arrival == arrival[0]):
-        ost = batch.ost % machine.ost_count
-        return _solve_simultaneous(
-            machine.ost_bandwidth, slope, ost, arrival[0], batch.nbytes, bg_per_ost
-        )
-    return _solve_staggered(
-        machine.ost_bandwidth, slope, batch.lanes(machine.ost_count), bg_per_ost
-    )
-
-
-def _per_stream_rate(bw: float, slope: float, streams: FloatArray) -> FloatArray:
-    """Rate of one stream when an OST serves ``streams`` of them (vectorized)."""
-    penalty = np.minimum(1.0 + slope * np.maximum(streams - 1.0, 0.0), PENALTY_CAP)
-    return bw / (streams * penalty)
-
-
-def _solve_simultaneous(
-    bw: float,
-    slope: float,
-    ost: IntArray,
-    t0: float,
-    nbytes: FloatArray,
-    bg_per_ost: FloatArray,
-) -> FloatArray:
-    n = ost.size
-    # A broadcast size ties every request of an OST: the stable OST sort is the lexsort order.
-    order = np.argsort(ost, kind="stable") if nbytes.strides == (0,) else np.lexsort((nbytes, ost))
-    # A stacked flush holds up to ~10^5 requests: free each temporary once consumed.
-    ost_sorted = ost[order]
-    is_first = np.empty(n, dtype=bool)
-    is_first[0] = True
-    np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
-    group_start = np.flatnonzero(is_first)
-    bg = bg_per_ost[ost_sorted[group_start], None]
-    del ost_sorted, is_first
-    counts = np.diff(group_start, append=n)
-
-    groups = counts.size
-    depth = int(counts.max())
-    # Flat (group, slot) cell of every request in sorted order.
-    cell = np.repeat(np.arange(groups) * depth - group_start, counts)
-    cell += np.arange(n)
-    sizes_padded = np.zeros(groups * depth, dtype=np.float64)
-    sizes_padded[cell] = nbytes[0] if nbytes.strides == (0,) else nbytes[order]
-    # Within a group the smallest remaining stream finishes first, so the
-    # extra service every survivor needs between consecutive completions is
-    # the difference of the size-sorted requests.
-    steps = np.diff(sizes_padded.reshape(groups, depth), axis=1, prepend=0.0)
-    del sizes_padded
-
-    remaining = counts[:, None] - np.arange(depth)[None, :]
-    valid = remaining >= 1
-    streams = np.where(valid, remaining, 1.0)
-    del remaining
-    streams += bg
-    steps /= _per_stream_rate(bw, slope, streams)
-    del streams
-    dt = np.where(valid, steps, 0.0)
-    del steps, valid
-    # Fold t0 into the first segment so the cumsum accumulates in the
-    # exact order the scalar lane loops do (t0 + dt0) + dt1 + ...; the
-    # simultaneous path is then bit-identical to per-lane event solving,
-    # which solve_many's stacked solves rely on when cells with different
-    # flush times share one batch.
-    dt[:, 0] += float(t0)
-    finish = np.cumsum(dt, axis=1).ravel()
-    del dt
-
-    out = np.empty(n, dtype=np.float64)
-    out[order] = finish[cell]
-    return out
-
-
-def _solve_staggered(
-    bw: float,
-    slope: float,
-    lanes: LaneOrder,
-    bg_per_ost: FloatArray,
-) -> FloatArray:
-    n = lanes.order.size
+    lanes = batch.lanes(machine.ost_count)
     out = np.empty(n, dtype=np.float64)
     bg_per_lane = bg_per_ost[lanes.ost]
     lengths = lanes.ends - lanes.starts
@@ -184,6 +102,12 @@ def _solve_staggered(
     return out
 
 
+def _per_stream_rate(bw: float, slope: float, streams: FloatArray) -> FloatArray:
+    """Rate of one stream when an OST serves ``streams`` of them (vectorized)."""
+    penalty = np.minimum(1.0 + slope * np.maximum(streams - 1.0, 0.0), PENALTY_CAP)
+    return bw / (streams * penalty)
+
+
 def _solve_lockstep_fifo(
     bw: float,
     slope: float,
@@ -191,7 +115,7 @@ def _solve_lockstep_fifo(
     lanes: LaneOrder,
     out: FloatArray,
 ) -> None:
-    """Lockstep FIFO sweep over every lane of an equal-size staggered batch.
+    """Lockstep FIFO sweep over every lane of an equal-size batch.
 
     Every lane's scalar loop state (wall clock, cumulative service,
     arrival/completion cursors) is one vector element and each pass
@@ -249,7 +173,7 @@ def _solve_lockstep_heap(
     depth: int,
     out: FloatArray,
 ) -> None:
-    """Lockstep heap sweep over every lane of a mixed-size staggered batch.
+    """Lockstep heap sweep over every lane of a mixed-size batch.
 
     The mixed-size counterpart of :func:`_solve_lockstep_fifo`, with the
     same per-lane state and pass structure.  A lane's pending completion

@@ -49,7 +49,11 @@ def cm1_like_field(
         cy, cx = rng.uniform(0, ny), rng.uniform(0, nx)
         sigma = rng.uniform(0.025, 0.05) * min(ny, nx)
         amp = rng.uniform(0.5, 2.0)
-        field += amp * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * sigma**2))
+        # np.exp's per-CPU loops differ in the last float64 bit; the float32
+        # cast below rounds that away (equal bytes on AVX-512 and baseline).
+        field += amp * np.exp(  # repro: allow[DET005] same bytes once cast to float32
+            -((y - cy) ** 2 + (x - cx) ** 2) / (2 * sigma**2)
+        )
     field[field < 1e-2] = 0.0
     # Fine-grained turbulence inside the disturbances only.
     noise = rng.normal(scale=0.01, size=shape)

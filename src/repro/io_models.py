@@ -53,6 +53,7 @@ original three remain the default selection.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -304,7 +305,8 @@ class Collective(IOApproach):
     @staticmethod
     def _sync_cost(ranks: int) -> float:
         # Two-phase I/O synchronisation/shuffle cost grows with the communicator.
-        return 0.05 * float(np.log2(max(ranks, 2)))
+        # math.log2: np.log2's AVX-512 loop rounds some integers (3242) differently.
+        return 0.05 * math.log2(max(ranks, 2))
 
     def prepare_iteration(
         self,
@@ -467,7 +469,7 @@ class DedicatedNodes(IOApproach):
             raise ValueError(
                 f"dedicating {forwarders} of {nodes} nodes leaves no compute "
                 f"nodes (ranks={ranks}); the approach needs at least "
-                f"{machine.cores_per_node * 2} ranks"
+                f"{machine.cores_per_node + 1} ranks"
             )
         return forwarders
 

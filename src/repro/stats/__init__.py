@@ -13,14 +13,14 @@ statistical machinery every experiment threads through:
 * :mod:`~repro.stats.bootstrap` — deterministic percentile-bootstrap
   confidence intervals of the mean.
 * :mod:`~repro.stats.summary` — collapse per-replication tables into
-  one row per cell with ``mean/std/cv/p95/ci_lo/ci_hi`` column families
-  (via :meth:`repro.table.Table.group_reduce`).
+  one row per cell with ``mean/std/cv/p95/ci_lo/ci_hi`` column families,
+  grouping and counting the rows in one pass.
 """
 
 from ..util import replication_seed
 from .bootstrap import bootstrap_ci
 from .replication import cell_rng, replication_rng, run_replications
-from .summary import reduce_replications, replication_reducer
+from .summary import reduce_replications
 
 __all__ = [
     "bootstrap_ci",
@@ -29,5 +29,4 @@ __all__ = [
     "replication_seed",
     "run_replications",
     "reduce_replications",
-    "replication_reducer",
 ]

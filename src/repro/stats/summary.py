@@ -23,85 +23,65 @@ non-float column has no meaningful cross-replication reduction.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
-from ..table import Table
-from .bootstrap import DEFAULT_RESAMPLES, bootstrap_ci
+from ..table import Row, Table
+from .bootstrap import bootstrap_ci
 
-__all__ = ["reduce_replications", "replication_reducer"]
-
-
-def replication_reducer(
-    *,
-    confidence: float = 0.95,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-) -> Callable[[str, list[object]], dict[str, object]]:
-    """A ``Table.group_reduce`` reducer producing the CI column family."""
-
-    def reduce(column: str, values: list[object]) -> dict[str, object]:
-        # len(values) only equals the replication count for columns every
-        # replication emitted; reduce_replications overwrites it with the
-        # group's true row count (this keeps the column position early).
-        cells: dict[str, object] = {"replications": len(values)}
-        if not all(isinstance(v, float) for v in values):
-            # Carry constant metadata through; drop anything that varies.
-            if len(set(values)) == 1:
-                cells[column] = values[0]
-            return cells
-        samples = np.asarray(values, dtype=np.float64)
-        mean = float(samples.mean())
-        std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
-        lo, hi = bootstrap_ci(
-            samples, confidence=confidence, resamples=resamples, seed=seed, key=column
-        )
-        cells.update(
-            {
-                column: mean,
-                f"{column}_std": std,
-                f"{column}_cv": std / abs(mean) if mean else 0.0,
-                f"{column}_p95": float(np.percentile(samples, 95)),
-                f"{column}_ci_lo": lo,
-                f"{column}_ci_hi": hi,
-            }
-        )
-        return cells
-
-    return reduce
+__all__ = ["reduce_replications"]
 
 
-def reduce_replications(
-    table: Table,
-    group_by: str | Iterable[str],
-    *,
-    confidence: float = 0.95,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-) -> Table:
+def reduce_replications(table: Table, group_by: str | Iterable[str], *, seed: int = 0) -> Table:
     """Collapse a per-replication table into one CI-bearing row per group.
 
     ``table`` holds one row per (cell, replication) with the cell identity
-    in the ``group_by`` columns; the ``replication`` index column (if
-    present) is dropped on the way out.
+    in the ``group_by`` columns, which every row must carry (a missing one
+    raises ``KeyError``).  Groups keep first-seen order; each reduced row
+    holds the group columns, the group's row count as ``replications``,
+    then every other column in first-seen order, sparse cells skipped.
+    The ``replication`` index column (if present) is dropped on the way
+    out.
     """
     keys = [group_by] if isinstance(group_by, str) else list(group_by)
-    reduced = table.group_reduce(
-        keys,
-        replication_reducer(confidence=confidence, resamples=resamples, seed=seed),
-        exclude=("replication",),
-    )
-    # The reducer sees one column's values at a time, so a sparsely
-    # populated column would understate the count; the authoritative
-    # replication count of a group is its row count.
-    counts: dict[tuple[object, ...], int] = {}
+    if not keys:
+        raise ValueError("reduce_replications needs at least one group column")
+    groups: dict[tuple[object, ...], list[Row]] = {}
     for row in table:
-        group = tuple(row[k] for k in keys)
-        counts[group] = counts.get(group, 0) + 1
+        for key in keys:
+            if key not in row:
+                raise KeyError(f"row {row!r} lacks group column {key!r}")
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
     out = Table()
-    for row in reduced:
-        cells = row.as_dict()
-        cells["replications"] = counts[tuple(cells[k] for k in keys)]
+    for group, rows in groups.items():
+        cells: dict[str, object] = dict(zip(keys, group, strict=True))
+        cells["replications"] = len(rows)
+        columns: dict[str, list[object]] = {}
+        for row in rows:
+            for name in row.keys():
+                if name not in keys and name != "replication":
+                    columns.setdefault(name, []).append(row[name])
+        for name, values in columns.items():
+            cells.update(_reduce_column(name, values, seed))
         out.append(cells)
     return out
+
+
+def _reduce_column(column: str, values: list[object], seed: int) -> dict[str, object]:
+    """The CI column family of a float column; otherwise the column itself
+    when it is constant within the group, and nothing when it varies."""
+    if not all(isinstance(v, float) for v in values):
+        return {column: values[0]} if len(set(values)) == 1 else {}
+    samples = np.asarray(values, dtype=np.float64)
+    mean = float(samples.mean())
+    std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
+    lo, hi = bootstrap_ci(samples, seed=seed, key=column)
+    return {
+        column: mean,
+        f"{column}_std": std,
+        f"{column}_cv": std / abs(mean) if mean else 0.0,
+        f"{column}_p95": float(np.percentile(samples, 95)),
+        f"{column}_ci_lo": lo,
+        f"{column}_ci_hi": hi,
+    }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 __all__ = ["Row", "Table"]
@@ -161,50 +161,6 @@ class Table:
     def column(self, name: str) -> list[Any]:
         """The values of one column, skipping rows that lack it."""
         return [row[name] for row in self._rows if name in row]
-
-    def group_reduce(
-        self,
-        by: str | Iterable[str],
-        reduce: Callable[[str, list[Any]], Any],
-        *,
-        exclude: Iterable[str] = (),
-    ) -> Table:
-        """Collapse rows sharing the ``by`` columns into one row per group.
-
-        Groups keep first-seen order and every row must carry all ``by``
-        columns (a missing key column raises ``KeyError``).  For each
-        remaining column, ``reduce(column, values)`` — ``values`` being
-        the group's cells in row order, sparse cells skipped — returns a
-        mapping of derived cells merged into the group's row (or a bare
-        scalar, kept under the column's own name).  Columns in
-        ``exclude`` are dropped.
-        """
-        keys = [by] if isinstance(by, str) else list(by)
-        if not keys:
-            raise ValueError("group_reduce needs at least one key column")
-        dropped = set(exclude)
-        groups: dict[tuple[Any, ...], list[Row]] = {}
-        for row in self._rows:
-            for key in keys:
-                if key not in row:
-                    raise KeyError(f"row {row!r} lacks group column {key!r}")
-            groups.setdefault(tuple(row[k] for k in keys), []).append(row)
-        out = Table()
-        for group_key, rows in groups.items():
-            cells: dict[str, Any] = dict(zip(keys, group_key, strict=True))
-            columns: dict[str, list[Any]] = {}
-            for row in rows:
-                for name in row.keys():
-                    if name in cells or name in dropped:
-                        continue
-                    columns.setdefault(name, []).append(row[name])
-            for name, values in columns.items():
-                derived = reduce(name, values)
-                if not isinstance(derived, dict):
-                    derived = {name: derived}
-                cells.update(derived)
-            out.append(cells)
-        return out
 
     # -- rendering --------------------------------------------------------
     def to_text(self) -> str:

@@ -142,6 +142,53 @@ def test_det004_integer_equality_and_tolerance_are_clean():
     assert _lint(good) == []
 
 
+def test_det005_flags_numpy_transcendentals_in_library_scope():
+    bad = """
+        import numpy
+        import numpy as np
+
+        a = np.exp(x)
+        b = numpy.log2(3242)
+        c = np.power(x, 0.85)
+        d = np.sin(x)
+    """
+    findings = _lint(bad)
+    assert [(f.rule, f.line) for f in findings] == [("DET005", line) for line in (5, 6, 7, 8)]
+    assert "numpy.log2" in findings[1].message
+
+
+def test_det005_allow_comment_needs_a_reason():
+    source = (
+        "import numpy as np\n"
+        "a = np.exp(x)  # repro: allow[DET005] cast to float32, equal on every path\n"
+        "b = np.exp(x)  # repro: allow[DET005]\n"
+    )
+    findings = check_source(source, "src/repro/demo.py", "library")
+    assert [(f.rule, f.line) for f in findings] == [("DET005", 3)]
+
+
+def test_det005_math_samplers_and_other_scopes_are_clean():
+    good = """
+        import math
+        import numpy as np
+
+        a = math.log2(3242)
+        b = math.exp(1.0)
+        c = rng.lognormal(0.0, 0.03, 10)
+        d = np.sqrt(x) + np.maximum(x, 0.0)
+    """
+    assert _lint(good) == []
+    flagged = "import numpy as np\na = np.exp(x)\n"
+    assert _lint(flagged, path="tests/test_demo.py", scope="tests") == []
+    assert _lint(flagged, path="src/repro/bench/demo.py", scope="tooling") == []
+
+
+def test_cli_exit_one_on_a_det005_fixture(tmp_path, capsys):
+    root = _fixture_tree(tmp_path, "import numpy as np\ny = np.log2(3242)\n")
+    assert main(["analyze", "--root", str(root), "--skip-project"]) == 1
+    assert "DET005" in capsys.readouterr().out
+
+
 def test_inv003_flags_frozen_dataclass_mutation():
     bad = """
         from dataclasses import dataclass

@@ -80,6 +80,17 @@ def test_dedicated_nodes_geometry():
         too_small.clients(KRAKEN, KRAKEN.cores_per_node)  # one node, no room
 
 
+def test_dedicated_nodes_runs_down_to_one_client_and_names_that_minimum():
+    # One forwarder node plus one client on a second node: 13 ranks on Kraken.
+    smallest = KRAKEN.cores_per_node + 1
+    approach = DedicatedNodes()
+    result = approach.run_iteration(KRAKEN, smallest, 45 * MB, np.random.default_rng(0))
+    assert approach.forwarders(KRAKEN, smallest) == 1
+    assert result.visible_times.size == 1
+    with pytest.raises(ValueError, match=f"needs at least {smallest} ranks"):
+        approach.run_iteration(KRAKEN, smallest - 1, 45 * MB, np.random.default_rng(0))
+
+
 def test_dedicated_nodes_iteration_shape():
     approach = DedicatedNodes()
     rng = np.random.default_rng(0)

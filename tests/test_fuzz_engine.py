@@ -17,10 +17,11 @@
   per-batch rate table; they must be bit-identical to the same oracle.
   The oracle groups lanes and computes every rate on its own, so it
   shares no code with the kernels it checks.
-* **Simultaneous cumsum fuzz** — equal-arrival batches (shared and mixed
+* **Equal-arrival fuzz** — equal-arrival batches (shared and mixed
   sizes, size ties, ``-0.0`` beside ``0.0``, zero sizes, fractional
-  background) take the padded-matrix cumsum and must be bit-identical to
-  the same oracle, signed zeros included.
+  background) go through ``solve``, which groups them into lanes like
+  any other batch, and must be bit-identical to the same oracle, signed
+  zeros included; each of the three kernels is shown to take one.
 * **Trace record/replay round trip** — a random multi-application
   workload is recorded, saved, reloaded, and replayed; the replay must
   reproduce the recorded per-app completion times exactly on both
@@ -330,29 +331,27 @@ def _simultaneous_batch(rng: np.random.Generator) -> tuple[RequestBatch, np.ndar
     return batch, background, bool(rng.random() < 0.5)
 
 
-def test_fuzz_simultaneous_cumsum_bit_identical_to_heap_loop():
+def test_fuzz_equal_arrival_batches_bit_identical_to_heap_loop():
     rng = np.random.default_rng(20261019)
-    kernel = vectorized._solve_simultaneous
     for case in range(SIMULTANEOUS_FUZZ_CASES):
         batch, background, large = _simultaneous_batch(rng)
-        slope = KRAKEN.large_write_seek_penalty if large else KRAKEN.small_write_seek_penalty
-        bg = np.zeros(KRAKEN.ost_count) if background is None else background
-        got = kernel(KRAKEN.ost_bandwidth, slope, batch.ost, batch.arrival[0], batch.nbytes, bg)
+        got = solve(KRAKEN, batch, background=background, large_writes=large)
         want = _heap_loop(KRAKEN, batch, background, large)
         # Bit patterns, so a -0.0 against a 0.0 fails too.
         np.testing.assert_array_equal(
             got.view(np.int64), want.view(np.int64), err_msg=f"simultaneous case {case}"
         )
-        # solve dispatches an equal-arrival batch to this kernel.
-        np.testing.assert_array_equal(
-            solve(KRAKEN, batch, background=background, large_writes=large), got
-        )
 
 
-def _kernels_entered(monkeypatch, batch: RequestBatch) -> list[str]:
-    """Which lockstep kernels a staggered solve of ``batch`` calls."""
+LOCKSTEP_KERNELS = ("_solve_lockstep_fifo", "_solve_lockstep_heap")
+
+
+def _kernels_entered(
+    monkeypatch, batch: RequestBatch, background=None, kernels=LOCKSTEP_KERNELS
+) -> list[str]:
+    """Which of ``kernels`` a solve of ``batch`` calls, once per call."""
     entered: list[str] = []
-    for name in ("_solve_lockstep_fifo", "_solve_lockstep_heap"):
+    for name in kernels:
         kernel = getattr(vectorized, name)
 
         def spy(*args, _name=name, _kernel=kernel):
@@ -360,9 +359,40 @@ def _kernels_entered(monkeypatch, batch: RequestBatch) -> list[str]:
             return _kernel(*args)
 
         monkeypatch.setattr(vectorized, name, spy)
-    solve(KRAKEN, batch, large_writes=False)
+    solve(KRAKEN, batch, background=background, large_writes=False)
     monkeypatch.undo()
     return entered
+
+
+@pytest.mark.parametrize(
+    ("kernel", "span", "equal_sizes"),
+    [
+        ("_solve_lockstep_fifo", KRAKEN.ost_count, True),
+        ("_solve_lockstep_heap", KRAKEN.ost_count, False),
+        ("_solve_one_ost", 8, False),
+    ],
+    ids=["lockstep-fifo", "lockstep-heap", "per-lane-heap"],
+)
+def test_equal_arrival_batches_reach_every_kernel(monkeypatch, kernel, span, equal_sizes):
+    """A flush at ``t0 > 0`` is grouped into lanes like any other batch:
+    2304 writers over all of Kraken's OSTs (depth 7) are wide enough for
+    lockstep, over 8 OSTs (depth 288) they take the per-lane heap loop,
+    and the sizes pick FIFO or heap.  Each is bit-identical to the oracle
+    under a fractional background, signed zeros included."""
+    rng = np.random.default_rng(8)
+    ost = rng.permutation(2304) % span
+    if equal_sizes:
+        nbytes = np.broadcast_to(45 * MB, ost.shape)
+    else:
+        palette = [0.0, -0.0, *rng.uniform(0.1 * MB, 128 * MB, 4)]
+        nbytes = np.array(palette)[rng.integers(0, len(palette), ost.size)]
+    batch = RequestBatch(arrival=float(rng.uniform(1.0, 50.0)), ost=ost, nbytes=nbytes)
+    bg = rng.poisson(1.5, KRAKEN.ost_count) * rng.uniform(0.0, 1.0, KRAKEN.ost_count)
+    kernels = (*LOCKSTEP_KERNELS, "_solve_one_ost")
+    assert set(_kernels_entered(monkeypatch, batch, bg, kernels)) == {kernel}
+    got = solve(KRAKEN, batch, background=bg, large_writes=False)
+    want = _heap_loop(KRAKEN, batch, bg, False)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("equal_sizes", [True, False])

@@ -316,8 +316,8 @@ def test_solve_many_keeps_a_shared_size_one_value(monkeypatch, span, spread):
     ``(0,)`` since), skipping empty members such as the collective's
     analytic plan.  The completion times equal, bit for bit, those of the
     same members with materialised ``np.full`` size columns, whether the
-    lanes run in lockstep, on ``span`` = 8 OSTs one heap loop each, or,
-    when every request arrives at once, through the simultaneous solve.
+    lanes run in lockstep or, on ``span`` = 8 OSTs, one heap loop each,
+    and whether the requests are staggered or all arrive at once.
     """
     import repro.engine.batching as batching
 
@@ -349,7 +349,7 @@ def test_solve_many_keeps_a_shared_size_one_value(monkeypatch, span, spread):
         with use_backend(backend):
             shared = solve_many(KRAKEN, members(lambda n: 45 * MB), large_writes=False)
             assert seen["batch"].nbytes.strides == (0,)
-            if backend == "vectorized" and spread:
+            if backend == "vectorized":
                 assert seen["lanes"].nbytes.strides == (0,)
             full = solve_many(KRAKEN, members(lambda n: np.full(n, 45 * MB)), large_writes=False)
             assert seen["batch"].nbytes.strides == (8,)
@@ -634,3 +634,26 @@ def test_reduce_replications_count_ignores_sparse_columns():
     assert row["replications"] == 3
     assert row["x"] == pytest.approx(2.0)
     assert row["extra"] == pytest.approx(5.0)
+
+
+def test_reduce_replications_groups_by_several_keys_in_first_seen_order():
+    table = Table(
+        [
+            {"k": "b", "n": 2, "v": 1.0, "replication": 0},
+            {"k": "a", "n": 1, "v": 2.0, "replication": 0},
+            {"k": "b", "n": 2, "v": 3.0, "replication": 1},
+        ]
+    )
+    reduced = reduce_replications(table, ("k", "n"))
+    assert [(r["k"], r["n"], r["replications"]) for r in reduced] == [("b", 2, 2), ("a", 1, 1)]
+    # Group columns, the count, then each column's family in first-seen order.
+    family = ["v", "v_std", "v_cv", "v_p95", "v_ci_lo", "v_ci_hi"]
+    assert list(reduced[0].keys()) == ["k", "n", "replications", *family]
+
+
+def test_reduce_replications_rejects_a_missing_or_empty_group_by():
+    table = Table([{"k": "a", "v": 1.0}, {"v": 2.0}])
+    with pytest.raises(KeyError, match="'k'"):
+        reduce_replications(table, "k")
+    with pytest.raises(ValueError, match="at least one group column"):
+        reduce_replications(table, ())

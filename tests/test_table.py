@@ -78,49 +78,6 @@ def test_where_on_empty_table_stays_lenient():
     assert len(Table().where(anything=1)) == 0
 
 
-def test_group_reduce_basic_mean():
-    table = Table(
-        [
-            {"k": "a", "v": 1.0},
-            {"k": "b", "v": 10.0},
-            {"k": "a", "v": 3.0},
-        ]
-    )
-    reduced = table.group_reduce("k", lambda name, values: {name: sum(values) / len(values)})
-    assert [r.as_dict() for r in reduced] == [{"k": "a", "v": 2.0}, {"k": "b", "v": 10.0}]
-
-
-def test_group_reduce_scalar_return_and_exclude():
-    table = Table(
-        [
-            {"k": "a", "v": 1.0, "noise": 1},
-            {"k": "a", "v": 3.0, "noise": 2},
-        ]
-    )
-    reduced = table.group_reduce("k", lambda name, values: max(values), exclude=("noise",))
-    assert reduced[0].as_dict() == {"k": "a", "v": 3.0}
-
-
-def test_group_reduce_multiple_keys_first_seen_order():
-    table = Table(
-        [
-            {"k": "b", "n": 2, "v": 1.0},
-            {"k": "a", "n": 1, "v": 2.0},
-            {"k": "b", "n": 2, "v": 3.0},
-        ]
-    )
-    reduced = table.group_reduce(("k", "n"), lambda name, values: {f"{name}_n": len(values)})
-    assert [(r["k"], r["n"], r["v_n"]) for r in reduced] == [("b", 2, 2), ("a", 1, 1)]
-
-
-def test_group_reduce_missing_key_column_raises():
-    table = Table([{"k": "a", "v": 1.0}, {"v": 2.0}])
-    with pytest.raises(KeyError, match="'k'"):
-        table.group_reduce("k", lambda name, values: values[0])
-    with pytest.raises(ValueError):
-        table.group_reduce((), lambda name, values: values[0])
-
-
 def test_sort_by(table):
     by_ranks = table.sort_by("ranks")
     assert by_ranks.column("ranks") == [576, 576, 1152, 1152]
