@@ -179,19 +179,16 @@ def _solve_lockstep_heap(
     same per-lane state and pass structure.  A lane's pending completion
     thresholds sit in one row of a padded ``(lanes, depth)`` matrix
     (``inf`` marks a free slot) instead of a heap.  A request's slot is
-    its rank by batch position within the lane, so the row-wise
-    ``argmin`` — which returns the first of equal minima — picks the
-    least ``(threshold, position)``, exactly the heap's order.
+    its arrival rank within the lane, and the row-wise ``argmin`` pops
+    the first of equal minima, where the heap pops the least batch
+    position.  No value depends on which of two equal thresholds pops
+    first: the first completes at ``t_c`` and sets ``service`` to the
+    threshold, so the other completes at ``t_c + 0.0 / rate == t_c``,
+    and an arrival at exactly ``t_c`` accrues ``rate * 0.0``.
     """
     arr, nbytes = lanes.arrival, lanes.nbytes
     n = arr.size
-    lane_of = np.repeat(np.arange(lanes.starts.size), lanes.ends - lanes.starts)
-    by_position = np.argsort(lane_of * n + lanes.order, kind="stable")
-    slot = np.empty(n, dtype=np.int64)
-    slot[by_position] = np.arange(n) - lanes.starts[lane_of[by_position]]
-    position = lanes.order[by_position]  # batch position of (lane, slot)
-
-    base = lanes.starts  # start of each lane's slots in ``position``
+    base = lanes.starts  # request ``k`` of a lane sits in column ``k - base``
     head = base.copy()  # advances once per completion
     nxt = base.copy()  # next arrival per lane
     ends = lanes.ends
@@ -205,7 +202,7 @@ def _solve_lockstep_heap(
             # Idle lane: jump to the next arrival; no service accrues.
             k = nxt[idle]
             t[idle] = np.maximum(t[idle], arr[k])
-            thresholds[idle, slot[k]] = service[idle] + nbytes[k]
+            thresholds[idle, k - base[idle]] = service[idle] + nbytes[k]
             nxt[idle] += 1
         rate = _per_stream_rate(bw, slope, (nxt - head) + bg)
         first = thresholds.argmin(axis=1)
@@ -218,11 +215,11 @@ def _solve_lockstep_heap(
         t = np.where(arrive, arr_next, t_complete)
         a = np.flatnonzero(arrive)
         k = nxt[a]
-        thresholds[a, slot[k]] = service[a] + nbytes[k]
+        thresholds[a, k - base[a]] = service[a] + nbytes[k]
         nxt[a] += 1
         d = np.flatnonzero(~arrive)
         thresholds[d, first[d]] = np.inf
-        out[position[base[d] + first[d]]] = t_complete[d]
+        out[lanes.order[base[d] + first[d]]] = t_complete[d]
         head[d] += 1
         finished = head == ends
         if finished.any():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -223,6 +224,34 @@ def test_run_loads_no_service_linter_or_bench_suite(experiment):
     )
     packages = ("repro.serve", "repro.analyze", "repro.bench.suite")
     assert _loaded(run, packages) == []
+
+
+def test_process_entry_freezes_the_import_time_heap(capsys):
+    # The real __main__, as `python -m repro` runs it: the heap its imports
+    # left is frozen before main runs, and the output is main's own.
+    probe = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['repro', 'machines']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    child = _fresh_python("-c", probe)
+    status, frozen = child.stderr.splitlines()[-1].split()
+    assert status == "0"
+    assert int(frozen) >= 10_000
+    assert main(["machines"]) == 0
+    assert child.stdout == capsys.readouterr().out
+
+
+def test_main_leaves_the_callers_heap_unfrozen(capsys):
+    # pytest, the output golden and perfbench's traced worker call main
+    # in-process; only the process entry may freeze a heap.
+    frozen = gc.get_freeze_count()
+    assert main(["run", "e7", "--format", "json"]) == 0
+    assert capsys.readouterr().out
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize(

@@ -347,7 +347,12 @@ LOCKSTEP_KERNELS = ("_solve_lockstep_fifo", "_solve_lockstep_heap")
 
 
 def _kernels_entered(
-    monkeypatch, batch: RequestBatch, background=None, kernels=LOCKSTEP_KERNELS
+    monkeypatch,
+    batch: RequestBatch,
+    background=None,
+    kernels=LOCKSTEP_KERNELS,
+    machine: Machine = KRAKEN,
+    large_writes: bool = False,
 ) -> list[str]:
     """Which of ``kernels`` a solve of ``batch`` calls, once per call."""
     entered: list[str] = []
@@ -359,7 +364,7 @@ def _kernels_entered(
             return _kernel(*args)
 
         monkeypatch.setattr(vectorized, name, spy)
-    solve(KRAKEN, batch, background=background, large_writes=False)
+    solve(machine, batch, background=background, large_writes=large_writes)
     monkeypatch.undo()
     return entered
 
@@ -413,6 +418,30 @@ def test_lockstep_dispatch_follows_width_not_lane_count(monkeypatch, equal_sizes
     storm = RequestBatch(arrival=rng.uniform(0.0, 6.0, ost.size), ost=ost, nbytes=sizes(ost.size))
     kernel = "_solve_lockstep_fifo" if equal_sizes else "_solve_lockstep_heap"
     assert _kernels_entered(monkeypatch, storm) == [kernel]
+
+
+def test_lockstep_heap_ties_where_arrival_and_batch_order_disagree(monkeypatch):
+    """On every OST a request at t=1 of size 1 precedes, in the batch, a
+    request at t=0 of size 2.  At unit bandwidth with no seek penalty both
+    thresholds are exactly 2, so the lockstep kernel pops the earlier
+    arrival first and the heap the earlier batch position.  A third
+    request arrives at t=3, the instant both complete.  Whichever pops
+    first, every lane reads 3.0, 3.0, 3.5, bit for bit."""
+    machine = KRAKEN.with_overrides(ost_bandwidth=1.0, large_write_seek_penalty=0.0)
+    lanes = machine.ost_count
+    batch = RequestBatch(
+        arrival=np.repeat([1.0, 0.0, 3.0], lanes),
+        ost=np.tile(np.arange(lanes), 3),
+        nbytes=np.repeat([1.0, 2.0, 0.5], lanes),
+    )
+    entered = _kernels_entered(monkeypatch, batch, machine=machine, large_writes=True)
+    assert entered == ["_solve_lockstep_heap"]
+    got = solve(machine, batch, background=None, large_writes=True)
+    np.testing.assert_array_equal(got, np.repeat([3.0, 3.0, 3.5], lanes))
+    heap = _heap_loop(machine, batch, None, True)
+    ref = solve(machine, batch, background=None, large_writes=True, backend="reference")
+    for want in (heap, ref):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _random_workloads(rng: np.random.Generator) -> list[Workload]:
