@@ -6,17 +6,19 @@ Every module builds its run from the experiment table
 :class:`~repro.scenario.ScenarioConfig` that
 :meth:`~repro.scenario.ScenarioConfig.from_env` parses from the
 ``REPRO_*`` environment.  So the knobs of ``run`` — replications
-included — reach the benchmarks as environment variables.  Timing, when
-a module wants it, comes from the shared :mod:`repro.bench` harness —
-never a bespoke ``time.perf_counter`` loop — so every number in this
-repo is reduced the same way (warmup + best-of-N; see DESIGN.md,
-"Benchmarking").  The fallback ``benchmark`` fixture in ``conftest.py``
+included — reach the benchmarks as environment variables, and each run
+solves on the scenario's backend in a ``use_backend`` scope, as ``run``
+does.  Timing, when a module wants it, comes from the shared
+:mod:`repro.bench` harness — never a bespoke ``time.perf_counter`` loop —
+so every number in this repo is reduced the same way (warmup +
+best-of-N; see DESIGN.md, "Benchmarking").  The fallback ``benchmark`` fixture in ``conftest.py``
 already routes through :func:`repro.bench.time_once`.
 """
 
 from __future__ import annotations
 
 from repro import experiments
+from repro.engine import default_backend, use_backend
 from repro.scenario import ScenarioConfig
 from repro.table import Table
 
@@ -41,10 +43,13 @@ def bench_table(
     ``sc`` defaults to :func:`scenario`; ``output_dir`` is the artifact
     directory of the experiments that write files (E5, E8).
     """
+    sc = scenario() if sc is None else sc
     spec = experiments.EXPERIMENTS[experiment][index]
     runner = getattr(experiments, spec.runner)
-    kwargs = spec.kwargs(scenario() if sc is None else sc, output_dir)
-    table = benchmark.pedantic(runner, kwargs=kwargs, rounds=1, iterations=1)
+    with use_backend(sc.backend or default_backend()):
+        table = benchmark.pedantic(
+            runner, kwargs=spec.kwargs(sc, output_dir), rounds=1, iterations=1
+        )
     print_table(table)
     spec.verify(table)
     return table

@@ -8,7 +8,7 @@ order-unstable iteration into the deterministic core.  The tests
 enforce this *dynamically*, on the paths they happen to exercise; this
 package enforces it *statically*, on every path, before any test runs:
 
-* :mod:`repro.analyze.rules` — the rule registry (DET001-DET005 for
+* :mod:`repro.analyze.rules` — the rule registry (DET001-DET006 for
   determinism, INV001-INV004 for structural invariants), mirroring the
   bench/approach registry idiom.
 * :mod:`repro.analyze.checks` — the per-file AST checks and the

@@ -25,7 +25,7 @@ __all__ = ["check_source", "suppressed_lines", "FILE_RULE_IDS"]
 
 #: The rule ids implemented here (file-scoped; project rules live in
 #: :mod:`repro.analyze.project`).
-FILE_RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "DET005", "INV003", "INV004")
+FILE_RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "INV003", "INV004")
 
 #: Files blessed to construct random generators: the seeding helpers
 #: themselves.  Matched against the analyzer-relative posix path.
@@ -33,6 +33,12 @@ DET001_BLESSED = (
     "src/repro/stats/replication.py",
     "src/repro/util.py",
 )
+
+#: The one file that may read the environment: the knob table.
+DET006_BLESSED = ("src/repro/scenario.py",)
+
+#: ``os`` attributes that read the environment.
+_ENVIRONMENT_READS = frozenset({"os.environ", "os.getenv"})
 
 #: np.random module-level sampling functions (the global, unseeded stream).
 _GLOBAL_NP_SAMPLERS = frozenset(
@@ -230,6 +236,19 @@ class _FileChecker(ast.NodeVisitor):
                 "(inputs, seed)",
             )
 
+    # -- DET006: environment reads ---------------------------------------
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        chain = _attr_chain(node)
+        if chain in _ENVIRONMENT_READS:
+            self._report(
+                "DET006",
+                node,
+                f"{chain} reads the environment outside repro.scenario; declare the "
+                "variable in repro.scenario.KNOBS and read it through its Knob",
+            )
+        self.generic_visit(node)
+
     # -- DET003: set iteration -------------------------------------------
 
     def visit_For(self, node: ast.For) -> None:
@@ -360,6 +379,8 @@ def check_source(
     }
     if path in DET001_BLESSED:
         active.discard("DET001")
+    if path in DET006_BLESSED:
+        active.discard("DET006")
     if not active:
         return []
     try:

@@ -178,6 +178,20 @@ register_rule(
 
 register_rule(
     Rule(
+        id="DET006",
+        title="environment read outside repro.scenario",
+        rationale=(
+            "A run must be a function of its arguments and of the REPRO_* knobs "
+            "that repro.scenario.KNOBS declares, parses and documents; an "
+            "os.environ or os.getenv read anywhere else is a knob the table, "
+            "the run flags and the README do not know."
+        ),
+        scopes=("library", "tooling"),
+    )
+)
+
+register_rule(
+    Rule(
         id="GEN001",
         title="file does not parse",
         rationale=(

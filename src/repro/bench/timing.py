@@ -10,24 +10,23 @@ machine-readable record.
 
 Perf-*ratio* assertions (vectorized vs reference, batched vs serial)
 route through :func:`assert_speedup`, which honours the
-``REPRO_PERF_STRICT`` environment flag: the default is a hard
-``AssertionError``, while ``REPRO_PERF_STRICT=0`` downgrades a failed
-expectation to a :class:`PerfWarning` so noisy shared runners (the CI
-test matrix) cannot flake a build.  The dedicated ``bench-perf`` CI job
-leaves the flag strict and additionally gates on the JSON baseline.
+``REPRO_PERF_STRICT`` knob of :data:`repro.scenario.KNOBS`: the default
+is a hard ``AssertionError``, while ``REPRO_PERF_STRICT=0`` downgrades a
+failed expectation to a :class:`PerfWarning` so noisy shared runners
+(the CI test matrix) cannot flake a build.  The dedicated ``bench-perf``
+CI job leaves the flag strict and additionally gates on the JSON
+baseline.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
-from collections.abc import Callable, Iterable, Mapping
-from typing import cast
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from statistics import fmean, median, stdev
 
-from ..util import env_flag
+from ..scenario import KNOBS
 
 __all__ = [
     "PerfWarning",
@@ -98,11 +97,6 @@ class Timing:
             "stddev_s": self.stddev,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> Timing:
-        seconds = cast("Iterable[float]", data["seconds"])
-        return cls(times=tuple(seconds), warmup=int(cast(int, data["warmup"])))
-
 
 def measure(fn: Callable[[], object], *, repeats: int = 5, warmup: int = 1) -> Timing:
     """Time ``fn`` over ``repeats`` rounds after ``warmup`` untimed runs."""
@@ -118,9 +112,12 @@ def measure(fn: Callable[[], object], *, repeats: int = 5, warmup: int = 1) -> T
     )
 
 
+_PERF_STRICT = next(knob for knob in KNOBS if knob.variable == "REPRO_PERF_STRICT")
+
+
 def perf_strict(env: Mapping[str, str] | None = None) -> bool:
     """Whether perf-ratio assertion failures are hard errors (default yes)."""
-    return env_flag(os.environ if env is None else env, "REPRO_PERF_STRICT", default=True)
+    return _PERF_STRICT.read(env) is not False
 
 
 def assert_speedup(fast_s: float, slow_s: float, *, ratio: float, label: str) -> None:

@@ -15,24 +15,25 @@ Examples::
     python -m repro bench --baseline benchmarks/baseline.json --max-regression 25
 
 ``run`` builds a :class:`~repro.scenario.ScenarioConfig` from the flags
-(environment variables fill whatever the flags leave out), calls the
-runners that :data:`repro.experiments.EXPERIMENTS` lists for the
-experiment, and prints the resulting table(s) as text, CSV or JSON,
-applying each table's shape check after printing it when asked.
+that :data:`repro.scenario.KNOBS` declares (their ``REPRO_*`` variables
+fill whatever the flags leave out), calls the runners that
+:data:`repro.experiments.EXPERIMENTS` lists for the experiment on the
+scenario's backend, and prints the resulting table(s) as text, CSV or
+JSON, applying each table's shape check after printing it when asked.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 from collections.abc import Sequence
+from typing import Any
 
-from .engine import backend_names, machine_names, resolve_machine, set_default_backend
+from .engine import default_backend, machine_names, resolve_machine, use_backend
 from .experiments import EXPERIMENTS
 from .io_models import approach_names, resolve_approach
-from .scenario import ScenarioConfig
+from .scenario import KNOBS, _from_knobs
 from .table import Table
 from .workloads import arrival_process_names, resolve_arrival_process
 
@@ -50,34 +51,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and print its table(s)")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument("--machine", default=None, help=f"one of: {', '.join(machine_names())}")
-    run.add_argument("--full-scale", action="store_true", help="add the 9216-rank points")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--data-per-rank-mb", type=float, default=None)
-    run.add_argument("--backend", choices=backend_names(), default=None)
-    run.add_argument(
-        "--replications",
-        type=int,
-        default=None,
-        metavar="N",
-        help="independently-seeded replications per cell; > 1 adds "
-        "mean/std/cv/p95 and bootstrap-CI columns (stochastic experiments)",
-    )
+    for knob in KNOBS:
+        if knob.flag is None:
+            continue
+        kind: dict[str, Any] = (
+            {"action": "store_true", "default": None} if knob.switch else {"type": knob.value}
+        )
+        run.add_argument(knob.flag, dest=knob.field, help=f"{knob.help} [{knob.variable}]", **kind)
     run.add_argument("--format", choices=("text", "csv", "json"), default="text")
     run.add_argument(
         "--output-dir", default=None, help="artifact directory for e5/e8 (default: temp)"
-    )
-    run.add_argument(
-        "--workload",
-        default=None,
-        metavar="SPEC",
-        help="background workload for e9 (app=bg,ranks=1152,data_mb=45,arrival=burst,...)",
-    )
-    run.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help="directory e9 records per-cell request traces into (JSONL)",
     )
     run.add_argument("--check", action="store_true", help="also apply the experiment's shape check")
 
@@ -96,27 +79,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     add_bench_parser(sub).set_defaults(handler=run_bench)
     add_analyze_parser(sub).set_defaults(handler=run_analyze)
     return parser
-
-
-def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    env = dict(os.environ)
-    if args.machine is not None:
-        env["REPRO_MACHINE"] = args.machine
-    if args.full_scale:
-        env["REPRO_FULL_SCALE"] = "1"
-    if args.seed is not None:
-        env["REPRO_SEED"] = str(args.seed)
-    if args.data_per_rank_mb is not None:
-        env["REPRO_DATA_PER_RANK_MB"] = str(args.data_per_rank_mb)
-    if args.backend is not None:
-        env["REPRO_ENGINE"] = args.backend
-    if args.replications is not None:
-        env["REPRO_REPLICATIONS"] = str(args.replications)
-    if args.workload is not None:
-        env["REPRO_WORKLOAD"] = args.workload
-    if args.trace is not None:
-        env["REPRO_TRACE"] = args.trace
-    return ScenarioConfig.from_env(env)
 
 
 def _render(name: str, table: Table, fmt: str, multiple: bool) -> str:
@@ -162,16 +124,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command in ("serve", "bench", "analyze"):
         return int(args.handler(args))
 
-    scenario = _scenario_from_args(args)
-    if scenario.backend is not None:
-        set_default_backend(scenario.backend)
-
+    flags = {knob.field: getattr(args, knob.field) for knob in KNOBS if knob.field and knob.flag}
+    scenario = _from_knobs(None, flags)
     specs = EXPERIMENTS[args.experiment]
-    if args.output_dir is not None:
-        tables = [spec.build(scenario, args.output_dir) for spec in specs]
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-") as output_dir:
-            tables = [spec.build(scenario, output_dir) for spec in specs]
+    # The caller's default backend is back in place when main returns.
+    with use_backend(scenario.backend or default_backend()):
+        if args.output_dir is not None:
+            tables = [spec.build(scenario, args.output_dir) for spec in specs]
+        else:
+            with tempfile.TemporaryDirectory(prefix="repro-") as output_dir:
+                tables = [spec.build(scenario, output_dir) for spec in specs]
 
     for spec, table in zip(specs, tables, strict=True):
         sys.stdout.write(_render(spec.name, table, args.format, len(specs) > 1))

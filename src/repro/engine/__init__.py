@@ -16,7 +16,6 @@ from .api import (
     backend_names,
     default_backend,
     register_backend,
-    set_default_backend,
     solve,
     use_backend,
 )
@@ -55,6 +54,5 @@ __all__ = [
     "backend_names",
     "register_backend",
     "default_backend",
-    "set_default_backend",
     "use_backend",
 ]

@@ -2,17 +2,16 @@
 
 Two backends ship by default: ``vectorized`` (numpy, the default) and
 ``reference`` (the seed implementation, kept as ground truth).  The
-active default is ``vectorized`` unless the ``REPRO_ENGINE`` environment
-variable or :func:`set_default_backend` says otherwise.  One
-:func:`solve` call can pin a backend with its ``backend=`` argument;
-every layer above it (stacked solves, the replication driver,
-composition, the solve service) follows the default, which
-:func:`use_backend` switches for a scope.
+engine reads no environment: a front end that takes a backend from
+``REPRO_ENGINE`` or ``--backend`` applies it with :func:`use_backend`,
+which switches the default for a scope.  One :func:`solve` call can pin
+a backend with its ``backend=`` argument; every layer above it (stacked
+solves, the replication driver, composition, the solve service) follows
+the default.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
@@ -29,7 +28,6 @@ __all__ = [
     "backend_names",
     "register_backend",
     "default_backend",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -40,7 +38,7 @@ _BACKENDS: dict[str, Solver] = {
     "reference": solve_reference,
 }
 
-_default_backend = os.environ.get("REPRO_ENGINE", "vectorized")
+_default_backend = "vectorized"
 
 
 def register_backend(name: str, solver: Solver, *, replace_existing: bool = False) -> None:
@@ -61,23 +59,15 @@ def default_backend() -> str:
     return _default_backend
 
 
-def set_default_backend(name: str) -> None:
-    """Make ``name`` the process-wide default backend."""
-    global _default_backend
-    _resolve_backend(name)  # validate eagerly
-    _default_backend = name.lower()
-
-
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the default backend (tests, cross-validation)."""
+    """Switch the default backend for a scope (front ends, tests, cross-validation)."""
     global _default_backend
-    previous = _default_backend
-    set_default_backend(name)
+    _resolve_backend(name)  # validate eagerly
+    previous, _default_backend = _default_backend, name.lower()
     try:
         yield
     finally:
-        # Restored as it was: an unknown REPRO_ENGINE fails at its next use.
         _default_backend = previous
 
 
@@ -86,14 +76,7 @@ def _resolve_backend(name: str | None) -> Solver:
     try:
         return _BACKENDS[key]
     except KeyError:
-        known = backend_names()
-        if name is None:
-            # set_default_backend validates its input, so an unknown
-            # default can only have come from the environment.
-            raise ValueError(
-                f"REPRO_ENGINE must name a backend {known}, got {_default_backend!r}"
-            ) from None
-        raise ValueError(f"unknown engine backend {key!r}; known: {known}") from None
+        raise ValueError(f"unknown engine backend {key!r}; known: {backend_names()}") from None
 
 
 def solve(

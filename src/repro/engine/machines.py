@@ -165,14 +165,14 @@ EXASCALE = Machine(
 _MACHINES: dict[str, Machine] = {}
 
 
-def register_machine(machine: Machine, *, replace_existing: bool = False) -> Machine:
+def register_machine(machine: Machine) -> Machine:
     """Register ``machine`` under its (lower-cased) name; returns it.
 
-    Registering a second machine under an existing name is an error unless
-    ``replace_existing`` is set, so typos cannot silently shadow a platform.
+    Registering a second machine under an existing name is an error, so
+    typos cannot silently shadow a platform.
     """
     key = machine.name.lower()
-    if not replace_existing and key in _MACHINES:
+    if key in _MACHINES:
         raise ValueError(f"machine {machine.name!r} is already registered")
     _MACHINES[key] = machine
     return machine

@@ -86,22 +86,12 @@ def replication_table(
     return reduce_replications(tagged, group_by, seed=seed)
 
 
-def _effective_interference(
-    with_interference: bool, interference: Interference | None
-) -> Interference:
-    """The model a run faces: the given one when enabled, else a quiet system."""
-    if not with_interference:
-        return NO_INTERFERENCE
-    return DEFAULT_INTERFERENCE if interference is None else interference
-
-
 def run_replicated_approaches(
     machine: Machine,
     ranks: int,
     iterations: int,
     data_per_rank: float,
     seed: int,
-    with_interference: bool,
     replications: int,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
@@ -116,10 +106,10 @@ def run_replicated_approaches(
     dropped before the next cell is solved, so a sweep whose caller
     reduces as it goes holds one cell's results.  ``approaches`` may mix
     instances and registered names; ``None`` selects the paper's
-    original three.  ``interference`` overrides the default model when
-    ``with_interference`` is set (e.g. a scenario's own).
+    original three.  ``interference=None`` is a quiet file system.
     """
-    effective = _effective_interference(with_interference, interference)
+    if interference is None:
+        interference = NO_INTERFERENCE
     for approach in resolve_approaches(approaches):
         reps = run_replications(
             approach,
@@ -129,7 +119,7 @@ def run_replicated_approaches(
             data_per_rank,
             seed,
             replications,
-            interference=effective,
+            interference=interference,
         )
         yield from ((approach, index, results) for index, results in enumerate(reps))
         del reps

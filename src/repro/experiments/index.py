@@ -82,9 +82,7 @@ EXPERIMENTS: dict[str, tuple[TableSpec, ...]] = {
         TableSpec(
             "run_variability",
             "check_variability_shape",
-            lambda sc, _: _cell(
-                sc, ranks=2304 if sc.full_scale else 1152, interference=sc.interference
-            ),
+            lambda sc, _: _cell(sc, ranks=2304 if sc.full_scale else 1152),
         ),
     ),
     "e3": (

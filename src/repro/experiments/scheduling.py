@@ -20,7 +20,7 @@ from ..util import FloatArray, IntArray
 from ..io_models import DedicatedCores
 from ..table import Table
 from ..util import GB, MB, replication_seed
-from ._driver import DEFAULT_INTERFERENCE, _validate_arguments, replication_table
+from ._driver import _validate_arguments, replication_table
 
 __all__ = ["run_scheduling", "check_scheduling_shape"]
 
@@ -51,7 +51,6 @@ def run_scheduling(
     iterations: int = 2,
     data_per_rank: float = 45 * MB,
     compute_time: float = 120.0,
-    with_interference: bool = False,
     seed: int = 0,
     interference: Interference | None = None,
     replications: int = 1,
@@ -70,18 +69,15 @@ def run_scheduling(
     node_bytes = DedicatedCores().node_bytes(machine, ranks, data_per_rank)
     total_bytes = node_bytes * nodes
 
-    if with_interference:
-        interference = DEFAULT_INTERFERENCE if interference is None else interference
-    else:
-        interference = None
-
     rows: list[tuple[int, dict[str, Any]]] = []
     for index in range(replications):
         rng = np.random.default_rng([replication_seed(seed, index), ranks, wave_size])
         # Both policies face the same file-system weather and OST placement.
         per_iteration: list[tuple[Any, IntArray]] = []
         for _ in range(iterations):
-            background = interference.sample_background(machine, rng) if interference else None
+            background = (
+                None if interference is None else interference.sample_background(machine, rng)
+            )
             osts = rng.permutation(nodes) % machine.ost_count
             per_iteration.append((background, osts))
 

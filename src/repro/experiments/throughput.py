@@ -55,7 +55,6 @@ def run_throughput(
     data_per_rank: float = 45 * MB,
     compute_time: float = 120.0,
     machine: Machine | str = KRAKEN,
-    with_interference: bool = False,
     seed: int = 0,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
@@ -77,7 +76,6 @@ def run_throughput(
             iterations,
             data_per_rank,
             seed,
-            with_interference,
             replications,
             approaches=approaches,
             interference=interference,

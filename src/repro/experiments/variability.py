@@ -29,6 +29,7 @@ from ..io_models import IOApproach, IterationResult
 from ..table import Table
 from ..util import MB
 from ._driver import (
+    DEFAULT_INTERFERENCE,
     _validate_arguments,
     iteration_period,
     replication_table,
@@ -68,11 +69,10 @@ def run_variability(
     iterations: int = 5,
     data_per_rank: float = 45 * MB,
     compute_time: float = 120.0,
-    with_interference: bool = True,
     machine: Machine | str = KRAKEN,
     seed: int = 0,
     approaches: Sequence[IOApproach | str] | None = None,
-    interference: Interference | None = None,
+    interference: Interference | None = DEFAULT_INTERFERENCE,
     replications: int = 1,
 ) -> Table:
     machine = resolve_machine(machine)
@@ -91,7 +91,6 @@ def run_variability(
             iterations,
             data_per_rank,
             seed,
-            with_interference,
             replications,
             approaches=approaches,
             interference=interference,

@@ -58,7 +58,6 @@ def run_weak_scaling(
     data_per_rank: float = 45 * MB,
     compute_time: float = 300.0,
     machine: Machine | str = KRAKEN,
-    with_interference: bool = False,
     seed: int = 0,
     approaches: Sequence[IOApproach | str] | None = None,
     interference: Interference | None = None,
@@ -84,7 +83,6 @@ def run_weak_scaling(
             iterations,
             data_per_rank,
             seed,
-            with_interference,
             replications,
             approaches=approaches,
             interference=interference,

@@ -1,47 +1,31 @@
-"""Frozen scenario configuration shared by benchmarks and the CLI.
+"""Frozen scenario configuration, and the one table of ``REPRO_*`` knobs.
 
 A :class:`ScenarioConfig` pins everything a reproduction run depends on —
-machine, weak-scaling ladder, interference model, data volume per rank,
-seed, engine backend and replication count — in one immutable object.
-``benchmarks/_common.py`` folds its environment parsing into
-:meth:`ScenarioConfig.from_env`, and ``python -m repro`` builds one from
-command-line flags, so both front ends drive the experiment runners with
-the same vocabulary.
+machine, weak-scaling ladder, data volume per rank, seed, engine backend
+and replication count — in one immutable object, so ``benchmarks/`` and
+``python -m repro run`` drive the experiment runners with the same
+vocabulary.
 
-Environment variables recognised by :meth:`ScenarioConfig.from_env`:
-
-========================  =====================================================
-``REPRO_FULL_SCALE``      add the paper's 9216-rank points (``1``/``true``)
-``REPRO_MACHINE``         registered machine name (default ``kraken``)
-``REPRO_LADDER``          comma-separated rank ladder override, rungs >= 1
-``REPRO_DATA_PER_RANK_MB``  payload per rank in MiB, > 0 (default 45)
-``REPRO_SEED``            base seed, >= 0 (default 0)
-``REPRO_ENGINE``          engine backend (``vectorized``/``reference``)
-``REPRO_REPLICATIONS``    independently-seeded replications per experiment
-                          cell; > 1 adds CI columns (default 1)
-``REPRO_WORKLOAD``        background workload spec for E9
-                          (``app=bg,ranks=1152,data_mb=45,arrival=burst,...``)
-``REPRO_TRACE``           directory E9 records request traces into (JSONL)
-``REPRO_PERF_STRICT``     ``0`` downgrades perf-ratio assertion failures to
-                          warnings (noisy shared runners; default strict —
-                          consumed by :mod:`repro.bench.timing`, not stored
-                          on the scenario)
-========================  =====================================================
+:data:`KNOBS` is the documentation of every environment variable the
+package reads, and the only code that reads one: each row names the
+scenario field the variable sets, the ``run`` flag that sets the same
+field, its parser and its help.  A blank variable or flag is unset.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import Any, ClassVar
 
-from .engine import Interference, Machine, backend_names, resolve_machine
-from .util import MB, env_flag, env_int
+from .engine import Machine, backend_names, machine_names, resolve_machine
+from .util import MB
 from .workloads import Workload
 
-__all__ = ["ScenarioConfig", "DEFAULT_LADDER", "FULL_SCALE_RANKS"]
+__all__ = ["KNOBS", "Knob", "ScenarioConfig", "DEFAULT_LADDER", "FULL_SCALE_RANKS"]
 
 #: The laptop-friendly weak-scaling ladder (preserves every qualitative shape).
 DEFAULT_LADDER: tuple[int, ...] = (576, 1152, 2304)
@@ -55,7 +39,6 @@ class ScenarioConfig:
 
     machine: Machine = field(default_factory=lambda: resolve_machine("kraken"))
     ladder: tuple[int, ...] = DEFAULT_LADDER
-    interference: Interference = field(default_factory=Interference)
     data_per_rank: float = 45 * MB
     seed: int = 0
     full_scale: bool = False
@@ -88,6 +71,8 @@ class ScenarioConfig:
                 raise ValueError(f"ladder[{index}] must be >= 1, got {rung}")
         if not (math.isfinite(self.data_per_rank) and self.data_per_rank > 0):
             raise ValueError(f"data_per_rank must be finite and > 0, got {self.data_per_rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.backend is not None:
             # Match the engine registry's case-insensitive resolution.
             object.__setattr__(self, "backend", self.backend.lower())
@@ -102,43 +87,117 @@ class ScenarioConfig:
         """A copy of this scenario with some fields replaced."""
         return replace(self, **overrides)  # type: ignore[arg-type]
 
-    @property
-    def top_ranks(self) -> int:
-        """The largest rung of the ladder (single-scale experiments use it)."""
-        return max(self.ladder)
-
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> ScenarioConfig:
-        """Build a scenario from ``REPRO_*`` environment variables."""
-        if env is None:
-            env = os.environ
-        full_scale = env_flag(env, "REPRO_FULL_SCALE")
-        raw_ladder = env.get("REPRO_LADDER", "")
-        if raw_ladder.strip():
-            try:
-                ladder = tuple(int(part) for part in raw_ladder.split(",") if part.strip())
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_LADDER must be comma-separated integers, got {raw_ladder!r}"
-                ) from None
-        else:
-            ladder = DEFAULT_LADDER + ((FULL_SCALE_RANKS,) if full_scale else ())
-        raw_mb = env.get("REPRO_DATA_PER_RANK_MB", "45")
+        """Build a scenario from the ``REPRO_*`` variables in ``env`` (default ``os.environ``)."""
+        return _from_knobs(env, {})
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One ``REPRO_*`` variable: the scenario field it sets (``None``: read
+    elsewhere), the ``run`` flag that sets the same field, parser and help."""
+
+    variable: str
+    field: str | None
+    flag: str | None
+    parse: Callable[[str], Any]
+    help: str
+
+    @property
+    def switch(self) -> bool:
+        """An on/off knob, whose flag takes no value."""
+        return self.parse is _switch
+
+    def value(self, text: str) -> Any:
+        """``text`` parsed and checked as the knob's field, ``None`` if blank.
+        The error, which quotes the text, is argparse's, so ``run`` takes
+        this as a flag type."""
+        if not text.strip():
+            return None
         try:
-            data_per_rank = float(raw_mb) * MB
-        except ValueError:
-            raise ValueError(f"REPRO_DATA_PER_RANK_MB must be a number, got {raw_mb!r}") from None
-        backend = env.get("REPRO_ENGINE") or None
-        if backend is not None and backend.lower() not in backend_names():
-            raise ValueError(f"REPRO_ENGINE must name a backend {backend_names()}, got {backend!r}")
-        return cls(
-            machine=resolve_machine(env.get("REPRO_MACHINE", "kraken")),
-            ladder=ladder,
-            data_per_rank=data_per_rank,
-            seed=env_int(env, "REPRO_SEED", default=0, minimum=0),
-            full_scale=full_scale,
-            backend=backend,
-            replications=env_int(env, "REPRO_REPLICATIONS", default=1),
-            workload=Workload.parse(env["REPRO_WORKLOAD"]) if env.get("REPRO_WORKLOAD") else None,
-            trace=env.get("REPRO_TRACE") or None,
-        )
+            value = self.parse(text)
+            if self.field is None:
+                return value
+            return getattr(ScenarioConfig(**{self.field: value}), self.field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+    def read(self, env: Mapping[str, str] | None) -> Any:
+        """The value in ``env`` (``os.environ`` if ``None``), ``None`` if unset."""
+        try:
+            return self.value((os.environ if env is None else env).get(self.variable, ""))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{self.variable}: {exc}") from None
+
+
+def _switch(text: str) -> bool:
+    return text.lower() not in ("0", "false", "no", "off", "n")
+
+
+#: Every environment variable the package reads.
+KNOBS: tuple[Knob, ...] = (
+    Knob("REPRO_MACHINE", "machine", "--machine", str, f"one of {machine_names()}; default kraken"),
+    Knob(
+        "REPRO_FULL_SCALE",
+        "full_scale",
+        "--full-scale",
+        _switch,
+        "add the 9216-rank points (as a variable: 0, false, no, off or n is off)",
+    ),
+    Knob(
+        "REPRO_LADDER",
+        "ladder",
+        None,
+        lambda text: [int(part) for part in text.split(",") if part.strip()],
+        "comma-separated e1/e4 rank ladder, rungs >= 1; replaces the full-scale one",
+    ),
+    Knob("REPRO_SEED", "seed", "--seed", int, "base seed, >= 0 (default 0)"),
+    Knob(
+        "REPRO_DATA_PER_RANK_MB",
+        "data_per_rank",
+        "--data-per-rank-mb",
+        lambda text: float(text) * MB,
+        "payload per rank in MiB, > 0 (default 45)",
+    ),
+    Knob(
+        "REPRO_ENGINE", "backend", "--backend", str, f"one of {backend_names()}; default vectorized"
+    ),
+    Knob(
+        "REPRO_REPLICATIONS",
+        "replications",
+        "--replications",
+        int,
+        "seeded replications per cell; > 1 adds mean/std/cv/p95 and bootstrap-CI columns",
+    ),
+    Knob(
+        "REPRO_WORKLOAD",
+        "workload",
+        "--workload",
+        Workload.parse,
+        "background workload of e9 (app=bg,ranks=1152,data_mb=45,arrival=burst,...)",
+    ),
+    Knob("REPRO_TRACE", "trace", "--trace", str, "directory e9 records request traces into"),
+    Knob(
+        "REPRO_PERF_STRICT",
+        None,
+        None,
+        _switch,
+        "0 makes a failed perf-ratio assertion a PerfWarning; read by repro.bench.timing",
+    ),
+)
+
+
+def _from_knobs(env: Mapping[str, str] | None, flags: Mapping[str, Any]) -> ScenarioConfig:
+    """The scenario of the knobs in ``env``, where ``flags`` (the values of
+    ``run``'s flags by field, ``None`` if not given) win over variables.
+    Full scale adds its rung to the default ladder, not to a ``REPRO_LADDER``."""
+    values: dict[str, Any] = {}
+    for knob in KNOBS:
+        if knob.field is not None:
+            value = flags.get(knob.field)
+            values[knob.field] = knob.read(env) if value is None else value
+    values = {name: value for name, value in values.items() if value is not None}
+    full_scale = (FULL_SCALE_RANKS,) if values.get("full_scale") else ()
+    values.setdefault("ladder", DEFAULT_LADDER + full_scale)
+    return ScenarioConfig(**values)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import zlib
-from collections.abc import Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -14,8 +13,6 @@ __all__ = [
     "GB",
     "FloatArray",
     "IntArray",
-    "env_flag",
-    "env_int",
     "seed_key",
     "replication_seed",
 ]
@@ -29,45 +26,6 @@ IntArray = npt.NDArray[np.int64]
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
-
-#: Spellings that turn a ``REPRO_*`` boolean flag off.
-FALSY_FLAGS = ("0", "", "false", "no", "off", "n")
-
-
-def env_flag(env: Mapping[str, str], name: str, *, default: bool = False) -> bool:
-    """Parse the boolean environment flag ``name``.
-
-    An unset variable yields ``default``; a set one is false only for the
-    :data:`FALSY_FLAGS` spellings (case-insensitive), so ``REPRO_X=off``
-    and ``REPRO_X=n`` disable exactly like ``REPRO_X=0``.
-    """
-    value = env.get(name)
-    if value is None:
-        return default
-    return value.lower() not in FALSY_FLAGS
-
-
-def env_int(
-    env: Mapping[str, str], name: str, *, default: int, minimum: int = 1
-) -> int:
-    """Parse the integer environment knob ``name``.
-
-    An unset or blank variable yields ``default``.  A set one must spell
-    an integer >= ``minimum``; anything else raises a :class:`ValueError`
-    naming the variable and the offending value, so a typo in e.g.
-    ``REPRO_SEED=two`` fails with the knob's name instead of a
-    bare ``invalid literal for int()``.
-    """
-    raw = env.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {raw!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def seed_key(name: str) -> int:

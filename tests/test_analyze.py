@@ -99,6 +99,24 @@ def test_det002_flags_wall_clock_in_library_scope_only():
     assert _lint(bad, path="tests/test_demo.py", scope="tests") == []
 
 
+def test_det006_flags_environment_reads_outside_the_knob_table():
+    bad = """
+        import os
+
+        a = os.environ.get("REPRO_X", "1")
+        b = os.getenv("REPRO_X")
+        c = dict(os.environ)
+    """
+    findings = _lint(bad)
+    assert [(f.rule, f.line) for f in findings] == [("DET006", line) for line in (4, 5, 6)]
+    # The CLI and the bench harness are tooling, and held to it too.
+    assert len(_lint(bad, path="src/repro/cli.py", scope="tooling")) == 3
+    # The knob table reads the environment; tests may set it up.
+    assert _lint(bad, path="src/repro/scenario.py") == []
+    assert _lint(bad, path="tests/test_demo.py", scope="tests") == []
+    assert _lint("import os\nroot = os.path.join('a', 'b')\n") == []
+
+
 def test_det003_flags_unordered_set_iteration():
     bad = """
         for name in {"b", "a"}:
@@ -369,6 +387,7 @@ BAD_CASES = {
     "DET002": "import time\nt = time.time()\n",
     "DET003": "for x in {1, 2}:\n    pass\n",
     "DET004": "ok = 1.0 == x\n",
+    "DET006": "import os\nvalue = os.getenv('REPRO_X')\n",
     "INV003": (
         "from dataclasses import dataclass\n"
         "@dataclass(frozen=True)\n"

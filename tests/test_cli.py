@@ -15,16 +15,9 @@ import pytest
 
 import repro.experiments
 from repro.cli import _build_parser, main
-from repro.engine import default_backend, set_default_backend
+from repro.engine import backend_names, default_backend
 from repro.experiments import EXPERIMENTS
-
-
-@pytest.fixture(autouse=True)
-def _restore_engine_backend():
-    """``run --backend`` sets the process-wide default; undo it per test."""
-    previous = default_backend()
-    yield
-    set_default_backend(previous)
+from repro.scenario import KNOBS
 
 
 def test_machines_lists_registry(capsys):
@@ -162,10 +155,43 @@ def test_run_e2_replications_env_and_flag_agree(capsys, monkeypatch):
     assert capsys.readouterr().out == by_flag
 
 
-def test_run_rejects_a_non_positive_payload_by_name():
+def test_run_rejects_a_non_positive_payload_by_name(capsys):
     # Used to surface as a ZeroDivisionError deep inside e3.
-    with pytest.raises(ValueError, match=r"data_per_rank must be finite and > 0, got 0.0"):
+    with pytest.raises(SystemExit) as exit_:
         main(["run", "e3", "--data-per-rank-mb", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --data-per-rank-mb: invalid value '0': data_per_rank must be finite" in err
+
+
+def test_run_leaves_the_callers_backend_in_place(capsys):
+    assert default_backend() == "vectorized"
+    assert main(["run", "e7", "--backend", "reference"]) == 0
+    assert "insitu_scaling" in capsys.readouterr().out
+    assert default_backend() == "vectorized"
+
+
+@pytest.mark.parametrize(
+    ("flag", "text"),
+    [
+        ("--seed", "-1"),
+        ("--seed", "abc"),
+        ("--replications", "0"),
+        ("--data-per-rank-mb", "-5"),
+        ("--data-per-rank-mb", "abc"),
+        ("--machine", "summit"),
+        ("--backend", "gpu"),
+        ("--workload", "app=bg,ranks=0"),
+    ],
+)
+def test_run_rejects_a_bad_flag_value_as_a_usage_error(flag, text):
+    # One at a time in a fresh process: no traceback, the flag and its
+    # text on stderr, argparse's usage-error status.
+    done = _fresh_python("-m", "repro", "run", "e9", flag, text, check=False)
+    assert done.returncode == 2
+    assert f"argument {flag}: invalid value {text!r}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_startup_loads_no_process_pool_machinery():
@@ -186,7 +212,7 @@ def test_startup_loads_no_process_pool_machinery():
     assert done.stdout.strip() == "[]"
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess[str]:
+def _fresh_python(*args: str, check: bool = True) -> subprocess.CompletedProcess[str]:
     """``python *args`` in a fresh interpreter that imports this checkout."""
     import repro
 
@@ -194,7 +220,7 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess[str]:
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
 
 
@@ -275,6 +301,27 @@ def test_run_choices_are_the_experiment_table_ids():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     experiment = next(a for a in sub.choices["run"]._actions if a.dest == "experiment")
     assert list(experiment.choices) == sorted(EXPERIMENTS)
+
+
+def test_run_help_lists_each_flag_with_its_knob_help():
+    parser = _build_parser("run")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    text = " ".join(sub.choices["run"].format_help().split())
+    flags = [knob for knob in KNOBS if knob.flag is not None]
+    assert [knob.flag for knob in flags] == [
+        "--machine",
+        "--full-scale",
+        "--seed",
+        "--data-per-rank-mb",
+        "--backend",
+        "--replications",
+        "--workload",
+        "--trace",
+    ]
+    for knob in flags:
+        assert knob.flag in text
+        assert f"{knob.help} [{knob.variable}]" in text, knob.flag
+    assert str(backend_names()) in text
 
 
 def test_table_names_exported_runners_and_checks_only():

@@ -6,6 +6,7 @@ from repro.experiments import (
     run_variability,
     run_weak_scaling,
 )
+from repro.experiments._driver import DEFAULT_INTERFERENCE
 from repro.util import MB
 
 _KW = {"ranks": 192, "iterations": 3, "data_per_rank": 45 * MB}
@@ -16,15 +17,15 @@ def _rows(table):
 
 
 def test_variability_same_seed_same_table():
-    a = run_variability(**_KW, with_interference=True, seed=7)
-    b = run_variability(**_KW, with_interference=True, seed=7)
+    a = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, seed=7)
+    b = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, seed=7)
     assert _rows(a) == _rows(b)
     assert a.to_text() == b.to_text()
 
 
 def test_variability_different_seed_differs():
-    a = run_variability(**_KW, with_interference=True, seed=7)
-    b = run_variability(**_KW, with_interference=True, seed=8)
+    a = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, seed=7)
+    b = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, seed=8)
     assert _rows(a) != _rows(b)
 
 
@@ -35,8 +36,8 @@ def test_weak_scaling_is_deterministic():
 
 
 def test_throughput_is_deterministic_under_interference():
-    a = run_throughput(ranks=192, with_interference=True, seed=5)
-    b = run_throughput(ranks=192, with_interference=True, seed=5)
+    a = run_throughput(ranks=192, interference=DEFAULT_INTERFERENCE, seed=5)
+    b = run_throughput(ranks=192, interference=DEFAULT_INTERFERENCE, seed=5)
     assert _rows(a) == _rows(b)
 
 

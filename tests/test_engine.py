@@ -9,11 +9,7 @@ orderings bit-for-bit across the refactor (golden seed 0).
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,33 +64,6 @@ def test_use_backend_restores_default():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         solve(KRAKEN, RequestBatch(0.0, 0, MB), large_writes=True, backend="gpu")
-
-
-def test_unknown_default_backend_names_repro_engine():
-    # An unknown default can only come from REPRO_ENGINE: importing and
-    # pinning a backend must not fail, and the first solve that uses the
-    # default names the variable.
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parents[1])
-    probe = (
-        "from repro.engine import KRAKEN, RequestBatch, solve, use_backend\n"
-        "batch = RequestBatch(0.0, 0, 1.0)\n"
-        "with use_backend('reference'):\n"
-        "    solve(KRAKEN, batch, large_writes=True)\n"
-        "try:\n"
-        "    solve(KRAKEN, batch, large_writes=True)\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-    )
-    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "REPRO_ENGINE": "Bogus"}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == (
-        f"REPRO_ENGINE must name a backend {backend_names()}, got 'Bogus'"
-    )
 
 
 def test_every_layer_above_solve_follows_the_default_backend(monkeypatch):

@@ -29,7 +29,7 @@ def test_machines_have_distinct_shapes():
 def test_register_machine_rejects_duplicates():
     with pytest.raises(ValueError):
         register_machine(KRAKEN.with_overrides())
-    # Same name via a modified copy is also rejected without replace_existing.
+    # Same name via a modified copy is also rejected.
     with pytest.raises(ValueError):
         register_machine(KRAKEN.with_overrides(ost_count=1))
 
@@ -47,8 +47,6 @@ def test_register_custom_machine_resolves_by_name():
     try:
         register_machine(toy)
         assert resolve_machine("toy-cluster") is toy
-        register_machine(toy.with_overrides(ost_count=16), replace_existing=True)
-        assert resolve_machine("toy-cluster").ost_count == 16
     finally:
         from repro.engine.machines import _MACHINES
 

@@ -55,7 +55,7 @@ def _use_serial_driver(monkeypatch):
 def test_variability_single_replication_is_the_historical_table():
     # Pinned from the single-run table: replication 0 must keep drawing
     # from the historical (unreplicated) stream.
-    table = run_variability(**_KW, with_interference=True, replications=1)
+    table = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=1)
     historical = {
         "file-per-process": 17.239541238828593,
         "collective": 55.845499231821904,
@@ -67,7 +67,9 @@ def test_variability_single_replication_is_the_historical_table():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 35])
-@pytest.mark.parametrize("with_interference", [False, True], ids=["quiet", "interference"])
+@pytest.mark.parametrize(
+    "interference", [None, DEFAULT_INTERFERENCE], ids=["quiet", "interference"]
+)
 @pytest.mark.parametrize(
     ("runner", "scale"),
     [
@@ -78,7 +80,7 @@ def test_variability_single_replication_is_the_historical_table():
     ids=["e1", "e2", "e3"],
 )
 def test_single_run_stack_equals_serial_ground_truth(
-    runner, scale, with_interference, seed, monkeypatch
+    runner, scale, interference, seed, monkeypatch
 ):
     # A single run is replication 0 of a one-deep stack; the serial loop
     # (run_replications(batched=False)) stays its ground truth.
@@ -87,7 +89,7 @@ def test_single_run_stack_equals_serial_ground_truth(
         iterations=2,
         data_per_rank=45 * MB,
         seed=seed,
-        with_interference=with_interference,
+        interference=interference,
         approaches=(*_PAPER_APPROACHES, "dedicated-nodes"),
     )
     stacked = _rows(runner(**kwargs))
@@ -96,7 +98,7 @@ def test_single_run_stack_equals_serial_ground_truth(
 
 
 def test_variability_replicated_emits_ci_columns():
-    table = run_variability(**_KW, with_interference=True, replications=3)
+    table = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=3)
     assert set(table.column("replications")) == {3}
     row = table.where(approach="damaris")[0]
     for suffix in _CI_SUFFIXES:
@@ -106,24 +108,24 @@ def test_variability_replicated_emits_ci_columns():
 
 
 def test_variability_replicated_is_deterministic_and_seed_sensitive():
-    a = run_variability(**_KW, with_interference=True, replications=3)
-    b = run_variability(**_KW, with_interference=True, replications=3)
+    a = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=3)
+    b = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=3)
     assert _rows(a) == _rows(b)
     c = run_variability(
         ranks=192,
         iterations=3,
         data_per_rank=45 * MB,
         seed=8,
-        with_interference=True,
+        interference=DEFAULT_INTERFERENCE,
         replications=3,
     )
     assert _rows(a) != _rows(c)
 
 
 def test_variability_batched_equals_serial_table(monkeypatch):
-    a = run_variability(**_KW, with_interference=True, replications=3)
+    a = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=3)
     _use_serial_driver(monkeypatch)
-    b = run_variability(**_KW, with_interference=True, replications=3)
+    b = run_variability(**_KW, interference=DEFAULT_INTERFERENCE, replications=3)
     assert _rows(a) == _rows(b)
 
 
@@ -133,7 +135,7 @@ def test_variability_statistics_check_passes_at_30_replications():
         iterations=3,
         data_per_rank=45 * MB,
         seed=0,
-        with_interference=True,
+        interference=DEFAULT_INTERFERENCE,
         replications=30,
     )
     check_variability_statistics(table, min_replications=30)
@@ -172,7 +174,7 @@ def test_weak_scaling_single_replication_unchanged():
 def test_weak_scaling_replicated_cells_independent_of_partitioning():
     # Each cell reduces to its rows as it returns; no cell's rows (nor their
     # CIs) may depend on which other scales run alongside it.
-    kwargs = dict(iterations=2, seed=0, with_interference=True, replications=2)
+    kwargs = dict(iterations=2, seed=0, interference=DEFAULT_INTERFERENCE, replications=2)
     both = _rows(run_weak_scaling(scales=[144, 288], **kwargs))
     assert {(row["ranks"], row["approach"]) for row in both} == {
         (ranks, name) for ranks in (144, 288) for name in _PAPER_APPROACHES
@@ -249,18 +251,19 @@ def test_spare_time_stack_equals_serial_loop(replications):
     assert _rows(got) == _rows(_serial_spare_time(machine, [144, 576], **kwargs))
 
 
-def _serial_scheduling(machine, ranks, *, seed, replications, with_interference, iterations=2):
+def _serial_scheduling(machine, ranks, *, seed, replications, interference, iterations=2):
     """E6 as the per-wave loop: one solve per unscheduled batch and per wave."""
     wave_size = machine.ost_count
     nodes = machine.nodes_for(ranks)
     node_bytes = DedicatedCores().node_bytes(machine, ranks, 45 * MB)
-    interference = DEFAULT_INTERFERENCE if with_interference else None
     rows = []
     for index in range(replications):
         rng = np.random.default_rng([replication_seed(seed, index), ranks, wave_size])
         per_iteration = []
         for _ in range(iterations):
-            background = interference.sample_background(machine, rng) if interference else None
+            background = (
+                None if interference is None else interference.sample_background(machine, rng)
+            )
             per_iteration.append((background, rng.permutation(nodes) % machine.ost_count))
         for policy in ("unscheduled", "scheduled"):
             walls = []
@@ -294,11 +297,12 @@ def _serial_scheduling(machine, ranks, *, seed, replications, with_interference,
     )
 
 
-@pytest.mark.parametrize("with_interference", [False, True])
+@pytest.mark.parametrize("interfered", [False, True])
 @pytest.mark.parametrize("replications", [1, 3])
-def test_scheduling_stack_equals_serial_loop(replications, with_interference):
+def test_scheduling_stack_equals_serial_loop(replications, interfered):
     machine = KRAKEN.with_overrides(ost_count=96)
-    kwargs = dict(seed=3, replications=replications, with_interference=with_interference)
+    interference = DEFAULT_INTERFERENCE if interfered else None
+    kwargs = dict(seed=3, replications=replications, interference=interference)
     got = run_scheduling(2304, machine=machine, **kwargs)
     assert _rows(got) == _rows(_serial_scheduling(machine, 2304, **kwargs))
 

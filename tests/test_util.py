@@ -1,8 +1,6 @@
-"""Unit tests for the byte constants and env parsing helpers."""
+"""Unit tests for the byte constants."""
 
-import pytest
-
-from repro.util import GB, KB, MB, env_int
+from repro.util import GB, KB, MB
 
 
 def test_byte_constants():
@@ -10,17 +8,3 @@ def test_byte_constants():
     assert MB == 1024 * KB
     assert GB == 1024 * MB
 
-
-def test_env_int_defaults_and_values():
-    assert env_int({}, "REPRO_X", default=3) == 3
-    assert env_int({"REPRO_X": ""}, "REPRO_X", default=3) == 3
-    assert env_int({"REPRO_X": "  "}, "REPRO_X", default=3) == 3
-    assert env_int({"REPRO_X": "7"}, "REPRO_X", default=3) == 7
-    assert env_int({"REPRO_X": "0"}, "REPRO_X", default=3, minimum=0) == 0
-
-
-def test_env_int_errors_name_the_variable_and_value():
-    with pytest.raises(ValueError, match=r"REPRO_X must be an integer >= 1, got 'two'"):
-        env_int({"REPRO_X": "two"}, "REPRO_X", default=1)
-    with pytest.raises(ValueError, match=r"REPRO_X must be >= 1, got 0"):
-        env_int({"REPRO_X": "0"}, "REPRO_X", default=1)
