@@ -17,7 +17,7 @@ post-processes and writes it asynchronously.  The layers, bottom up:
 * :mod:`repro.experiments` — one runner per experiment (the paper's
   E1-E8 plus the cross-application interference sweep E9), each a plain
   in-process loop over its cells.
-* :mod:`repro.bench` — the benchmark registry, warmup + best-of-N
+* :mod:`repro.bench` — the declared benchmark suite, warmup + best-of-N
   timing harness, and versioned ``BENCH_<sha>.json`` results that track
   the solvers' wall-clock trajectory (``python -m repro bench``).
 

@@ -8,9 +8,10 @@ order-unstable iteration into the deterministic core.  The tests
 enforce this *dynamically*, on the paths they happen to exercise; this
 package enforces it *statically*, on every path, before any test runs:
 
-* :mod:`repro.analyze.rules` — the rule registry (DET001-DET006 for
-  determinism, INV001-INV004 for structural invariants), mirroring the
-  bench/approach registry idiom.
+* :mod:`repro.analyze.rules` — ``RULES``, the one declared rule catalog
+  (DET001-DET006 for determinism, INV001-INV004 for structural
+  invariants, GEN001 for unparseable files); each rule's scopes decide
+  whether it runs per file or once per project.
 * :mod:`repro.analyze.checks` — the per-file AST checks and the
   ``# repro: allow[rule-id]`` suppression comments.
 * :mod:`repro.analyze.project` — whole-project invariants checked
@@ -21,8 +22,8 @@ package enforces it *statically*, on every path, before any test runs:
 * :mod:`repro.analyze.cli` — ``python -m repro analyze``.
 """
 
-from .checks import FILE_RULE_IDS, check_source, suppressed_lines
-from .project import PROJECT_RULE_IDS, check_project
+from .checks import check_source, suppressed_lines
+from .project import check_project
 from .report import (
     SCHEMA_VERSION,
     AnalysisReport,
@@ -33,13 +34,12 @@ from .report import (
     validate_document,
     write_document,
 )
-from .rules import SCOPES, Finding, Rule, register_rule, resolve_rule, rule_ids, rules
+from .rules import RULES, SCOPES, Finding, Rule, resolve_rule
 
 __all__ = [
     "AnalysisReport",
-    "FILE_RULE_IDS",
     "Finding",
-    "PROJECT_RULE_IDS",
+    "RULES",
     "Rule",
     "SCHEMA_VERSION",
     "SCOPES",
@@ -48,11 +48,8 @@ __all__ = [
     "check_source",
     "file_scope",
     "load_document",
-    "register_rule",
     "resolve_rule",
     "results_document",
-    "rule_ids",
-    "rules",
     "suppressed_lines",
     "validate_document",
     "write_document",

@@ -19,13 +19,9 @@ from __future__ import annotations
 import ast
 import re
 
-from .rules import Finding, resolve_rule
+from .rules import RULES, Finding, resolve_rule
 
-__all__ = ["check_source", "suppressed_lines", "FILE_RULE_IDS"]
-
-#: The rule ids implemented here (file-scoped; project rules live in
-#: :mod:`repro.analyze.project`).
-FILE_RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "INV003", "INV004")
+__all__ = ["check_source", "suppressed_lines"]
 
 #: Files blessed to construct random generators: the seeding helpers
 #: themselves.  Matched against the analyzer-relative posix path.
@@ -365,9 +361,9 @@ def check_source(
     path: str,
     scope: str,
     *,
-    rule_ids: tuple[str, ...] = FILE_RULE_IDS,
+    rule_ids: tuple[str, ...] = tuple(RULES),
 ) -> list[Finding]:
-    """Run the file-scoped rules over one module's source.
+    """Run the rules of ``rule_ids`` that apply to ``scope`` over one module's source.
 
     ``path`` is the analyzer-relative posix path used both in findings and
     for the DET001 blessed-file exemption; ``scope`` is the file's scope

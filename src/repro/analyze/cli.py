@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .report import analyze_tree, results_document, write_document
-from .rules import resolve_rule, rule_ids, rules
+from .rules import RULES, resolve_rule
 
 __all__ = ["add_analyze_parser", "run_analyze"]
 
@@ -72,7 +72,7 @@ def add_analyze_parser(sub: "argparse._SubParsersAction[Any]") -> argparse.Argum
 
 def run_analyze(args: argparse.Namespace) -> int:
     if args.list_rules:
-        for rule in rules():
+        for rule in RULES.values():
             print(f"{rule.id} [{', '.join(rule.scopes)}]: {rule.title}")
         return 0
 
@@ -88,7 +88,7 @@ def run_analyze(args: argparse.Namespace) -> int:
             print(str(error), file=sys.stderr)
             return 2
         if not selected:
-            known = ", ".join(rule_ids())
+            known = ", ".join(RULES)
             print(f"--rules selected nothing; known rules: {known}", file=sys.stderr)
             return 2
 

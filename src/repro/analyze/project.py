@@ -2,10 +2,11 @@
 
 Unlike :mod:`repro.analyze.checks`, these rules cannot be decided one
 file at a time: they interrogate the *live* registries — approaches,
-arrival processes, benchmarks, engine backends — exactly as the CLI
-listings do, so "registered" and "listed" cannot drift apart.  Findings
-anchor at the defining class (INV001) or the backend registry (INV002)
-and honor the same ``# repro: allow[...]`` suppression comments.
+arrival processes, engine backends — and the benchmark suite exactly as
+the CLI listings do, so "registered" and "listed" cannot drift apart.
+Findings anchor at the defining class or the suite module (INV001) or
+the backend registry (INV002) and honor the same
+``# repro: allow[...]`` suppression comments.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from pathlib import Path
 from typing import Any
 
 from .checks import suppressed_lines
-from .rules import Finding
+from .rules import RULES, Finding
 
-__all__ = ["PROJECT_RULE_IDS", "check_project"]
-
-#: The rule ids implemented here.
-PROJECT_RULE_IDS = ("INV001", "INV002")
+__all__ = ["check_project"]
 
 
 def _anchor(obj: Any, root: Path) -> tuple[str, int]:
@@ -82,15 +80,15 @@ def _check_docstrings(root: Path) -> list[Finding]:
             )
     for benchmark in select_benchmarks():
         if not benchmark.description.strip():
-            path, line = _anchor(benchmark.make, root)
+            # A ``partial`` maker has no source line; the suite module does.
             findings.append(
                 Finding(
                     rule="INV001",
-                    path=path,
-                    line=line,
+                    path="src/repro/bench/suite.py",
+                    line=1,
                     col=1,
-                    message=f"benchmark {benchmark.name!r} has no description "
-                    "(maker docstring empty); the bench listing prints it",
+                    message=f"benchmark {benchmark.name!r} has no description; "
+                    "the bench listing prints it",
                 )
             )
     return findings
@@ -144,10 +142,8 @@ def _apply_suppressions(findings: list[Finding], root: Path) -> list[Finding]:
     return kept
 
 
-def check_project(
-    root: Path, *, rule_ids: tuple[str, ...] = PROJECT_RULE_IDS
-) -> list[Finding]:
-    """Run the project-level invariants; findings honor suppressions."""
+def check_project(root: Path, *, rule_ids: tuple[str, ...] = tuple(RULES)) -> list[Finding]:
+    """Run the project-level invariants among ``rule_ids``; findings honor suppressions."""
     findings: list[Finding] = []
     if "INV001" in rule_ids:
         findings.extend(_check_docstrings(root))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
 
-from .checks import FILE_RULE_IDS, check_source
-from .project import PROJECT_RULE_IDS, check_project
-from .rules import Finding, rule_ids, rules
+from .checks import check_source
+from .project import check_project
+from .rules import RULES, Finding, resolve_rule
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -106,9 +106,9 @@ def analyze_tree(
     package).  Findings come back sorted by (path, line, rule).
     """
     root = Path(root)
-    active = rule_ids() if selected_rules is None else selected_rules
-    file_rules = tuple(r for r in FILE_RULE_IDS + ("GEN001",) if r in active)
-    project_rules = tuple(r for r in PROJECT_RULE_IDS if r in active)
+    active = tuple(RULES) if selected_rules is None else selected_rules
+    project_rules = tuple(r for r in active if resolve_rule(r).applies_to("project"))
+    file_rules = tuple(r for r in active if r not in project_rules)
 
     findings: list[Finding] = []
     files = _scan_files(root)
@@ -144,7 +144,7 @@ def results_document(report: AnalysisReport) -> dict[str, Any]:
                 "rationale": rule.rationale,
                 "scopes": list(rule.scopes),
             }
-            for rule in rules()
+            for rule in RULES.values()
         ],
         "findings": [
             {

@@ -1,14 +1,14 @@
-"""The analyzer's rule registry: determinism and invariant rules by id.
+"""The analyzer's rule catalog: determinism and invariant rules by id.
 
-The registry mirrors the package's other name-keyed registries (machines,
-approaches, arrival processes, benchmarks): frozen descriptors in a dict,
-``register_rule`` to add one, ``resolve_rule``/``rule_ids`` to look them
-up.  A rule's *implementation* lives in :mod:`repro.analyze.checks` (AST,
-per file) or :mod:`repro.analyze.project` (whole-project invariants); the
-descriptor here is what the CLI lists and what ``ANALYZE.json`` embeds so
-a findings document is self-describing.
+:data:`RULES` is one declared ``{id: Rule}`` catalog of frozen
+descriptors, and :func:`resolve_rule` looks one up with a did-you-mean
+error.  A rule's *implementation* lives in :mod:`repro.analyze.checks`
+(AST, per file) or :mod:`repro.analyze.project` (whole-project
+invariants); the descriptor here is what the CLI lists and what
+``ANALYZE.json`` embeds so a findings document is self-describing.
 
-Rules apply per file *scope*:
+Rules apply per file *scope*; a rule whose scopes name ``project`` runs
+once over the tree, every other rule once per file of its scopes:
 
 * ``library`` — ``src/repro`` minus the tooling below; the deterministic
   core where every guarantee must hold.
@@ -24,15 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "SCOPES",
-    "register_rule",
-    "resolve_rule",
-    "rule_ids",
-    "rules",
-]
+__all__ = ["Finding", "RULES", "Rule", "SCOPES", "resolve_rule"]
 
 #: The file scopes a rule may apply to.
 SCOPES = ("library", "tooling", "tests", "project")
@@ -76,183 +68,136 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-_RULES: dict[str, Rule] = {}
-
-
-def register_rule(rule: Rule) -> Rule:
-    """Register a rule under its id; duplicate ids are an error."""
-    if rule.id in _RULES:
-        raise ValueError(f"duplicate rule id {rule.id!r}")
-    _RULES[rule.id] = rule
-    return rule
+#: The rule catalog, by id in sorted order (the order ``--list-rules`` prints).
+RULES: dict[str, Rule] = {
+    rule.id: rule
+    for rule in (
+        Rule(
+            id="DET001",
+            title="unseeded random source",
+            rationale=(
+                "Every random stream must derive from an explicit seed (the crc32 "
+                "name-hash scheme) or results stop being bit-identical across runs "
+                "and execution orders.  Zero-argument default_rng(), the "
+                "legacy RandomState, global np.random state and the stdlib random "
+                "module all draw from process-global or OS entropy."
+            ),
+            scopes=("library", "tooling", "tests"),
+        ),
+        Rule(
+            id="DET002",
+            title="wall-clock call in deterministic code",
+            rationale=(
+                "Engine, experiment, workload and stats code must be a pure "
+                "function of (inputs, seed); time.time()/perf_counter()/"
+                "datetime.now() smuggle the host's clock into results.  Only "
+                "repro.bench.timing may time, and only to measure wall cost."
+            ),
+            scopes=("library",),
+        ),
+        Rule(
+            id="DET003",
+            title="iteration over an unordered set",
+            rationale=(
+                "Set iteration order varies with insertion history and hash "
+                "randomisation; iterating a set into any output (rows, batches, "
+                "seeds) makes runs irreproducible.  Wrap the set in sorted()."
+            ),
+            scopes=("library", "tooling", "tests"),
+        ),
+        Rule(
+            id="DET004",
+            title="float equality comparison",
+            rationale=(
+                "== / != against a float literal is either vacuously exact (and "
+                "breaks on any re-ordering of float ops) or silently wrong; use "
+                "np.isclose / math.isclose or an explicit tolerance."
+            ),
+            scopes=("library", "tooling", "tests"),
+        ),
+        Rule(
+            id="DET005",
+            title="numpy transcendental ufunc in deterministic code",
+            rationale=(
+                "numpy picks the float64 loop of exp, log, power, sin, ... by CPU "
+                "feature, and the loops round differently (np.log2(3242) on "
+                "AVX-512), so results would depend on the host.  Use math on "
+                "scalars or a Generator sampler (rng.lognormal), or allow the line "
+                "with the reason its bits cannot differ."
+            ),
+            scopes=("library",),
+        ),
+        Rule(
+            id="DET006",
+            title="environment read outside repro.scenario",
+            rationale=(
+                "A run must be a function of its arguments and of the REPRO_* knobs "
+                "that repro.scenario.KNOBS declares, parses and documents; an "
+                "os.environ or os.getenv read anywhere else is a knob the table, "
+                "the run flags and the README do not know."
+            ),
+            scopes=("library", "tooling"),
+        ),
+        Rule(
+            id="GEN001",
+            title="file does not parse",
+            rationale=(
+                "A syntax error means none of the determinism rules could be "
+                "checked for the file; the analyzer reports it rather than "
+                "silently skipping the file."
+            ),
+            scopes=("library", "tooling", "tests"),
+        ),
+        Rule(
+            id="INV001",
+            title="registered component lacks a docstring",
+            rationale=(
+                "The CLI listings print each registered approach / arrival "
+                "process / benchmark with the first line of its docstring; an "
+                "empty docstring ships an empty listing entry and an "
+                "undocumented knob."
+            ),
+            scopes=("project",),
+        ),
+        Rule(
+            id="INV002",
+            title="engine backend lacks reference cross-validation",
+            rationale=(
+                "Every registered solver backend must be exercised against the "
+                "reference event-driven solver by at least one test, or backend "
+                "drift breaks the bit-identical-results contract unnoticed."
+            ),
+            scopes=("project",),
+        ),
+        Rule(
+            id="INV003",
+            title="frozen dataclass field assigned outside __post_init__",
+            rationale=(
+                "Frozen specs (Machine, Workload, ScenarioConfig, ...) are the "
+                "package's immutability contract; object.__setattr__ or self.x = "
+                "outside __post_init__ mutates what callers assume is hashable "
+                "and shareable across processes.  Use dataclasses.replace."
+            ),
+            scopes=("library", "tooling", "tests"),
+        ),
+        Rule(
+            id="INV004",
+            title="print in library code",
+            rationale=(
+                "Library modules must stay silent so sweeps compose into clean "
+                "pipelines; stdout belongs to the CLI and bench harness.  Return "
+                "tables or raise, never print."
+            ),
+            scopes=("library",),
+        ),
+    )
+}
 
 
 def resolve_rule(rule_id: str) -> Rule:
     """Look a rule up by id, with the usual did-you-mean error."""
     try:
-        return _RULES[rule_id]
+        return RULES[rule_id]
     except KeyError:
-        known = ", ".join(sorted(_RULES))
+        known = ", ".join(RULES)
         raise ValueError(f"unknown rule {rule_id!r}; known rules: {known}") from None
-
-
-def rule_ids() -> tuple[str, ...]:
-    """All registered rule ids, sorted."""
-    return tuple(sorted(_RULES))
-
-
-def rules() -> tuple[Rule, ...]:
-    """All registered rules, sorted by id."""
-    return tuple(_RULES[rule_id] for rule_id in rule_ids())
-
-
-register_rule(
-    Rule(
-        id="DET001",
-        title="unseeded random source",
-        rationale=(
-            "Every random stream must derive from an explicit seed (the crc32 "
-            "name-hash scheme) or results stop being bit-identical across runs "
-            "and execution orders.  Zero-argument default_rng(), the "
-            "legacy RandomState, global np.random state and the stdlib random "
-            "module all draw from process-global or OS entropy."
-        ),
-        scopes=("library", "tooling", "tests"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="DET002",
-        title="wall-clock call in deterministic code",
-        rationale=(
-            "Engine, experiment, workload and stats code must be a pure "
-            "function of (inputs, seed); time.time()/perf_counter()/"
-            "datetime.now() smuggle the host's clock into results.  Only "
-            "repro.bench.timing may time, and only to measure wall cost."
-        ),
-        scopes=("library",),
-    )
-)
-
-register_rule(
-    Rule(
-        id="DET003",
-        title="iteration over an unordered set",
-        rationale=(
-            "Set iteration order varies with insertion history and hash "
-            "randomisation; iterating a set into any output (rows, batches, "
-            "seeds) makes runs irreproducible.  Wrap the set in sorted()."
-        ),
-        scopes=("library", "tooling", "tests"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="DET004",
-        title="float equality comparison",
-        rationale=(
-            "== / != against a float literal is either vacuously exact (and "
-            "breaks on any re-ordering of float ops) or silently wrong; use "
-            "np.isclose / math.isclose or an explicit tolerance."
-        ),
-        scopes=("library", "tooling", "tests"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="DET005",
-        title="numpy transcendental ufunc in deterministic code",
-        rationale=(
-            "numpy picks the float64 loop of exp, log, power, sin, ... by CPU "
-            "feature, and the loops round differently (np.log2(3242) on "
-            "AVX-512), so results would depend on the host.  Use math on "
-            "scalars or a Generator sampler (rng.lognormal), or allow the line "
-            "with the reason its bits cannot differ."
-        ),
-        scopes=("library",),
-    )
-)
-
-register_rule(
-    Rule(
-        id="DET006",
-        title="environment read outside repro.scenario",
-        rationale=(
-            "A run must be a function of its arguments and of the REPRO_* knobs "
-            "that repro.scenario.KNOBS declares, parses and documents; an "
-            "os.environ or os.getenv read anywhere else is a knob the table, "
-            "the run flags and the README do not know."
-        ),
-        scopes=("library", "tooling"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="GEN001",
-        title="file does not parse",
-        rationale=(
-            "A syntax error means none of the determinism rules could be "
-            "checked for the file; the analyzer reports it rather than "
-            "silently skipping the file."
-        ),
-        scopes=("library", "tooling", "tests"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="INV001",
-        title="registered component lacks a docstring",
-        rationale=(
-            "The CLI listings print each registered approach / arrival "
-            "process / benchmark with the first line of its docstring; an "
-            "empty docstring ships an empty listing entry and an "
-            "undocumented knob."
-        ),
-        scopes=("project",),
-    )
-)
-
-register_rule(
-    Rule(
-        id="INV002",
-        title="engine backend lacks reference cross-validation",
-        rationale=(
-            "Every registered solver backend must be exercised against the "
-            "reference event-driven solver by at least one test, or backend "
-            "drift breaks the bit-identical-results contract unnoticed."
-        ),
-        scopes=("project",),
-    )
-)
-
-register_rule(
-    Rule(
-        id="INV003",
-        title="frozen dataclass field assigned outside __post_init__",
-        rationale=(
-            "Frozen specs (Machine, Workload, ScenarioConfig, ...) are the "
-            "package's immutability contract; object.__setattr__ or self.x = "
-            "outside __post_init__ mutates what callers assume is hashable "
-            "and shareable across processes.  Use dataclasses.replace."
-        ),
-        scopes=("library", "tooling", "tests"),
-    )
-)
-
-register_rule(
-    Rule(
-        id="INV004",
-        title="print in library code",
-        rationale=(
-            "Library modules must stay silent so sweeps compose into clean "
-            "pipelines; stdout belongs to the CLI and bench harness.  Return "
-            "tables or raise, never print."
-        ),
-        scopes=("library",),
-    )
-)

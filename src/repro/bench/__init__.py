@@ -1,4 +1,4 @@
-"""Benchmarking: a registry, a timing harness, and versioned JSON results.
+"""Benchmarking: a declared suite, a timing harness, and versioned JSON results.
 
 The ROADMAP's north star — "as fast as the hardware allows" — is only a
 claim until wall-clock performance is a *tracked output* of the repo.
@@ -8,13 +8,13 @@ This package makes it one:
   (:func:`measure`, :class:`Timing`) and the perf-ratio assertion helper
   (:func:`assert_speedup`) with its ``REPRO_PERF_STRICT=0`` escape hatch
   for noisy shared runners.
-* :mod:`~repro.bench.registry` — named, parameterized benchmark recipes
-  (setup separated from the timed run), selected by substring filter.
-* :mod:`~repro.bench.suite` — the registered suite: engine
-  micro-benchmarks (twin solvers, stacked ``solve_many`` vs the serial
-  loop, ``merge_batches``, arrival generation, the replication driver)
-  and full-scale experiment macro-benchmarks (E1–E4, E9, replicated E2).
-  The registry imports it on first use, so code that only times
+* :mod:`~repro.bench.registry` — the :class:`Benchmark` recipe (setup
+  separated from the timed run), looked up by name or substring filter.
+* :mod:`~repro.bench.suite` — ``SUITE``, one tuple of 14 benchmarks:
+  engine micro-benchmarks (twin solvers, stacked ``solve_many`` vs the
+  serial loop, the replication driver, burst arrival generation) and
+  full-scale macro-benchmarks (E1–E4, E9, replicated E2, the solve
+  service).  The lookups import it on first use, so code that only times
   (E5's ``time_once``) does not load the experiments and the service.
 * :mod:`~repro.bench.results` — the versioned ``BENCH_<sha>.json``
   document (machine fingerprint, git sha, per-round timings, derived
@@ -25,13 +25,7 @@ This package makes it one:
   committed ``benchmarks/baseline.json``.
 """
 
-from .registry import (
-    Benchmark,
-    benchmark_names,
-    register_benchmark,
-    resolve_benchmark,
-    select_benchmarks,
-)
+from .registry import Benchmark, resolve_benchmark, select_benchmarks
 from .results import (
     SCHEMA_VERSION,
     Comparison,
@@ -49,8 +43,6 @@ from .timing import PerfWarning, Timing, assert_speedup, measure, perf_strict, t
 
 __all__ = [
     "Benchmark",
-    "register_benchmark",
-    "benchmark_names",
     "resolve_benchmark",
     "select_benchmarks",
     "Timing",

@@ -1,6 +1,6 @@
 """The ``python -m repro bench`` subcommand.
 
-Runs the registered suite through the shared timing harness, renders a
+Runs the declared suite through the shared timing harness, renders a
 :class:`~repro.table.Table` of the measurements, optionally writes the
 versioned JSON document (``--json``, defaulting to ``BENCH_<sha>.json``
 when no path is given), and optionally gates against a baseline
@@ -11,12 +11,13 @@ regression — the contract the CI ``bench-perf`` job enforces.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Mapping, Sequence
 from typing import Any, cast
 
 from ..table import Table
-from .registry import KINDS, select_benchmarks
+from .registry import select_benchmarks
 from .results import (
     compare_documents,
     default_results_path,
@@ -38,19 +39,19 @@ def add_bench_parser(sub: "argparse._SubParsersAction[Any]") -> argparse.Argumen
         "bench",
         help="run the benchmark suite; write JSON results; gate against a baseline",
         description=(
-            "Run the registered micro/macro benchmark suite through the shared "
+            "Run the micro/macro benchmark suite through the shared "
             "timing harness (warmup + best-of-N)."
         ),
     )
-    bench.add_argument("--list", action="store_true", help="list registered benchmarks and exit")
+    bench.add_argument("--list", action="store_true", help="list the benchmarks and exit")
     bench.add_argument(
         "--filter",
         action="append",
         default=None,
         metavar="SUBSTR",
-        help="only benchmarks whose dotted name contains SUBSTR (repeatable)",
+        help="only benchmarks whose dotted name contains SUBSTR (repeatable; "
+        "micro. or macro. selects a kind)",
     )
-    bench.add_argument("--kind", choices=KINDS, default=None, help="only micro or macro")
     bench.add_argument(
         "--repeats", type=int, default=5, metavar="N", help="timed rounds per benchmark"
     )
@@ -99,10 +100,10 @@ def _measurement_table(records: "Sequence[Mapping[str, Any]]") -> Table:
 
 
 def run_bench(args: argparse.Namespace) -> int:
-    benchmarks = select_benchmarks(args.filter, kind=args.kind)
+    benchmarks = select_benchmarks(args.filter)
 
     if not benchmarks:
-        print("no benchmarks match the given --filter/--kind", file=sys.stderr)
+        print("no benchmarks match the given --filter", file=sys.stderr)
         return 2
 
     if args.list:
@@ -111,6 +112,12 @@ def run_bench(args: argparse.Namespace) -> int:
         return 0
     if args.repeats < 1 or args.warmup < 0:
         print("--repeats must be >= 1 and --warmup >= 0", file=sys.stderr)
+        return 2
+    if not 0 <= args.max_regression < math.inf:
+        print(
+            f"--max-regression must be a finite number >= 0, got {args.max_regression:g}",
+            file=sys.stderr,
+        )
         return 2
     if args.baseline is not None:
         # Read the baseline before spending time measuring, and turn a
@@ -123,7 +130,7 @@ def run_bench(args: argparse.Namespace) -> int:
 
     records: list[dict[str, object]] = []
     for bench in benchmarks:
-        run, work = bench.prepare()
+        run, work = bench.make()
         timing = measure(run, repeats=args.repeats, warmup=args.warmup)
         records.append(result_record(bench, timing, work))
     doc = results_document(records)

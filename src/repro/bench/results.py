@@ -4,7 +4,7 @@ A results *document* is what ``python -m repro bench --json`` writes and
 what the CI ``bench-perf`` gate compares: schema version, UTC creation
 time, git sha, a machine fingerprint (platform / CPU count / python /
 numpy — the variables that actually move wall-clock numbers), and one
-record per benchmark carrying its registered name, kind, params, the
+record per benchmark carrying its name, kind, params, the
 full per-round timings, and the derived ``throughput_per_s`` (work
 units over best time).  The conventional on-disk name is
 ``BENCH_<sha>.json`` so a directory of documents reads as a performance
@@ -21,6 +21,7 @@ because baseline and candidate rarely share a machine.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -154,15 +155,17 @@ def validate_document(doc: object) -> dict[str, object]:
         seconds = timing["seconds"]
         if not isinstance(seconds, Sequence) or isinstance(seconds, str) or not seconds:
             fail(f"benchmark {name!r}: timing has no rounds")
-        if not all(_is_number(s) for s in seconds):
-            fail(f"benchmark {name!r}: non-numeric round time")
-        if not _is_number(timing["best_s"]) or timing["best_s"] <= 0:
-            fail(f"benchmark {name!r}: best_s must be a positive number")
+        # A NaN or infinite time would read "ok" against any gate.
+        if not all(_is_time(s) for s in seconds):
+            fail(f"benchmark {name!r}: round times must be finite positive numbers")
+        if not _is_time(timing["best_s"]):
+            fail(f"benchmark {name!r}: best_s must be a finite positive number")
     return dict(doc)
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, int | float) and not isinstance(value, bool)
+def _is_time(value: object) -> bool:
+    """A finite positive number of seconds (NaN fails both compares)."""
+    return isinstance(value, int | float) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 def write_results(doc: Mapping[str, object], path: str | Path) -> Path:
@@ -208,8 +211,8 @@ def compare_documents(
     the intersection is judged, so a ``--filter``-ed run gates just the
     benchmarks it measured.
     """
-    if max_regression_pct < 0:
-        raise ValueError(f"max_regression_pct must be >= 0, got {max_regression_pct}")
+    if not 0 <= max_regression_pct < math.inf:
+        raise ValueError(f"max_regression_pct must be finite and >= 0, got {max_regression_pct}")
     current_records = cast("Sequence[Mapping[str, Any]]", current["benchmarks"])
     baseline_records = cast("Sequence[Mapping[str, Any]]", baseline["benchmarks"])
     current_by = {str(r["name"]): r for r in current_records}

@@ -1,25 +1,27 @@
-"""The registered benchmark suite: engine micro-benchmarks + experiment macros.
+"""The benchmark suite, one declared tuple: engine micro-benchmarks + macros.
 
 Micro-benchmarks time one engine primitive on the repo's most demanding
 standard workloads — the 2304-rank E2 create storm (plus the dedicated
 -core flush) for the twin solvers, the 150-batch stacked replication
-workload for :func:`~repro.engine.solve_many` and
-:func:`~repro.engine.merge_batches`, and full-scale arrival generation
-for the workload layer.  Each fast path is registered *next to the
-slow path it replaced* (``vectorized``/``reference``,
-``stacked``/``serial``, ``driver_batched``/``driver_serial``), so the
-perf guards in ``tests/test_perf_guard.py`` are nothing but ratio
-assertions over this same registry, and a results file always carries
-both sides of every speedup claim.
+workload for :func:`~repro.engine.solve_many`, and full-scale burst
+arrival generation for the workload layer.  Each fast path is declared
+*next to the slow path it replaced* (``vectorized``/``reference``,
+``stacked``/``serial``, ``driver_batched``/``driver_serial``,
+``sustained``/``inline``), so the perf guards in
+``tests/test_perf_guard.py`` are nothing but ratio assertions over this
+same suite, and a results file always carries both sides of every
+speedup claim.
 
 Macro-benchmarks run the paper's full-scale experiment sweeps (E1–E4,
-E9, and replicated E2) end to end — table construction included — which
-is what the CI ``bench-perf`` gate actually protects: the wall-clock a
-user pays for ``python -m repro run``.
+E9, and replicated E2) and the solve service end to end — table
+construction included — which is what the CI ``bench-perf`` gate
+actually protects: the wall-clock a user pays for ``python -m repro run``.
 
 ``work`` counts nominal client write requests (or arrivals for the
-workload benchmarks); results derive ``throughput_per_s = work / best``
+workload benchmark); results derive ``throughput_per_s = work / best``
 from it, the requests-solved-per-second trajectory the roadmap tracks.
+:data:`SUITE` lists micro before macro, each sorted by name, which is
+the order ``bench --list`` prints.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..engine import EXASCALE, KRAKEN, RequestBatch, merge_batches, solve, solve_many
+from ..engine import KRAKEN, RequestBatch, solve, solve_many
 from ..experiments import (
     run_app_interference,
     run_spare_time,
@@ -40,14 +42,14 @@ from ..experiments import (
 from ..experiments._driver import DEFAULT_INTERFERENCE
 from ..io_models import resolve_approach, resolve_approaches
 from ..scenario import DEFAULT_LADDER, FULL_SCALE_RANKS
-from ..serve import SolveService, demo_stream
+from ..serve import SolveRequest, SolveService, demo_stream
 from ..stats import run_replications
 from ..stats.replication import replication_rng
 from ..util import MB, FloatArray
 from ..workloads import resolve_arrival_process
-from .registry import register_benchmark
+from .registry import Benchmark, BenchmarkMaker
 
-__all__ = ["STORM_RANKS", "E2_REPLICATIONS", "E2_ITERATIONS"]
+__all__ = ["SUITE", "STORM_RANKS", "E2_REPLICATIONS", "E2_ITERATIONS"]
 
 #: The E2 create-storm scale every solver micro-benchmark replays.
 STORM_RANKS = 2304
@@ -58,7 +60,7 @@ _FULL_LADDER = DEFAULT_LADDER + (FULL_SCALE_RANKS,)
 _PAPER_APPROACHES = len(resolve_approaches(None))
 
 
-def _storm_workloads() -> tuple[list[tuple[RequestBatch, bool]], FloatArray]:
+def _make_solve(backend: str) -> tuple[Callable[[], None], float]:
     """The most demanding default-ladder workload: a 2304-rank
     file-per-process create storm plus a dedicated-core flush."""
     rng = np.random.default_rng(0)
@@ -67,115 +69,32 @@ def _storm_workloads() -> tuple[list[tuple[RequestBatch, bool]], FloatArray]:
         ost=rng.permutation(STORM_RANKS) % KRAKEN.ost_count,
         nbytes=45 * MB,
     )
-    nodes = KRAKEN.nodes_for(STORM_RANKS)
     flush = RequestBatch(
         arrival=0.0,
-        ost=rng.permutation(nodes) % KRAKEN.ost_count,
+        ost=rng.permutation(KRAKEN.nodes_for(STORM_RANKS)) % KRAKEN.ost_count,
         nbytes=11 * 45 * MB,
     )
     background = rng.poisson(1.2, KRAKEN.ost_count).astype(float)
-    return [(create_storm, False), (flush, True)], background
-
-
-def _make_solve(backend: str) -> tuple[Callable[[], None], float]:
-    workloads, background = _storm_workloads()
+    workloads = [(create_storm, False), (flush, True)]
 
     def run() -> None:
         for batch, large_writes in workloads:
             solve(KRAKEN, batch, background=background, large_writes=large_writes, backend=backend)
 
-    return run, float(sum(len(batch) for batch, _ in workloads))
+    return run, float(len(create_storm) + len(flush))
 
 
 _SOLVE_PARAMS = {"ranks": STORM_RANKS, "machine": "kraken", "workload": "e2-create-storm+flush"}
-
-
-@register_benchmark(
-    "micro.solve.vectorized",
-    kind="micro",
-    params={**_SOLVE_PARAMS, "backend": "vectorized"},
-    description="numpy batch solver on the 2304-rank create storm + flush",
-)
-def _bench_solve_vectorized() -> tuple[Callable[[], None], float]:
-    return _make_solve("vectorized")
-
-
-@register_benchmark(
-    "micro.solve.reference",
-    kind="micro",
-    params={**_SOLVE_PARAMS, "backend": "reference"},
-    description="seed event-loop solver on the same workload (ground truth)",
-)
-def _bench_solve_reference() -> tuple[Callable[[], None], float]:
-    return _make_solve("reference")
-
-
-def _exascale_staggered() -> tuple[list[tuple[RequestBatch, bool]], FloatArray]:
-    """The staggered unequal-size stressor: 9216 poisson writers plus a
-    9216-rank burst front on the exascale machine's 1024 OSTs — the exact
-    shape that falls off every matrix fast path into per-event solving
-    (lockstep, 1024 requests per pass)."""
-    rng = np.random.default_rng(1)
-    batches: list[tuple[RequestBatch, bool]] = []
-    for process, large_writes in (("poisson", False), ("burst", True)):
-        arrival = resolve_arrival_process(process).sample(rng, FULL_SCALE_RANKS, 120.0)
-        batch = RequestBatch(
-            arrival=arrival,
-            ost=rng.permutation(FULL_SCALE_RANKS) % EXASCALE.ost_count,
-            nbytes=rng.uniform(4 * MB, 90 * MB, FULL_SCALE_RANKS),
-        )
-        batches.append((batch, large_writes))
-    background = rng.poisson(1.2, EXASCALE.ost_count).astype(float)
-    return batches, background
-
-
-def _make_staggered(backend: str | None) -> tuple[Callable[[], None], float]:
-    workloads, background = _exascale_staggered()
-
-    def run() -> None:
-        for batch, large_writes in workloads:
-            solve(
-                EXASCALE, batch, background=background, large_writes=large_writes, backend=backend
-            )
-
-    return run, float(sum(len(batch) for batch, _ in workloads))
-
-
-_STAGGERED_PARAMS = {
-    "ranks": FULL_SCALE_RANKS,
-    "machine": "exascale",
-    "workload": "poisson+burst staggered, mixed sizes",
-}
-
-
-@register_benchmark(
-    "micro.solve_staggered.vectorized",
-    kind="micro",
-    params={**_STAGGERED_PARAMS, "backend": "vectorized"},
-    description="numpy backend's lockstep heap sweep on the same staggered workload",
-)
-def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
-    return _make_staggered("vectorized")
-
-
-@register_benchmark(
-    "micro.solve_staggered.reference",
-    kind="micro",
-    params={**_STAGGERED_PARAMS, "backend": "reference"},
-    description="seed event-loop solver on the same staggered workload (ground truth)",
-)
-def _bench_staggered_reference() -> tuple[Callable[[], None], float]:
-    return _make_staggered("reference")
 
 
 @functools.cache
 def _e2_prepared_storm() -> tuple[tuple[RequestBatch, ...], tuple[FloatArray | None, ...]]:
     """E2's full-scale create-storm cells, prepared for every replication.
 
-    Cached: three benchmarks (stacked/serial ``solve_many``,
-    ``merge_batches``) share this deterministic, seed-pinned setup, and
-    none of them mutates the batches — rebuilding 150 cells per
-    benchmark would only slow the untimed setup phase.
+    Cached: the two ``solve_many`` benchmarks (stacked and serial) share
+    this deterministic, seed-pinned setup, and neither mutates the
+    batches — rebuilding 150 cells per benchmark would only slow the
+    untimed setup phase.
     """
     approach = resolve_approach("file-per-process")
     # One shared rng per replication drives all its iterations in the
@@ -190,6 +109,19 @@ def _e2_prepared_storm() -> tuple[tuple[RequestBatch, ...], tuple[FloatArray | N
     return tuple(p.batch for p in prepared), tuple(p.background for p in prepared)
 
 
+def _make_solve_many(stacked: bool) -> tuple[Callable[[], None], float]:
+    batches, backgrounds = _e2_prepared_storm()
+
+    def run_stacked() -> None:
+        solve_many(KRAKEN, batches, backgrounds=backgrounds, large_writes=False)
+
+    def run_serial() -> None:
+        for batch, background in zip(batches, backgrounds, strict=True):
+            solve(KRAKEN, batch, background=background, large_writes=False)
+
+    return run_stacked if stacked else run_serial, float(sum(len(b) for b in batches))
+
+
 _STACK_PARAMS = {
     "ranks": STORM_RANKS,
     "machine": "kraken",
@@ -198,89 +130,15 @@ _STACK_PARAMS = {
 }
 
 
-@register_benchmark(
-    "micro.solve_many.stacked",
-    kind="micro",
-    params=_STACK_PARAMS,
-    description="150 replication batches solved in one virtual-OST-axis stack",
-)
-def _bench_solve_many_stacked() -> tuple[Callable[[], None], float]:
-    batches, backgrounds = _e2_prepared_storm()
-    work = float(sum(len(b) for b in batches))
-
-    def run() -> None:
-        solve_many(KRAKEN, batches, backgrounds=backgrounds, large_writes=False)
-
-    return run, work
-
-
-@register_benchmark(
-    "micro.solve_many.serial",
-    kind="micro",
-    params=_STACK_PARAMS,
-    description="the same 150 batches through a per-batch solve loop (baseline)",
-)
-def _bench_solve_many_serial() -> tuple[Callable[[], None], float]:
-    batches, backgrounds = _e2_prepared_storm()
-    work = float(sum(len(b) for b in batches))
-
-    def run() -> None:
-        for batch, background in zip(batches, backgrounds, strict=True):
-            solve(KRAKEN, batch, background=background, large_writes=False)
-
-    return run, work
-
-
-@register_benchmark(
-    "micro.merge_batches",
-    kind="micro",
-    params=_STACK_PARAMS,
-    description="merge 150 replication batches into one batch",
-)
-def _bench_merge_batches() -> tuple[Callable[[], None], float]:
-    batches, _ = _e2_prepared_storm()
-    work = float(sum(len(b) for b in batches))
-
-    def run() -> None:
-        merge_batches(batches)
-
-    return run, work
-
-
-def _make_arrivals(process: str, draws: int = 32) -> tuple[Callable[[], None], float]:
-    arrival = resolve_arrival_process(process)
+def _make_burst_arrivals(draws: int = 32) -> tuple[Callable[[], None], float]:
+    burst = resolve_arrival_process("burst")
     rngs = [np.random.default_rng([0, i]) for i in range(draws)]
 
     def run() -> None:
         for rng in rngs:
-            arrival.sample(rng, FULL_SCALE_RANKS, 120.0)
+            burst.sample(rng, FULL_SCALE_RANKS, 120.0)
 
     return run, float(FULL_SCALE_RANKS * draws)
-
-
-_ARRIVAL_PARAMS = {"ranks": FULL_SCALE_RANKS, "draws": 32, "period_s": 120.0}
-
-
-@register_benchmark(
-    "micro.arrivals.poisson",
-    kind="micro",
-    params={**_ARRIVAL_PARAMS, "process": "poisson"},
-    units="arrivals",
-    description="poisson arrival generation at the 9216-rank scale",
-)
-def _bench_arrivals_poisson() -> tuple[Callable[[], None], float]:
-    return _make_arrivals("poisson")
-
-
-@register_benchmark(
-    "micro.arrivals.burst",
-    kind="micro",
-    params={**_ARRIVAL_PARAMS, "process": "burst"},
-    units="arrivals",
-    description="inhomogeneous-Poisson burst arrivals (exact thinning) at 9216 ranks",
-)
-def _bench_arrivals_burst() -> tuple[Callable[[], None], float]:
-    return _make_arrivals("burst")
 
 
 def _make_replication_driver(batched: bool) -> tuple[Callable[[], None], float]:
@@ -306,97 +164,9 @@ def _make_replication_driver(batched: bool) -> tuple[Callable[[], None], float]:
 _DRIVER_PARAMS = {**_STACK_PARAMS, "approaches": 3}
 
 
-@register_benchmark(
-    "micro.replication.driver_batched",
-    kind="micro",
-    params={**_DRIVER_PARAMS, "batched": True},
-    description="end-to-end replication driver, stacked solve_many path",
-)
-def _bench_driver_batched() -> tuple[Callable[[], None], float]:
-    return _make_replication_driver(batched=True)
-
-
-@register_benchmark(
-    "micro.replication.driver_serial",
-    kind="micro",
-    params={**_DRIVER_PARAMS, "batched": False},
-    description="end-to-end replication driver, serial run_iteration loop (baseline)",
-)
-def _bench_driver_serial() -> tuple[Callable[[], None], float]:
-    return _make_replication_driver(batched=False)
-
-
-# --------------------------------------------------------------------------
-# Macro-benchmarks: the paper's experiment sweeps at full (9216-rank) scale.
-# --------------------------------------------------------------------------
-
-
-@register_benchmark(
-    "macro.e1.weak_scaling",
-    kind="macro",
-    params={"ladder": list(_FULL_LADDER), "iterations": 2, "approaches": _PAPER_APPROACHES},
-    description="E1 weak-scaling sweep over the full ladder, the paper's comparison set",
-)
-def _bench_e1() -> tuple[Callable[[], None], float]:
-    def run() -> None:
-        run_weak_scaling(scales=_FULL_LADDER, iterations=2, data_per_rank=45 * MB, seed=0)
-
-    return run, float(sum(_FULL_LADDER) * 2 * _PAPER_APPROACHES)
-
-
-@register_benchmark(
-    "macro.e2.replicated",
-    kind="macro",
-    params={"ranks": STORM_RANKS, "iterations": 5, "replications": 10, "interference": True},
-    description="E2 variability under interference, 10 replications with CI columns",
-)
-def _bench_e2_replicated() -> tuple[Callable[[], None], float]:
-    def run() -> None:
-        run_variability(ranks=STORM_RANKS, iterations=5, seed=0, replications=10)
-
-    return run, float(STORM_RANKS * 5 * _PAPER_APPROACHES * 10)
-
-
-@register_benchmark(
-    "macro.e3.throughput",
-    kind="macro",
-    params={"ranks": FULL_SCALE_RANKS, "iterations": 2},
-    description="E3 aggregate-throughput comparison at the paper's 9216-rank scale",
-)
-def _bench_e3() -> tuple[Callable[[], None], float]:
-    def run() -> None:
-        run_throughput(ranks=FULL_SCALE_RANKS, iterations=2, seed=0)
-
-    return run, float(FULL_SCALE_RANKS * 2 * _PAPER_APPROACHES)
-
-
-@register_benchmark(
-    "macro.e4.spare_time",
-    kind="macro",
-    params={"ladder": list(_FULL_LADDER), "iterations": 3},
-    description="E4 dedicated-core idle time over the full ladder",
-)
-def _bench_e4() -> tuple[Callable[[], None], float]:
-    def run() -> None:
-        run_spare_time(scales=_FULL_LADDER, iterations=3, seed=0)
-
-    return run, float(sum(_FULL_LADDER) * 3)
-
-
-@register_benchmark(
-    "macro.exascale.staggered",
-    kind="macro",
-    params={**_STAGGERED_PARAMS, "iterations": 3, "backend": "default"},
-    description="three rounds of the exascale staggered mix through the default backend",
-)
-def _bench_exascale_staggered() -> tuple[Callable[[], None], float]:
-    run_once, work = _make_staggered(None)
-
-    def run() -> None:
-        for _ in range(3):
-            run_once()
-
-    return run, 3.0 * work
+def _sweep(work: float, runner: Callable[..., object], **kwargs: object) -> BenchmarkMaker:
+    """A maker with no setup whose timed run is ``runner(**kwargs)``."""
+    return lambda: (functools.partial(runner, **kwargs), work)
 
 
 #: The overlapping 10k-request grid both serve macros replay: 1280 unique
@@ -405,7 +175,7 @@ _SERVE_STREAM = {"cells": 1280, "passes": 8, "ranks": 128, "machine": "grid5000"
 
 
 @functools.cache
-def _serve_stream() -> list:
+def _serve_stream() -> list[SolveRequest]:
     """Shared by the sustained/inline pair; requests are never mutated."""
     return demo_stream(
         str(_SERVE_STREAM["machine"]),
@@ -416,16 +186,10 @@ def _serve_stream() -> list:
     )
 
 
-@register_benchmark(
-    "macro.serve.sustained",
-    kind="macro",
-    params=_SERVE_STREAM,
-    description="10240 overlapping requests through a cold solve service (dedup + coalesce)",
-)
-def _bench_serve_sustained() -> tuple[Callable[[], None], float]:
+def _make_serve(sustained: bool) -> tuple[Callable[[], None], float]:
     stream = _serve_stream()
 
-    def run() -> None:
+    def run_sustained() -> None:
         # A fresh service every round: each measurement pays the full
         # dedup + memo-build + coalesced-solve cost, no warm cache.
         service = SolveService()
@@ -433,19 +197,7 @@ def _bench_serve_sustained() -> tuple[Callable[[], None], float]:
             service.submit(request)
         service.flush()
 
-    return run, float(len(stream))
-
-
-@register_benchmark(
-    "macro.serve.inline",
-    kind="macro",
-    params=_SERVE_STREAM,
-    description="the same request stream solved one engine call at a time (baseline)",
-)
-def _bench_serve_inline() -> tuple[Callable[[], None], float]:
-    stream = _serve_stream()
-
-    def run() -> None:
+    def run_inline() -> None:
         for request in stream:
             solve(
                 request.machine,
@@ -454,17 +206,135 @@ def _bench_serve_inline() -> tuple[Callable[[], None], float]:
                 large_writes=request.large_writes,
             )
 
-    return run, float(len(stream))
+    return run_sustained if sustained else run_inline, float(len(stream))
 
 
-@register_benchmark(
-    "macro.e9.interference",
-    kind="macro",
-    params={"ranks": STORM_RANKS, "iterations": 4, "intensities": 3},
-    description="E9 cross-application interference sweep (intensity x approach)",
+#: Every benchmark: ``Benchmark(name, make, params, units, description)``.
+SUITE: tuple[Benchmark, ...] = (
+    Benchmark(
+        "micro.arrivals.burst",
+        _make_burst_arrivals,
+        {"ranks": FULL_SCALE_RANKS, "draws": 32, "period_s": 120.0, "process": "burst"},
+        "arrivals",
+        "inhomogeneous-Poisson burst arrivals (exact thinning) at 9216 ranks",
+    ),
+    Benchmark(
+        "micro.replication.driver_batched",
+        functools.partial(_make_replication_driver, batched=True),
+        {**_DRIVER_PARAMS, "batched": True},
+        "requests",
+        "end-to-end replication driver, stacked solve_many path",
+    ),
+    Benchmark(
+        "micro.replication.driver_serial",
+        functools.partial(_make_replication_driver, batched=False),
+        {**_DRIVER_PARAMS, "batched": False},
+        "requests",
+        "end-to-end replication driver, serial run_iteration loop (baseline)",
+    ),
+    Benchmark(
+        "micro.solve.reference",
+        functools.partial(_make_solve, "reference"),
+        {**_SOLVE_PARAMS, "backend": "reference"},
+        "requests",
+        "seed event-loop solver on the same workload (ground truth)",
+    ),
+    Benchmark(
+        "micro.solve.vectorized",
+        functools.partial(_make_solve, "vectorized"),
+        {**_SOLVE_PARAMS, "backend": "vectorized"},
+        "requests",
+        "numpy batch solver on the 2304-rank create storm + flush",
+    ),
+    Benchmark(
+        "micro.solve_many.serial",
+        functools.partial(_make_solve_many, stacked=False),
+        _STACK_PARAMS,
+        "requests",
+        "the same 150 batches through a per-batch solve loop (baseline)",
+    ),
+    Benchmark(
+        "micro.solve_many.stacked",
+        functools.partial(_make_solve_many, stacked=True),
+        _STACK_PARAMS,
+        "requests",
+        "150 replication batches solved in one virtual-OST-axis stack",
+    ),
+    Benchmark(
+        "macro.e1.weak_scaling",
+        _sweep(
+            float(sum(_FULL_LADDER) * 2 * _PAPER_APPROACHES),
+            run_weak_scaling,
+            scales=_FULL_LADDER,
+            iterations=2,
+            data_per_rank=45 * MB,
+            seed=0,
+        ),
+        {"ladder": list(_FULL_LADDER), "iterations": 2, "approaches": _PAPER_APPROACHES},
+        "requests",
+        "E1 weak-scaling sweep over the full ladder, the paper's comparison set",
+    ),
+    Benchmark(
+        "macro.e2.replicated",
+        _sweep(
+            float(STORM_RANKS * 5 * _PAPER_APPROACHES * 10),
+            run_variability,
+            ranks=STORM_RANKS,
+            iterations=5,
+            seed=0,
+            replications=10,
+        ),
+        {"ranks": STORM_RANKS, "iterations": 5, "replications": 10, "interference": True},
+        "requests",
+        "E2 variability under interference, 10 replications with CI columns",
+    ),
+    Benchmark(
+        "macro.e3.throughput",
+        _sweep(
+            float(FULL_SCALE_RANKS * 2 * _PAPER_APPROACHES),
+            run_throughput,
+            ranks=FULL_SCALE_RANKS,
+            iterations=2,
+            seed=0,
+        ),
+        {"ranks": FULL_SCALE_RANKS, "iterations": 2},
+        "requests",
+        "E3 aggregate-throughput comparison at the paper's 9216-rank scale",
+    ),
+    Benchmark(
+        "macro.e4.spare_time",
+        _sweep(
+            float(sum(_FULL_LADDER) * 3), run_spare_time, scales=_FULL_LADDER, iterations=3, seed=0
+        ),
+        {"ladder": list(_FULL_LADDER), "iterations": 3},
+        "requests",
+        "E4 dedicated-core idle time over the full ladder",
+    ),
+    Benchmark(
+        "macro.e9.interference",
+        _sweep(
+            float(STORM_RANKS * 4 * _PAPER_APPROACHES * 3),
+            run_app_interference,
+            ranks=STORM_RANKS,
+            iterations=4,
+            seed=0,
+        ),
+        {"ranks": STORM_RANKS, "iterations": 4, "intensities": 3},
+        "requests",
+        "E9 cross-application interference sweep (intensity x approach)",
+    ),
+    Benchmark(
+        "macro.serve.inline",
+        functools.partial(_make_serve, sustained=False),
+        _SERVE_STREAM,
+        "requests",
+        "the same request stream solved one engine call at a time (baseline)",
+    ),
+    Benchmark(
+        "macro.serve.sustained",
+        functools.partial(_make_serve, sustained=True),
+        _SERVE_STREAM,
+        "requests",
+        "10240 overlapping requests through a cold solve service (dedup + coalesce)",
+    ),
 )
-def _bench_e9() -> tuple[Callable[[], None], float]:
-    def run() -> None:
-        run_app_interference(ranks=STORM_RANKS, iterations=4, seed=0)
-
-    return run, float(STORM_RANKS * 4 * _PAPER_APPROACHES * 3)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.analyze import (
-    FILE_RULE_IDS,
+    RULES,
     AnalysisReport,
     analyze_tree,
     check_project,
@@ -28,7 +28,6 @@ from repro.analyze import (
     load_document,
     resolve_rule,
     results_document,
-    rule_ids,
     suppressed_lines,
     validate_document,
     write_document,
@@ -267,16 +266,19 @@ def test_suppressed_lines_parses_multiple_ids():
     assert lines == {1: frozenset({"DET001", "INV004"})}
 
 
-# -- rule registry ---------------------------------------------------------
+# -- rule catalog ----------------------------------------------------------
 
 
 def test_rule_catalog_is_complete_and_resolvable():
-    ids = rule_ids()
-    assert set(FILE_RULE_IDS) <= set(ids)
-    assert {"INV001", "INV002", "GEN001"} <= set(ids)
-    assert list(ids) == sorted(ids)
-    for rule_id in ids:
-        rule = resolve_rule(rule_id)
+    file_rules = ["DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "GEN001"]
+    file_rules += ["INV003", "INV004"]
+    # Sorted by id: the order --list-rules prints and ANALYZE.json embeds.
+    assert list(RULES) == sorted([*file_rules, "INV001", "INV002"])
+    # A rule's scopes decide whether it runs per file or once per project.
+    assert [r for r in RULES if not RULES[r].applies_to("project")] == file_rules
+    assert [RULES[r].scopes for r in ("INV001", "INV002")] == [("project",)] * 2
+    for rule_id, rule in RULES.items():
+        assert resolve_rule(rule_id) is rule
         assert rule.id == rule_id
         assert rule.title and rule.rationale
 
@@ -316,6 +318,19 @@ def test_inv001_flags_docstringless_registered_approach():
         del _APPROACHES["undocumented-fixture"]
     # And the real registries are fully documented.
     assert check_project(REPO, rule_ids=("INV001",)) == []
+
+
+def test_inv001_flags_an_undescribed_suite_benchmark(monkeypatch):
+    import dataclasses
+
+    from repro.bench import suite
+
+    undescribed = dataclasses.replace(suite.SUITE[0], name="micro.undescribed", description=" ")
+    monkeypatch.setattr(suite, "SUITE", (*suite.SUITE, undescribed))
+    (finding,) = check_project(REPO, rule_ids=("INV001",))
+    # A ``partial`` maker has no source line, so the finding anchors in the suite module.
+    assert (finding.rule, finding.path, finding.line) == ("INV001", "src/repro/bench/suite.py", 1)
+    assert "'micro.undescribed' has no description" in finding.message
 
 
 def test_inv002_flags_backend_without_crossval_test():
@@ -420,7 +435,7 @@ def test_cli_rules_filter_and_usage_errors(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["analyze", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in rule_ids():
+    for rule_id in RULES:
         assert rule_id in out
 
 

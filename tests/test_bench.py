@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
     SCHEMA_VERSION,
     Timing,
-    benchmark_names,
     compare_documents,
     default_results_path,
     load_results,
     measure,
-    register_benchmark,
     resolve_benchmark,
     result_record,
     results_document,
@@ -22,21 +23,24 @@ from repro.bench import (
     validate_document,
     write_results,
 )
-from repro.bench.registry import Benchmark
+from repro.bench.registry import KINDS
+from repro.bench.suite import SUITE
 from repro.cli import main
 
-# The fastest registered benchmarks; CLI tests filter down to these so
-# the suite stays quick.
-FAST_FILTER = ["micro.arrivals", "micro.solve."]
+REPO = Path(__file__).resolve().parent.parent
+
+# The fastest benchmarks, the twin solvers; CLI tests filter down to
+# these so the suite stays quick.
+FAST_FILTER = ["micro.solve."]
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------------------ suite
 
 
 def test_registry_covers_required_suite():
-    names = benchmark_names()
-    micro = [b for b in select_benchmarks(kind="micro")]
-    macro = [b for b in select_benchmarks(kind="macro")]
+    names = [b.name for b in SUITE]
+    micro = [b for b in SUITE if b.kind == "micro"]
+    macro = [b for b in SUITE if b.kind == "macro"]
     assert len(micro) >= 6
     assert len(macro) >= 4
     # Every engine speedup claim ships with both of its sides.
@@ -58,12 +62,13 @@ def test_registry_listing_sorted_micro_first():
 
 
 def test_select_benchmarks_filters_by_substring_and_kind():
-    arrivals = select_benchmarks("ARRIVALS")  # case-insensitive
-    assert {b.name for b in arrivals} == {"micro.arrivals.poisson", "micro.arrivals.burst"}
+    solvers = select_benchmarks("SOLVE.")  # case-insensitive
+    assert [b.name for b in solvers] == ["micro.solve.reference", "micro.solve.vectorized"]
     assert select_benchmarks("no-such-benchmark") == []
-    assert all(b.kind == "macro" for b in select_benchmarks(kind="macro"))
-    with pytest.raises(ValueError, match="kind"):
-        select_benchmarks(kind="nano")
+    # A kind is the first part of the name, so a filter selects it.
+    macro = select_benchmarks("macro.")
+    assert macro == [b for b in SUITE if b.kind == "macro"]
+    assert select_benchmarks(["micro.", "macro."]) == list(SUITE)
 
 
 def test_resolve_unknown_benchmark_names_known_ones():
@@ -71,11 +76,43 @@ def test_resolve_unknown_benchmark_names_known_ones():
         resolve_benchmark("micro.solve.quantum")
 
 
-def test_register_rejects_duplicates_and_bad_kind():
-    with pytest.raises(ValueError, match="already registered"):
-        register_benchmark("micro.solve.vectorized", kind="micro")(lambda: (lambda: None, 0.0))
-    with pytest.raises(ValueError, match="kind"):
-        Benchmark(name="x", kind="nano", make=lambda: (lambda: None, 0.0))
+def test_suite_names_are_unique_kinded_and_described():
+    names = [b.name for b in SUITE]
+    assert len(set(names)) == len(names)
+    for bench in SUITE:
+        assert bench.name.split(".")[0] in KINDS
+        assert bench.kind == bench.name.split(".")[0]
+        assert bench.description.strip()
+
+
+def test_committed_records_load_and_the_baseline_holds_exactly_the_suite():
+    names = {b.name for b in SUITE}
+    baseline = load_results(REPO / "benchmarks" / "baseline.json")
+    assert [r["name"] for r in baseline["benchmarks"]] == [b.name for b in SUITE]
+    # The history records past suites: its first two documents keep the
+    # benchmarks since deleted, and none names one the suite never had.
+    deleted = {
+        "micro.arrivals.poisson",
+        "micro.merge_batches",
+        "micro.solve_staggered.compiled",
+        "micro.solve_staggered.reference",
+        "micro.solve_staggered.vectorized",
+        "macro.exascale.staggered",
+    }
+    history = sorted((REPO / "benchmarks" / "history").glob("BENCH_*.json"))
+    first_two = {"BENCH_373bf289736f", "BENCH_89cb9c38de2d"}
+    assert first_two <= {path.stem for path in history}
+    for path in history:
+        recorded = {r["name"] for r in load_results(path)["benchmarks"]}
+        assert recorded - deleted <= names
+        if path.stem in first_two:
+            assert deleted <= recorded
+    # Every benchmark a perf guard times is in the suite.
+    guards = (REPO / "tests" / "test_perf_guard.py").read_text(encoding="utf-8")
+    timed = re.findall(r'_best\("([^"]+)"', guards)
+    assert len(timed) == 8
+    for name in timed:
+        assert resolve_benchmark(name).name == name
 
 
 # ----------------------------------------------------------------- timing
@@ -114,7 +151,7 @@ def test_timing_dict_round_trip():
 # ---------------------------------------------------------------- results
 
 
-def _document_for(names=("micro.arrivals.poisson",), best=0.5):
+def _document_for(names=("micro.arrivals.burst",), best=0.5):
     records = []
     for name in names:
         bench = resolve_benchmark(name)
@@ -123,16 +160,16 @@ def _document_for(names=("micro.arrivals.poisson",), best=0.5):
 
 
 def test_results_document_schema_round_trip(tmp_path):
-    doc = _document_for(("micro.arrivals.poisson", "macro.e3.throughput"))
+    doc = _document_for(("micro.arrivals.burst", "macro.e3.throughput"))
     path = write_results(doc, tmp_path / "out.json")
     loaded = load_results(path)
     assert loaded["schema_version"] == SCHEMA_VERSION
     assert loaded["git_sha"] == "deadbeef" * 5
     assert {"platform", "python", "numpy", "cpu_count"} <= set(loaded["fingerprint"])
     by_name = {r["name"]: r for r in loaded["benchmarks"]}
-    record = by_name["micro.arrivals.poisson"]
+    record = by_name["micro.arrivals.burst"]
     assert record["kind"] == "micro" and record["units"] == "arrivals"
-    assert record["params"]["process"] == "poisson"
+    assert record["params"]["process"] == "burst"
     assert record["throughput_per_s"] == pytest.approx(100.0 / 0.5)
     # micro records sort before macro ones.
     assert [r["kind"] for r in loaded["benchmarks"]] == ["micro", "macro"]
@@ -159,18 +196,32 @@ def test_validate_document_rejects_corruption():
             validate_document(corrupt)
 
 
+@pytest.mark.parametrize("key, value", [("best_s", math.nan), ("seconds", math.inf)])
+def test_a_non_finite_baseline_time_is_rejected(capsys, tmp_path, key, value):
+    # NaN compares false and inf reads -100%: either would pass every gate.
+    doc = _document_for(("micro.solve.vectorized",))
+    timing = doc["benchmarks"][0]["timing"]
+    timing[key] = value if key == "best_s" else [value, *timing[key][1:]]
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="micro.solve.vectorized.*finite positive"):
+        load_results(path)
+    assert main(_bench_cli("--baseline", str(path))) == 2
+    assert "cannot load baseline" in capsys.readouterr().err
+
+
 def test_default_results_path_uses_short_sha():
     assert default_results_path("0123456789abcdef").name == "BENCH_0123456789ab.json"
 
 
 def test_compare_documents_flags_regressions_over_intersection():
-    baseline = _document_for(("micro.arrivals.poisson", "micro.arrivals.burst"), best=0.1)
-    current = _document_for(("micro.arrivals.poisson", "macro.e3.throughput"), best=0.2)
+    baseline = _document_for(("micro.arrivals.burst", "micro.solve.vectorized"), best=0.1)
+    current = _document_for(("micro.arrivals.burst", "macro.e3.throughput"), best=0.2)
     comparisons, only_base, only_current = compare_documents(
         current, baseline, max_regression_pct=50.0
     )
-    assert [c.name for c in comparisons] == ["micro.arrivals.poisson"]
-    assert only_base == ["micro.arrivals.burst"]
+    assert [c.name for c in comparisons] == ["micro.arrivals.burst"]
+    assert only_base == ["micro.solve.vectorized"]
     assert only_current == ["macro.e3.throughput"]
     (cmp,) = comparisons
     assert cmp.change_pct == pytest.approx(100.0)
@@ -194,8 +245,16 @@ def _bench_cli(*extra: str) -> list[str]:
 def test_cli_bench_list(capsys):
     assert main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in benchmark_names():
-        assert name in out
+    for bench in SUITE:
+        assert bench.name in out
+
+
+def test_cli_bench_list_prints_exactly_the_suite_micro_first(capsys):
+    assert main(["bench", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{b.name} [{b.kind}, {b.units}]: {b.description}" for b in SUITE]
+    kinds = [b.kind for b in SUITE]
+    assert kinds == sorted(kinds, key=KINDS.index)
 
 
 def test_cli_bench_list_respects_filter(capsys):
@@ -222,7 +281,7 @@ def test_cli_bench_writes_schema_valid_json(capsys, tmp_path):
     assert main(_bench_cli("--json", str(out_path))) == 0
     doc = load_results(out_path)
     names = {r["name"] for r in doc["benchmarks"]}
-    assert {"micro.arrivals.poisson", "micro.solve.vectorized", "micro.solve.reference"} <= names
+    assert names == {"micro.solve.vectorized", "micro.solve.reference"}
     assert all(r["timing"]["repeats"] == 1 for r in doc["benchmarks"])
     assert "results written" in capsys.readouterr().out
 
@@ -264,7 +323,7 @@ def test_cli_bench_disjoint_baseline_is_not_green(capsys, tmp_path):
     baseline_path = tmp_path / "baseline.json"
     doc = _document_for(("macro.e3.throughput",))
     baseline_path.write_text(json.dumps(doc))
-    argv = ["bench", "--filter", "micro.arrivals.poisson", "--repeats", "1", "--warmup", "0"]
+    argv = ["bench", "--filter", "micro.solve.vectorized", "--repeats", "1", "--warmup", "0"]
     assert main([*argv, "--baseline", str(baseline_path)]) == 2
     assert "no benchmark names shared" in capsys.readouterr().err
 
@@ -273,3 +332,14 @@ def test_cli_bench_rejects_bad_round_counts(capsys):
     assert main(["bench", "--repeats", "0"]) == 2
     assert "--repeats" in capsys.readouterr().err
     assert main(["bench", "--warmup", "-1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_cli_bench_rejects_a_bad_max_regression_before_measuring(capsys, value):
+    # NaN compares false, so a NaN gate would pass every benchmark, and a
+    # negative one has no meaning: usage errors, found before measuring.
+    baseline = str(REPO / "benchmarks" / "baseline.json")
+    assert main(_bench_cli("--baseline", baseline, "--max-regression", value)) == 2
+    captured = capsys.readouterr()
+    assert "--max-regression" in captured.err
+    assert captured.out == ""

@@ -1,10 +1,11 @@
 """Perf guards for the engine's fast paths, driven by ``repro.bench``.
 
-Each guard is a ratio assertion over *registered benchmarks*: the suite
-in :mod:`repro.bench.suite` pairs every fast path with the slow path it
+Each guard is a ratio assertion over *suite benchmarks*: the suite in
+:mod:`repro.bench.suite` pairs every fast path with the slow path it
 replaced (vectorized/reference solver, stacked/serial ``solve_many``,
-batched/serial replication driver), this module times both sides through
-the shared best-of-N harness and asserts the speedup:
+batched/serial replication driver, sustained/inline solve service), this
+module times both sides through the shared best-of-N harness and asserts
+the speedup:
 
 * vectorized solver not slower than the reference on the 2304-rank
   create storm + flush (measured gap ≥5x at full scale);
@@ -12,7 +13,9 @@ the shared best-of-N harness and asserts the speedup:
   per-batch loop on E2's 150 replication batches (both sides run numpy
   passes; measured 0.90-1.50x);
 * the end-to-end batched replication driver not slower than the serial
-  ``run_iteration`` loop (measured 1.05-1.89x).
+  ``run_iteration`` loop (measured 1.05-1.89x);
+* the solve service at least 3x inline per-request solving on
+  overlapping traffic.
 
 Best-of-N timing absorbs most shared-runner noise; for runners where
 that is still not enough, ``REPRO_PERF_STRICT=0`` downgrades a failed
@@ -30,8 +33,8 @@ from repro.bench import PerfWarning, assert_speedup, measure, resolve_benchmark
 
 
 def _best(name: str, repeats: int = 3) -> float:
-    """Best-of-``repeats`` seconds of a registered benchmark's timed run."""
-    run, _work = resolve_benchmark(name).prepare()
+    """Best-of-``repeats`` seconds of a suite benchmark's timed run."""
+    run, _work = resolve_benchmark(name).make()
     return measure(run, repeats=repeats, warmup=1).best
 
 
